@@ -20,15 +20,16 @@ from .errors import ConfigError, DataError, NumericError
 from .pipeline import (
     DOMAINS,
     PipelineConfig,
+    _merged,
     default_config,
     emit_report,
     generator_config,
     parse_report,
     render_summary,
     run_domain,
+    write_dataset,
 )
 from .synthgen import GENERATORS
-from .tabular import save_dataset
 
 
 def _parse_override(text: str):
@@ -71,13 +72,7 @@ def _build_config(args) -> PipelineConfig:
         loaded["domain"] = args.domain
         base = default_config(args.domain).to_dict()
         for section in ("generator", "preprocess", "models"):
-            merged = base[section]
-            for key, value in loaded.get(section, {}).items():
-                if isinstance(value, dict) and isinstance(merged.get(key), dict):
-                    merged[key] = {**merged[key], **value}
-                else:
-                    merged[key] = value
-            loaded[section] = merged
+            loaded[section] = _merged(base[section], loaded.get(section, {}), section)
         loaded.setdefault("seed", base["seed"])
         loaded.setdefault("threshold_percentile", base["threshold_percentile"])
         config = PipelineConfig.from_dict(loaded)
@@ -97,17 +92,10 @@ def _build_config(args) -> PipelineConfig:
 def _cmd_generate(args) -> int:
     config = _build_config(args)
     dataset = GENERATORS[config.domain](generator_config(config))
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{config.domain}.csv")
-    save_dataset(dataset, path)
-    print(f"wrote {dataset.n} rows to {path}")
-    if config.domain == "ueba":
-        from .synthgen import save_events_jsonl
-
-        events_path = os.path.join(out_dir, "events.jsonl")
-        save_events_jsonl(dataset, events_path)
-        print(f"wrote event log to {events_path}")
+    paths = write_dataset(dataset, config.domain, args.out or ".")
+    print(f"wrote {dataset.n} rows to {paths['dataset']}")
+    if "events" in paths:
+        print(f"wrote event log to {paths['events']}")
     return 0
 
 

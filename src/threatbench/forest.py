@@ -362,11 +362,6 @@ def fit_gradient_boosting(X, y, config: BoostConfig | None = None, validation=No
     )
 
 
-def predict_proba(model, X) -> np.ndarray:
-    """Class-probability pairs [p0, p1] for a forest or boosted model."""
-    return model.predict_proba(np.asarray(X, dtype=np.float64))
-
-
 # -- isolation forest --------------------------------------------------------------
 
 

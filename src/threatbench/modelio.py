@@ -57,55 +57,60 @@ def _node_from_doc(doc: dict) -> TreeNode:
     return node
 
 
-def _payload(model) -> tuple[str, dict]:
-    if isinstance(model, RandomForestModel):
-        return "random_forest", {
-            "n_features": model.n_features,
-            "config": vars(model.config),
-            "trees": [_node_to_doc(t) for t in model.trees],
-        }
-    if isinstance(model, GradientBoostingModel):
-        return "gradient_boosting", {
-            "base_score": model.base_score,
-            "best_iteration": model.best_iteration,
-            "n_features": model.n_features,
-            "config": vars(model.config),
-            "val_losses": list(model.val_losses),
-            "trees": [_node_to_doc(t) for t in model.trees],
-        }
-    if isinstance(model, IsolationForestModel):
-        return "isolation_forest", {
-            "psi": model.psi,
-            "n_features": model.n_features,
-            "trees": [_node_to_doc(t) for t in model.trees],
-        }
-    if isinstance(model, LogisticModel):
-        return "logistic", {
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-            "class_weights": {str(k): v for k, v in model.class_weights.items()},
-            "l2": model.l2,
-        }
-    if isinstance(model, CalibratorSpec):
-        return "platt", {"A": model.A, "B": model.B}
-    if isinstance(model, DenseAutoencoder):
-        return "dense_autoencoder", {
-            "layer_sizes": list(model.layer_sizes),
-            "l1": model.l1,
-            "params": {k: v.tolist() for k, v in model.params.items()},
-        }
-    if isinstance(model, LstmAutoencoder):
-        return "lstm_autoencoder", {
-            "input_dim": model.input_dim,
-            "hidden": model.hidden,
-            "latent": model.latent,
-            "params": {k: v.tolist() for k, v in model.params.items()},
-        }
-    raise DataError(f"cannot serialize model of type {type(model).__name__}")
+def _same(value):
+    return value
+
+
+def _config(cls):
+    return vars, lambda doc: cls(**doc)
+
+
+_INT = (_same, int)
+_FLOAT = (_same, float)
+_LIST = (list, list)
+_TREES = (
+    lambda trees: [_node_to_doc(t) for t in trees],
+    lambda docs: [_node_from_doc(d) for d in docs],
+)
+_ARRAYS = (
+    lambda arrays: {k: v.tolist() for k, v in arrays.items()},
+    lambda docs: {k: np.asarray(v, dtype=np.float64) for k, v in docs.items()},
+)
+_CLASS_WEIGHTS = (
+    lambda weights: {str(k): v for k, v in weights.items()},
+    lambda docs: {int(k): float(v) for k, v in docs.items()},
+)
+
+# Document kind -> (model type, {payload field: (encode, decode)}). save_model
+# and load_model both read this one table, so writer and reader cannot drift.
+KINDS = {
+    "random_forest": (RandomForestModel, {"n_features": _INT, "config": _config(ForestConfig), "trees": _TREES}),
+    "gradient_boosting": (GradientBoostingModel, {
+        "base_score": _FLOAT,
+        "best_iteration": _INT,
+        "n_features": _INT,
+        "config": _config(BoostConfig),
+        "val_losses": _LIST,
+        "trees": _TREES,
+    }),
+    "isolation_forest": (IsolationForestModel, {"psi": _INT, "n_features": _INT, "trees": _TREES}),
+    "logistic": (LogisticModel, {
+        "weights": (np.ndarray.tolist, lambda doc: np.asarray(doc, dtype=np.float64)),
+        "bias": _FLOAT,
+        "class_weights": _CLASS_WEIGHTS,
+        "l2": _FLOAT,
+    }),
+    "platt": (CalibratorSpec, {"A": _FLOAT, "B": _FLOAT}),
+    "dense_autoencoder": (DenseAutoencoder, {"layer_sizes": _LIST, "l1": _FLOAT, "params": _ARRAYS}),
+    "lstm_autoencoder": (LstmAutoencoder, {"input_dim": _INT, "hidden": _INT, "latent": _INT, "params": _ARRAYS}),
+}
 
 
 def save_model(model, path, threshold: AnomalyThreshold | None = None) -> None:
-    kind, payload = _payload(model)
+    kind = next((k for k, (cls, _) in KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise DataError(f"cannot serialize model of type {type(model).__name__}")
+    payload = {name: encode(getattr(model, name)) for name, (encode, _) in KINDS[kind][1].items()}
     doc = {"format": FORMAT, "version": VERSION, "kind": kind, "payload": payload}
     if threshold is not None:
         doc["threshold"] = {
@@ -134,54 +139,10 @@ def load_model(path):
         raise DataError(f"{path} is not a {FORMAT} document")
     if doc.get("version") != VERSION:
         raise DataError(f"unsupported model document version {doc.get('version')}")
-    payload = doc["payload"]
-    kind = doc["kind"]
-
-    if kind == "random_forest":
-        model = RandomForestModel(
-            trees=[_node_from_doc(t) for t in payload["trees"]],
-            n_features=int(payload["n_features"]),
-            config=ForestConfig(**payload["config"]),
-        )
-    elif kind == "gradient_boosting":
-        model = GradientBoostingModel(
-            base_score=float(payload["base_score"]),
-            trees=[_node_from_doc(t) for t in payload["trees"]],
-            best_iteration=int(payload["best_iteration"]),
-            n_features=int(payload["n_features"]),
-            config=BoostConfig(**payload["config"]),
-            val_losses=list(payload["val_losses"]),
-        )
-    elif kind == "isolation_forest":
-        model = IsolationForestModel(
-            trees=[_node_from_doc(t) for t in payload["trees"]],
-            psi=int(payload["psi"]),
-            n_features=int(payload["n_features"]),
-        )
-    elif kind == "logistic":
-        model = LogisticModel(
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            bias=float(payload["bias"]),
-            class_weights={int(k): float(v) for k, v in payload["class_weights"].items()},
-            l2=float(payload["l2"]),
-        )
-    elif kind == "platt":
-        model = CalibratorSpec(A=float(payload["A"]), B=float(payload["B"]))
-    elif kind == "dense_autoencoder":
-        model = DenseAutoencoder(
-            layer_sizes=list(payload["layer_sizes"]),
-            params={k: np.asarray(v, dtype=np.float64) for k, v in payload["params"].items()},
-            l1=float(payload["l1"]),
-        )
-    elif kind == "lstm_autoencoder":
-        model = LstmAutoencoder(
-            input_dim=int(payload["input_dim"]),
-            hidden=int(payload["hidden"]),
-            latent=int(payload["latent"]),
-            params={k: np.asarray(v, dtype=np.float64) for k, v in payload["params"].items()},
-        )
-    else:
-        raise DataError(f"unknown model kind {kind!r} in {path}")
+    if doc.get("kind") not in KINDS:
+        raise DataError(f"unknown model kind {doc.get('kind')!r} in {path}")
+    cls, fields = KINDS[doc["kind"]]
+    model = cls(**{name: decode(doc["payload"][name]) for name, (_, decode) in fields.items()})
 
     threshold = None
     if "threshold" in doc:

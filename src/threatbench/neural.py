@@ -25,10 +25,9 @@ def _sigmoid(z):
 
 @dataclass
 class TrainLog:
-    """Per-epoch training (and optional validation) loss."""
+    """Per-epoch training loss."""
 
     train_losses: list = field(default_factory=list)
-    val_losses: list = field(default_factory=list)
 
 
 class Adam:
@@ -165,7 +164,6 @@ def fit_dense_autoencoder(
     step_size: float = 0.01,
     rng: RngStream | None = None,
     batch_size: int = 64,
-    X_val=None,
 ):
     """Train on clean rows only (the caller guarantees label-0 input).
 
@@ -192,9 +190,6 @@ def fit_dense_autoencoder(
         if not math.isfinite(loss):
             raise NumericError(f"non-finite training loss at epoch {epoch + 1}")
         log.train_losses.append(loss)
-        if X_val is not None:
-            val_loss, _ = dense_loss_and_grads(model, np.asarray(X_val, dtype=np.float64))
-            log.val_losses.append(val_loss)
     return model, log
 
 

@@ -1,6 +1,10 @@
-"""End-to-end domain pipelines, run reports, and report emission.
+"""The domain spec table and its runner, run reports, and report emission.
 
-Each pipeline is a pure function of (PipelineConfig, toolkit version): reports
+A domain is one DOMAIN_SPECS entry: its label and categorical columns, its
+preprocessing, and per model the fit, the scorer, the training rows and the
+threshold policy. `run_domain` executes any entry.
+
+Each run is a pure function of (PipelineConfig, toolkit version): reports
 carry no timestamps or host identifiers and artifact paths are stored relative
 to the report, so identical configs produce byte-identical output trees. Every
 fit or calibration stage consumes training-partition rows only; pass a
@@ -13,7 +17,10 @@ import copy
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
+from itertools import chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,21 +112,15 @@ class PipelineConfig:
             raise ConfigError(f"unknown domain {self.domain!r}; choose from {DOMAINS}")
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not 0.0 < self.threshold_percentile < 100.0:
-            raise ConfigError(f"threshold_percentile must be in (0, 100), got {self.threshold_percentile}")
-        frac = self.preprocess.get("test_fraction", 0.3)
-        if not 0.0 < frac < 1.0:
-            raise ConfigError(f"test_fraction must be in (0, 1), got {frac}")
+        _check_between("threshold_percentile", self.threshold_percentile, 100.0)
+        _merged(_GENERATOR_DEFAULTS[self.domain], self.generator, "generator")
+        _merged(_MODEL_DEFAULTS, self.models, "models")
+        pp = _merged(_PREPROCESS_DEFAULTS, self.preprocess, "preprocess")
+        for key in ("test_fraction", "validation_fraction"):
+            _check_between(key, pp[key], 1.0)
 
     def to_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "seed": self.seed,
-            "generator": copy.deepcopy(self.generator),
-            "preprocess": copy.deepcopy(self.preprocess),
-            "models": copy.deepcopy(self.models),
-            "threshold_percentile": self.threshold_percentile,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -128,14 +129,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "domain" not in d:
             raise ConfigError("config requires a domain")
-        return cls(
-            domain=d["domain"],
-            seed=d.get("seed", 42),
-            generator=copy.deepcopy(d.get("generator", {})),
-            preprocess=copy.deepcopy(d.get("preprocess", {})),
-            models=copy.deepcopy(d.get("models", {})),
-            threshold_percentile=d.get("threshold_percentile", 95.0),
-        )
+        return cls(**copy.deepcopy(d))
 
 
 def default_config(domain: str, seed: int = 42) -> PipelineConfig:
@@ -151,11 +145,21 @@ def default_config(domain: str, seed: int = 42) -> PipelineConfig:
     )
 
 
-def _merged(defaults: dict, overrides: dict) -> dict:
-    """Defaults overlaid with overrides; nested dicts merge one level deep."""
+def _check_between(name: str, value, upper: float) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < upper:
+        raise ConfigError(f"{name} must be a number in (0, {upper:g}), got {value!r}")
+
+
+def _merged(defaults: dict, overrides, section: str) -> dict:
+    """Defaults overlaid with overrides; nested dicts merge one level deep. The
+    one config-section merge, for the CLI and the runner alike."""
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"config section {section!r} must be an object, got {overrides!r}")
     out = copy.deepcopy(defaults)
     for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
+        if isinstance(out.get(key), dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section '{section}.{key}' must be an object, got {value!r}")
             out[key] = {**out[key], **value}
         else:
             out[key] = value
@@ -163,7 +167,7 @@ def _merged(defaults: dict, overrides: dict) -> dict:
 
 
 def generator_config(config: PipelineConfig) -> GeneratorConfig:
-    g = _merged(_GENERATOR_DEFAULTS[config.domain], config.generator)
+    g = _merged(_GENERATOR_DEFAULTS[config.domain], config.generator, "generator")
     return GeneratorConfig(
         n=int(g["n"]),
         anomaly_rate=float(g["anomaly_rate"]),
@@ -228,37 +232,13 @@ class RunReport:
     schema_version: int = REPORT_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "toolkit_version": self.toolkit_version,
-            "domain": self.domain,
-            "config": self.config,
-            "dataset": self.dataset,
-            "stages": list(self.stages),
-            "models": self.models,
-            "thresholds": self.thresholds,
-            "importances": self.importances,
-            "flags": self.flags,
-            "histograms": self.histograms,
-            "artifacts": self.artifacts,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
-        return cls(
-            domain=d["domain"],
-            config=d["config"],
-            toolkit_version=d["toolkit_version"],
-            dataset=d["dataset"],
-            stages=list(d["stages"]),
-            models=d["models"],
-            thresholds=d.get("thresholds", {}),
-            importances=d.get("importances", {}),
-            flags=d.get("flags", {}),
-            histograms=d.get("histograms", {}),
-            artifacts=d.get("artifacts", {}),
-            schema_version=d.get("schema_version", REPORT_SCHEMA_VERSION),
-        )
+        """Missing optional fields take their defaults; a missing required
+        field raises TypeError."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def _histograms(dataset: Dataset, bins: int = 20) -> dict:
@@ -292,509 +272,338 @@ def _dataset_block(dataset: Dataset) -> dict:
     }
 
 
-_THREAT_CLASS = {
-    "intrusion": "anomaly",
-    "malware": "malicious",
-    "phishing": "phishing",
-    "ueba": "threat_session",
-}
-
-
-def _metrics_block(y_true, flags_or_preds, scores, domain) -> dict:
-    return classification_report(
-        y_true, flags_or_preds, scores=scores, positive_label=_THREAT_CLASS[domain]
-    ).to_dict()
-
-
-def _top_importances(report, k: int = 10):
-    return [[name, score] for name, score in report.top(k)]
-
-
-def _save_artifacts(out_dir, dataset, domain, models_with_thresholds):
-    """Write dataset + model files; returns {name: relative path}."""
-    paths = {}
-    data_dir = os.path.join(out_dir, "data")
-    model_dir = os.path.join(out_dir, "models")
-    os.makedirs(data_dir, exist_ok=True)
-    os.makedirs(model_dir, exist_ok=True)
-    ds_path = os.path.join(data_dir, f"{domain}.csv")
-    save_dataset(dataset, ds_path)
-    paths["dataset"] = os.path.relpath(ds_path, out_dir)
-    if domain == "ueba":
-        ev_path = os.path.join(data_dir, "events.jsonl")
-        save_events_jsonl(dataset, ev_path)
-        paths["events"] = os.path.relpath(ev_path, out_dir)
-    for name, (model, threshold) in models_with_thresholds.items():
-        mp = os.path.join(model_dir, f"{name}.json")
-        save_model(model, mp, threshold=threshold)
-        paths[name] = os.path.relpath(mp, out_dir)
+def write_dataset(dataset: Dataset, domain: str, directory) -> dict:
+    """Write `<domain>.csv` under `directory`, plus `events.jsonl` for a session
+    domain's event log. Returns {"dataset": path} and, if written, "events"."""
+    os.makedirs(directory, exist_ok=True)
+    paths = {"dataset": os.path.join(directory, f"{domain}.csv")}
+    save_dataset(dataset, paths["dataset"])
+    if DOMAIN_SPECS[domain].sessions:
+        paths["events"] = os.path.join(directory, "events.jsonl")
+        save_events_jsonl(dataset, paths["events"])
     return paths
 
 
-def _carve_validation(train: Dataset, label_column: str, fraction: float, rng: RngStream):
-    fit_idx, val_idx = stratified_indices(train.column(label_column), fraction, rng)
-    return train.select_rows(fit_idx), train.select_rows(val_idx)
+# -- partitions, preparation and the domain spec table ----------------------------------
 
 
-# -- domain pipelines ---------------------------------------------------------------
+@dataclass
+class _Rows:
+    """A tabular partition: features, labels, and the source row id behind
+    each row (-1 for synthetic rows), for the leakage audit."""
+
+    X: np.ndarray
+    y: np.ndarray
+    ids: np.ndarray
+
+    def select(self, idx) -> "_Rows":
+        return _Rows(self.X[idx], self.y[idx], self.ids[idx])
+
+    def importance_inputs(self, score):
+        """(array permutation importance shuffles, scorer of that array)."""
+        return self.X, score
 
 
-def run_intrusion(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None = None) -> RunReport:
-    """Flows -> split -> encode/scale on train -> isolation forest + dense
-    autoencoder (clean rows only) -> percentile thresholds -> test metrics."""
-    config.validate()
-    rec = _StageRecorder()
-    rng = RngStream(config.seed, "pipeline/intrusion")
-    pp = _merged(_PREPROCESS_DEFAULTS, config.preprocess)
-    mc = _merged(_MODEL_DEFAULTS, config.models)
+class _Sessions(_Rows):
+    """A session partition: X is a SessionTensor, ids the row ids of every
+    event of every session."""
 
-    with rec.stage("generate"):
-        dataset = GENERATORS["intrusion"](generator_config(config))
-    with rec.stage("split"):
-        train, test = stratified_split(dataset, "anomaly_label", pp["test_fraction"], rng.child("split"))
-        if audit:
-            audit.mark_test(test.row_ids)
+    def __init__(self, tensor: SessionTensor):
+        event_ids = np.fromiter(chain.from_iterable(tensor.event_row_ids), dtype=np.int64)
+        super().__init__(tensor, tensor.labels, event_ids)
+
+    def select(self, idx) -> "_Sessions":
+        return _Sessions(self.X.select(idx))
+
+    def importance_inputs(self, score):
+        t = self.X
+        return t.data, lambda X3: score(
+            SessionTensor(data=X3, lengths=t.lengths, labels=t.labels, feature_names=t.feature_names)
+        )
+
+
+def _record(audit, stage, *parts) -> None:
+    if audit:
+        for part in parts:
+            audit.record(stage, part.ids)
+
+
+def _encode(spec, train: Dataset, targets, rec, audit, exclude=()):
+    """Fit one-hot encoding, then z-scores if the spec scales, on `train` only;
+    returns `targets` transformed. Numeric columns in `exclude` stay unscaled."""
     with rec.stage("fit_one_hot"):
-        encoder = fit_one_hot(train, ["protocol"])
+        encoder = fit_one_hot(train, list(spec.categoricals))
         if audit:
             audit.record("fit_one_hot", train.row_ids)
         train_e = apply_one_hot(encoder, train)
-        test_e = apply_one_hot(encoder, test)
-    with rec.stage("fit_scaler"):
-        numeric = train_e.names_of_kind("numeric")
-        scaler = fit_scaler(train_e, numeric)
-        if audit:
-            audit.record("fit_scaler", train_e.row_ids)
-        train_s = apply_scaler(scaler, train_e)
-        test_s = apply_scaler(scaler, test_e)
-
-    features = [n for n in train_s.names_of_kind("numeric", "binary")]
-    X_train = train_s.matrix(features)
-    X_test = test_s.matrix(features)
-    y_train = np.asarray(train_s.column("anomaly_label"))
-    y_test = np.asarray(test_s.column("anomaly_label"))
-
-    with rec.stage("fit_isolation_forest"):
-        psi = min(int(mc["iforest"]["psi"]), X_train.shape[0])
-        iforest = fit_isolation_forest(X_train, int(mc["iforest"]["n_trees"]), psi, rng.child("iforest"))
-        if audit:
-            audit.record("fit_isolation_forest", train_s.row_ids)
-    with rec.stage("fit_dense_autoencoder"):
-        clean_idx = np.flatnonzero(y_train == 0)
-        X_clean = X_train[clean_idx]
-        assert (y_train[clean_idx] == 0).all()
-        d = X_clean.shape[1]
-        layers = mc["dense_ae"].get("layers") or [d, max(8, d // 2), max(4, d // 4), max(8, d // 2), d]
-        ae, _ = fit_dense_autoencoder(
-            X_clean,
-            layers,
-            l1=float(mc["dense_ae"]["l1"]),
-            epochs=int(mc["dense_ae"]["epochs"]),
-            step_size=float(mc["dense_ae"]["step_size"]),
-            rng=rng.child("dense_ae"),
-            batch_size=int(mc["dense_ae"]["batch_size"]),
-        )
-        if audit:
-            audit.record("fit_dense_autoencoder", train_s.row_ids[clean_idx])
-    with rec.stage("calibrate_thresholds"):
-        if_train_scores = iforest_score(iforest, X_train)
-        thr_if = calibrate_threshold(if_train_scores, config.threshold_percentile)
-        ae_train_errors = reconstruction_errors(ae, X_clean)
-        thr_ae = calibrate_threshold(ae_train_errors, config.threshold_percentile)
-        if audit:
-            audit.record("calibrate_thresholds", train_s.row_ids)
-
-    with rec.stage("evaluate"):
-        if_scores = iforest_score(iforest, X_test)
-        if_flags = detect_anomalies(if_scores, thr_if)
-        ae_errors = reconstruction_errors(ae, X_test)
-        ae_flags = detect_anomalies(ae_errors, thr_ae)
-        models = {
-            "isolation_forest": _metrics_block(y_test, if_flags, if_scores, "intrusion"),
-            "dense_autoencoder": _metrics_block(y_test, ae_flags, ae_errors, "intrusion"),
-        }
-        repeats = int(mc["importance_repeats"])
-        imp_if = permutation_importance(
-            lambda X: iforest_score(iforest, X), X_test, y_test, "auc", repeats, rng.child("imp/if"), features
-        )
-        imp_ae = permutation_importance(
-            lambda X: reconstruction_errors(ae, X), X_test, y_test, "auc", repeats, rng.child("imp/ae"), features
-        )
-
-    artifacts = {}
-    if out_dir:
-        artifacts = _save_artifacts(out_dir, dataset, "intrusion", {
-            "isolation_forest": (iforest, thr_if),
-            "dense_autoencoder": (ae, thr_ae),
-        })
-    return RunReport(
-        domain="intrusion",
-        config=config.to_dict(),
-        toolkit_version=__version__,
-        dataset=_dataset_block(dataset),
-        stages=rec.stages,
-        models=models,
-        thresholds={
-            "isolation_forest": {"value": thr_if.value, "percentile": thr_if.percentile, "sample_size": thr_if.sample_size},
-            "dense_autoencoder": {"value": thr_ae.value, "percentile": thr_ae.percentile, "sample_size": thr_ae.sample_size},
-        },
-        importances={
-            "isolation_forest": _top_importances(imp_if),
-            "dense_autoencoder": _top_importances(imp_ae),
-        },
-        flags={
-            "isolation_forest": [int(i) for i in np.flatnonzero(if_flags)],
-            "dense_autoencoder": [int(i) for i in np.flatnonzero(ae_flags)],
-        },
-        histograms=_histograms(dataset),
-        artifacts=artifacts,
-    )
+        targets = [train_e if t is train else apply_one_hot(encoder, t) for t in targets]
+    if spec.scale:
+        with rec.stage("fit_scaler"):
+            numeric = [n for n in train_e.names_of_kind("numeric") if n not in exclude]
+            scaler = fit_scaler(train_e, numeric)
+            if audit:
+                audit.record("fit_scaler", train_e.row_ids)
+            targets = [apply_scaler(scaler, t) for t in targets]
+    return targets
 
 
-def run_malware(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None = None) -> RunReport:
-    """Corpus -> split -> encode -> SMOTE on the train side only -> random
-    forest + boosted trees (validation slice for early stopping) -> test metrics.
-
-    Numeric counts pass through unscaled: tree models split on raw values.
-    """
-    config.validate()
-    rec = _StageRecorder()
-    rng = RngStream(config.seed, "pipeline/malware")
-    pp = _merged(_PREPROCESS_DEFAULTS, config.preprocess)
-    mc = _merged(_MODEL_DEFAULTS, config.models)
-
-    with rec.stage("generate"):
-        dataset = GENERATORS["malware"](generator_config(config))
+def _prepare_tabular(spec, dataset, pp, rng, rec, audit):
+    """Split -> downsample train -> encode/scale on train -> carve validation
+    -> SMOTE on the fit rows. Returns (features, partitions, dataset extras)."""
     with rec.stage("split"):
-        train, test = stratified_split(dataset, "label", pp["test_fraction"], rng.child("split"))
+        train, test = stratified_split(dataset, spec.label, pp["test_fraction"], rng.child("split"))
         if audit:
             audit.mark_test(test.row_ids)
-    with rec.stage("fit_one_hot"):
-        encoder = fit_one_hot(train, ["file_type"])
-        if audit:
-            audit.record("fit_one_hot", train.row_ids)
-        train_e = apply_one_hot(encoder, train)
-        test_e = apply_one_hot(encoder, test)
-    with rec.stage("carve_validation"):
-        fit_part, val_part = _carve_validation(train_e, "label", pp["validation_fraction"], rng.child("val"))
+    if spec.resample == "downsample":
+        with rec.stage("downsample_majority"):
+            train = downsample_majority(train, spec.label, float(pp["downsample_ratio"]), rng.child("downsample"))
+    train, test = _encode(spec, train, [train, test], rec, audit)
 
-    features = fit_part.names_of_kind("numeric", "binary")
-    X_fit = fit_part.matrix(features)
-    y_fit = np.asarray(fit_part.column("label"))
-    X_val = val_part.matrix(features)
-    y_val = np.asarray(val_part.column("label"))
-    X_test = test_e.matrix(features)
-    y_test = np.asarray(test_e.column("label"))
-
-    with rec.stage("smote_oversample"):
-        minority = X_fit[y_fit == 1]
-        majority_count = int((y_fit == 0).sum())
-        n_synthetic = max(0, majority_count - minority.shape[0])
-        synthetic = smote_oversample(minority, int(pp["smote_k"]), n_synthetic, rng.child("smote"))
-        if audit:
-            audit.record("smote_oversample", fit_part.row_ids[y_fit == 1])
-        X_bal = np.vstack([X_fit, synthetic])
-        y_bal = np.concatenate([y_fit, np.ones(synthetic.shape[0], dtype=np.int64)])
-
-    with rec.stage("fit_random_forest"):
-        fc = ForestConfig(
-            n_trees=int(mc["forest"]["n_trees"]),
-            max_depth=int(mc["forest"]["max_depth"]),
-            min_samples_split=int(mc["forest"]["min_samples_split"]),
-        )
-        rf = fit_random_forest(X_bal, y_bal, fc, rng.child("forest"))
-        if audit:
-            audit.record("fit_random_forest", fit_part.row_ids)
-    with rec.stage("fit_gradient_boosting"):
-        bc = BoostConfig(**{k: mc["boosting"][k] for k in (
-            "learning_rate", "n_rounds", "max_depth", "lam", "gamma", "subsample", "early_stopping_rounds")})
-        gbm = fit_gradient_boosting(X_bal, y_bal, bc, validation=(X_val, y_val), rng=rng.child("boost"))
-        if audit:
-            audit.record("fit_gradient_boosting", np.concatenate([fit_part.row_ids, val_part.row_ids]))
-
-    calibrator = None
-    if mc["calibrate_boosting"]:
-        with rec.stage("calibrate_boosting"):
-            calibrator = fit_platt(gbm.predict_margin(X_val), y_val)
-            if audit:
-                audit.record("calibrate_boosting", val_part.row_ids)
-
-    with rec.stage("evaluate"):
-        rf_scores = rf.predict_proba(X_test)[:, 1]
-        gb_margin = gbm.predict_margin(X_test)
-        gb_scores = calibrator.apply(gb_margin) if calibrator else 0.5 * (1.0 + np.tanh(0.5 * gb_margin))
-        models = {
-            "random_forest": _metrics_block(y_test, (rf_scores >= 0.5).astype(int), rf_scores, "malware"),
-            "gradient_boosting": _metrics_block(y_test, (gb_scores >= 0.5).astype(int), gb_scores, "malware"),
-        }
-        repeats = int(mc["importance_repeats"])
-        imp_rf = permutation_importance(
-            lambda X: rf.predict_proba(X)[:, 1], X_test, y_test, "auc", repeats, rng.child("imp/rf"), features
-        )
-        imp_gb = permutation_importance(
-            lambda X: gbm.predict_proba(X)[:, 1], X_test, y_test, "auc", repeats, rng.child("imp/gb"), features
-        )
-
-    artifacts = {}
-    if out_dir:
-        saved = {"random_forest": (rf, None), "gradient_boosting": (gbm, None)}
-        if calibrator:
-            saved["boosting_calibrator"] = (calibrator, None)
-        artifacts = _save_artifacts(out_dir, dataset, "malware", saved)
-    return RunReport(
-        domain="malware",
-        config=config.to_dict(),
-        toolkit_version=__version__,
-        dataset=_dataset_block(dataset),
-        stages=rec.stages,
-        models=models,
-        importances={"random_forest": _top_importances(imp_rf), "gradient_boosting": _top_importances(imp_gb)},
-        histograms=_histograms(dataset),
-        artifacts=artifacts,
-    )
-
-
-def run_phishing(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None = None) -> RunReport:
-    """Emails -> split -> downsample train majority -> encode/scale -> logistic
-    + random forest + boosted trees -> test metrics for all three."""
-    config.validate()
-    rec = _StageRecorder()
-    rng = RngStream(config.seed, "pipeline/phishing")
-    pp = _merged(_PREPROCESS_DEFAULTS, config.preprocess)
-    mc = _merged(_MODEL_DEFAULTS, config.models)
-
-    with rec.stage("generate"):
-        dataset = GENERATORS["phishing"](generator_config(config))
-    with rec.stage("split"):
-        train, test = stratified_split(dataset, "label", pp["test_fraction"], rng.child("split"))
-        if audit:
-            audit.mark_test(test.row_ids)
-    with rec.stage("downsample_majority"):
-        train_d = downsample_majority(train, "label", float(pp["downsample_ratio"]), rng.child("downsample"))
-    with rec.stage("fit_one_hot"):
-        encoder = fit_one_hot(train_d, ["attachment_type"])
-        if audit:
-            audit.record("fit_one_hot", train_d.row_ids)
-        train_e = apply_one_hot(encoder, train_d)
-        test_e = apply_one_hot(encoder, test)
-    with rec.stage("fit_scaler"):
-        numeric = train_e.names_of_kind("numeric")
-        scaler = fit_scaler(train_e, numeric)
-        if audit:
-            audit.record("fit_scaler", train_e.row_ids)
-        train_s = apply_scaler(scaler, train_e)
-        test_s = apply_scaler(scaler, test_e)
-    with rec.stage("carve_validation"):
-        fit_part, val_part = _carve_validation(train_s, "label", pp["validation_fraction"], rng.child("val"))
-
-    features = fit_part.names_of_kind("numeric", "binary")
-    X_fit = fit_part.matrix(features)
-    y_fit = np.asarray(fit_part.column("label"))
-    X_val = val_part.matrix(features)
-    y_val = np.asarray(val_part.column("label"))
-    X_full_train = train_s.matrix(features)
-    y_full_train = np.asarray(train_s.column("label"))
-    X_test = test_s.matrix(features)
-    y_test = np.asarray(test_s.column("label"))
-
-    with rec.stage("fit_logistic"):
-        lr = fit_logistic(
-            X_full_train,
-            y_full_train,
-            l2=float(mc["logistic"]["l2"]),
-            epochs=int(mc["logistic"]["epochs"]),
-            step_size=float(mc["logistic"]["step_size"]),
-        )
-        if audit:
-            audit.record("fit_logistic", train_s.row_ids)
-    with rec.stage("fit_random_forest"):
-        fc = ForestConfig(
-            n_trees=int(mc["forest"]["n_trees"]),
-            max_depth=int(mc["forest"]["max_depth"]),
-            min_samples_split=int(mc["forest"]["min_samples_split"]),
-        )
-        rf = fit_random_forest(X_full_train, y_full_train, fc, rng.child("forest"))
-        if audit:
-            audit.record("fit_random_forest", train_s.row_ids)
-    with rec.stage("fit_gradient_boosting"):
-        bc = BoostConfig(**{k: mc["boosting"][k] for k in (
-            "learning_rate", "n_rounds", "max_depth", "lam", "gamma", "subsample", "early_stopping_rounds")})
-        gbm = fit_gradient_boosting(X_fit, y_fit, bc, validation=(X_val, y_val), rng=rng.child("boost"))
-        if audit:
-            audit.record("fit_gradient_boosting", train_s.row_ids)
-
-    calibrator = None
-    if mc["calibrate_boosting"]:
-        with rec.stage("calibrate_boosting"):
-            calibrator = fit_platt(gbm.predict_margin(X_val), y_val)
-            if audit:
-                audit.record("calibrate_boosting", val_part.row_ids)
-
-    with rec.stage("evaluate"):
-        lr_scores = logistic_proba(lr, X_test)
-        rf_scores = rf.predict_proba(X_test)[:, 1]
-        gb_margin = gbm.predict_margin(X_test)
-        gb_scores = calibrator.apply(gb_margin) if calibrator else 0.5 * (1.0 + np.tanh(0.5 * gb_margin))
-        models = {
-            "logistic_regression": _metrics_block(y_test, (lr_scores >= 0.5).astype(int), lr_scores, "phishing"),
-            "random_forest": _metrics_block(y_test, (rf_scores >= 0.5).astype(int), rf_scores, "phishing"),
-            "gradient_boosting": _metrics_block(y_test, (gb_scores >= 0.5).astype(int), gb_scores, "phishing"),
-        }
-        repeats = int(mc["importance_repeats"])
-        importances = {
-            "logistic_regression": _top_importances(permutation_importance(
-                lambda X: logistic_proba(lr, X), X_test, y_test, "auc", repeats, rng.child("imp/lr"), features)),
-            "random_forest": _top_importances(permutation_importance(
-                lambda X: rf.predict_proba(X)[:, 1], X_test, y_test, "auc", repeats, rng.child("imp/rf"), features)),
-            "gradient_boosting": _top_importances(permutation_importance(
-                lambda X: gbm.predict_proba(X)[:, 1], X_test, y_test, "auc", repeats, rng.child("imp/gb"), features)),
-        }
-
-    artifacts = {}
-    if out_dir:
-        saved = {"logistic_regression": (lr, None), "random_forest": (rf, None), "gradient_boosting": (gbm, None)}
-        if calibrator:
-            saved["boosting_calibrator"] = (calibrator, None)
-        artifacts = _save_artifacts(out_dir, dataset, "phishing", saved)
-    return RunReport(
-        domain="phishing",
-        config=config.to_dict(),
-        toolkit_version=__version__,
-        dataset=_dataset_block(dataset),
-        stages=rec.stages,
-        models=models,
-        importances=importances,
-        histograms=_histograms(dataset),
-        artifacts=artifacts,
-    )
-
-
-def run_ueba(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None = None) -> RunReport:
-    """Events -> session-level split -> encode/scale on train events ->
-    sessionize -> LSTM autoencoder on clean train sessions -> threshold ->
-    flag and score test sessions."""
-    config.validate()
-    rec = _StageRecorder()
-    rng = RngStream(config.seed, "pipeline/ueba")
-    pp = _merged(_PREPROCESS_DEFAULTS, config.preprocess)
-    mc = _merged(_MODEL_DEFAULTS, config.models)
-
-    with rec.stage("generate"):
-        events = GENERATORS["ueba"](generator_config(config))
-
-    with rec.stage("session_split"):
-        users = np.asarray(events.column("user_id"))
-        days = np.asarray(events.column("day"))
-        labels = np.asarray(events.column("anomaly_label"))
-        session_keys = sorted({(float(u), float(d)) for u, d in zip(users, days)})
-        key_index = {k: i for i, k in enumerate(session_keys)}
-        session_labels = np.zeros(len(session_keys), dtype=np.int64)
-        event_session = np.empty(events.n, dtype=np.int64)
-        for i in range(events.n):
-            s = key_index[(float(users[i]), float(days[i]))]
-            event_session[i] = s
-            session_labels[s] = max(session_labels[s], int(labels[i]))
-        train_sessions, test_sessions = stratified_indices(session_labels, pp["test_fraction"], rng.child("split"))
-        train_event_idx = np.flatnonzero(np.isin(event_session, train_sessions))
-        train_events = events.select_rows(train_event_idx)
-        if audit:
-            test_event_idx = np.flatnonzero(np.isin(event_session, test_sessions))
-            audit.mark_test(events.row_ids[test_event_idx])
-
-    with rec.stage("fit_one_hot"):
-        encoder = fit_one_hot(train_events, ["activity_type"])
-        if audit:
-            audit.record("fit_one_hot", train_events.row_ids)
-        events_e = apply_one_hot(encoder, events)
-        train_events_e = apply_one_hot(encoder, train_events)
-    with rec.stage("fit_scaler"):
-        numeric = [n for n in train_events.names_of_kind("numeric") if n not in ("user_id", "day")]
-        scaler = fit_scaler(train_events_e, numeric)
-        if audit:
-            audit.record("fit_scaler", train_events.row_ids)
-        events_s = apply_scaler(scaler, events_e)
-
-    with rec.stage("sessionize"):
-        tensor = sessionize(events_s, int(pp["time_steps"]))
-        train_tensor = tensor.select(train_sessions)
-        test_tensor = tensor.select(test_sessions)
-
-    with rec.stage("fit_lstm_autoencoder"):
-        clean_idx = np.flatnonzero(train_tensor.labels == 0)
-        clean_tensor = train_tensor.select(clean_idx)
-        assert (clean_tensor.labels == 0).all()
-        lstm, _ = fit_lstm_autoencoder(
-            clean_tensor,
-            hidden=int(mc["lstm_ae"]["hidden"]),
-            latent=int(mc["lstm_ae"]["latent"]),
-            epochs=int(mc["lstm_ae"]["epochs"]),
-            step_size=float(mc["lstm_ae"]["step_size"]),
-            rng=rng.child("lstm"),
-            batch_size=int(mc["lstm_ae"]["batch_size"]),
-        )
-        if audit:
-            for ids in clean_tensor.event_row_ids:
-                audit.record("fit_lstm_autoencoder", ids)
-    with rec.stage("calibrate_threshold"):
-        train_errors = score_sessions(lstm, clean_tensor)
-        threshold = calibrate_threshold(train_errors, config.threshold_percentile)
-        if audit:
-            for ids in clean_tensor.event_row_ids:
-                audit.record("calibrate_threshold", ids)
-
-    with rec.stage("evaluate"):
-        test_errors = score_sessions(lstm, test_tensor)
-        flags = detect_anomalies(test_errors, threshold)
-        y_test = test_tensor.labels
-        models = {"lstm_autoencoder": _metrics_block(y_test, flags, test_errors, "ueba")}
-        repeats = int(mc["importance_repeats"])
-        lengths = test_tensor.lengths
-
-        def session_scores(X3):
-            t = SessionTensor(
-                data=X3, lengths=lengths, labels=y_test, feature_names=test_tensor.feature_names
-            )
-            return score_sessions(lstm, t)
-
-        imp = permutation_importance(
-            session_scores, test_tensor.data, y_test, "auc", repeats, rng.child("imp/lstm"), test_tensor.feature_names
-        )
-
-    artifacts = {}
-    if out_dir:
-        artifacts = _save_artifacts(out_dir, events, "ueba", {"lstm_autoencoder": (lstm, threshold)})
-    dataset_block = _dataset_block(events)
-    dataset_block["n_sessions"] = int(tensor.n_sessions)
-    dataset_block["session_label_counts"] = {
-        "0": int((session_labels == 0).sum()),
-        "1": int((session_labels == 1).sum()),
+    features = train.names_of_kind("numeric", "binary")
+    parts = {
+        name: _Rows(part.matrix(features), np.asarray(part.column(spec.label)), part.row_ids)
+        for name, part in (("train", train), ("test", test))
     }
-    return RunReport(
-        domain="ueba",
-        config=config.to_dict(),
-        toolkit_version=__version__,
-        dataset=dataset_block,
-        stages=rec.stages,
-        models=models,
-        thresholds={"lstm_autoencoder": {"value": threshold.value, "percentile": threshold.percentile, "sample_size": threshold.sample_size}},
-        importances={"lstm_autoencoder": _top_importances(imp)},
-        flags={"lstm_autoencoder": [int(i) for i in np.flatnonzero(flags)]},
-        histograms=_histograms(events),
-        artifacts=artifacts,
-    )
+    if spec.validation:
+        with rec.stage("carve_validation"):
+            fit_idx, val_idx = stratified_indices(train.column(spec.label), pp["validation_fraction"], rng.child("val"))
+            parts["fit"] = parts["train"].select(fit_idx)
+            parts["val"] = parts["train"].select(val_idx)
+    if spec.resample == "smote":
+        with rec.stage("smote_oversample"):
+            fit = parts["fit"]
+            minority = fit.X[fit.y == 1]
+            n_synthetic = max(0, int((fit.y == 0).sum()) - minority.shape[0])
+            synthetic = smote_oversample(minority, int(pp["smote_k"]), n_synthetic, rng.child("smote"))
+            if audit:
+                audit.record("smote_oversample", fit.ids[fit.y == 1])
+            parts["fit"] = _Rows(
+                np.vstack([fit.X, synthetic]),
+                np.concatenate([fit.y, np.ones(synthetic.shape[0], dtype=np.int64)]),
+                np.concatenate([fit.ids, np.full(synthetic.shape[0], -1, dtype=np.int64)]),
+            )
+    return features, parts, {}
 
 
-_PIPELINES = {
-    "intrusion": run_intrusion,
-    "malware": run_malware,
-    "phishing": run_phishing,
-    "ueba": run_ueba,
+def _prepare_sessions(spec, events, pp, rng, rec, audit):
+    """Session-level split -> encode/scale on train-session events ->
+    sessionize. Returns the same triple as `_prepare_tabular`."""
+    with rec.stage("session_split"):
+        # Sessions are numbered in sorted (user, day) order, as sessionize numbers them.
+        keys = np.column_stack([events.column("user_id"), events.column("day")]).astype(np.float64)
+        session_keys, event_session = np.unique(keys, axis=0, return_inverse=True)
+        event_session = event_session.ravel()
+        session_labels = np.zeros(len(session_keys), dtype=np.int64)
+        np.maximum.at(session_labels, event_session, np.asarray(events.column(spec.label), dtype=np.int64))
+        train_sessions, test_sessions = stratified_indices(session_labels, pp["test_fraction"], rng.child("split"))
+        train_events = events.select_rows(np.flatnonzero(np.isin(event_session, train_sessions)))
+        if audit:
+            audit.mark_test(events.row_ids[np.isin(event_session, test_sessions)])
+
+    (events_s,) = _encode(spec, train_events, [events], rec, audit, exclude=("user_id", "day"))
+    with rec.stage("sessionize"):
+        tensor = sessionize(events_s, int(pp["time_steps"]), label_column=spec.label)
+        parts = {"train": _Sessions(tensor.select(train_sessions)), "test": _Sessions(tensor.select(test_sessions))}
+    counts = {str(c): int((session_labels == c).sum()) for c in (0, 1)}
+    return tensor.feature_names, parts, {"n_sessions": int(tensor.n_sessions), "session_label_counts": counts}
+
+
+# The fits and scorers below reach every kernel through this module's globals
+# at call time; the table never stores a kernel function object. Rebinding a
+# global here (perfbench/tracer.py does) thus reaches every call of a run.
+
+
+def _typed(section: dict, **casts) -> dict:
+    """The named keys of a model-config section, each cast to its kernel's type."""
+    return {key: cast(section[key]) for key, cast in casts.items()}
+
+
+def _fit_iforest(mc, rng, rows):
+    psi = min(int(mc["iforest"]["psi"]), rows.X.shape[0])
+    return fit_isolation_forest(rows.X, int(mc["iforest"]["n_trees"]), psi, rng.child("iforest"))
+
+
+def _fit_dense_ae(mc, rng, rows):
+    d = rows.X.shape[1]
+    layers = mc["dense_ae"].get("layers") or [d, max(8, d // 2), max(4, d // 4), max(8, d // 2), d]
+    kwargs = _typed(mc["dense_ae"], l1=float, epochs=int, step_size=float, batch_size=int)
+    ae, _ = fit_dense_autoencoder(rows.X, layers, rng=rng.child("dense_ae"), **kwargs)
+    return ae
+
+
+def _fit_forest(mc, rng, rows):
+    fc = ForestConfig(**_typed(mc["forest"], n_trees=int, max_depth=int, min_samples_split=int))
+    return fit_random_forest(rows.X, rows.y, fc, rng.child("forest"))
+
+
+def _fit_boosting(mc, rng, rows, val):
+    bc = BoostConfig(**{f.name: mc["boosting"][f.name] for f in fields(BoostConfig)})
+    return fit_gradient_boosting(rows.X, rows.y, bc, validation=(val.X, val.y), rng=rng.child("boost"))
+
+
+def _fit_logistic(mc, rng, rows):
+    return fit_logistic(rows.X, rows.y, **_typed(mc["logistic"], l2=float, epochs=int, step_size=float))
+
+
+def _fit_lstm_ae(mc, rng, rows):
+    kwargs = _typed(mc["lstm_ae"], hidden=int, latent=int, epochs=int, step_size=float, batch_size=int)
+    lstm, _ = fit_lstm_autoencoder(rows.X, rng=rng.child("lstm"), **kwargs)
+    return lstm
+
+
+def _tree_scores(model, X):
+    return model.predict_proba(X)[:, 1]
+
+
+class ModelSpec(NamedTuple):
+    """One model. `fit(mc, rng, *parts)` trains on the partitions named in
+    `rows`: "train", "clean" (its label-0 rows), "fit" or "val" (the two sides
+    of the validation slice). `score(model, X)` gives threat scores, which
+    `threshold` turns into predictions: "percentile" flags scores above the
+    threshold_percentile-th percentile of the scores on the first `rows`
+    partition; "0.5" predicts a threat at score >= 0.5; "platt" does so on
+    margins Platt-scaled on "val" right after the fit, if
+    models.calibrate_boosting is set. `tag` names the importance stream."""
+
+    name: str
+    stage: str
+    fit: Callable
+    score: Callable
+    rows: tuple
+    threshold: str
+    tag: str
+
+
+class DomainSpec(NamedTuple):
+    """How one domain's data is prepared, and the models it runs."""
+
+    label: str
+    threat: str  # report name of the positive class
+    categoricals: tuple
+    scale: bool  # z-score numeric columns (tree models split on raw values)
+    resample: str | None  # train-side step: "downsample" (before encoding), "smote" (on the fit rows) or None
+    validation: bool  # carve a validation slice off train: the "fit" and "val" partitions
+    sessions: bool  # an event log, split and scored per (user, day) session
+    models: tuple
+
+
+DOMAIN_SPECS = {
+    "intrusion": DomainSpec(
+        "anomaly_label", "anomaly", ("protocol",), scale=True, resample=None, validation=False, sessions=False,
+        models=(
+            ModelSpec("isolation_forest", "fit_isolation_forest", _fit_iforest,
+                      lambda m, X: iforest_score(m, X), ("train",), "percentile", "if"),
+            ModelSpec("dense_autoencoder", "fit_dense_autoencoder", _fit_dense_ae,
+                      lambda m, X: reconstruction_errors(m, X), ("clean",), "percentile", "ae"),
+        ),
+    ),
+    "malware": DomainSpec(
+        "label", "malicious", ("file_type",), scale=False, resample="smote", validation=True, sessions=False,
+        models=(
+            ModelSpec("random_forest", "fit_random_forest", _fit_forest, _tree_scores, ("fit",), "0.5", "rf"),
+            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, _tree_scores, ("fit", "val"), "platt", "gb"),
+        ),
+    ),
+    "phishing": DomainSpec(
+        "label", "phishing", ("attachment_type",), scale=True, resample="downsample", validation=True, sessions=False,
+        models=(
+            ModelSpec("logistic_regression", "fit_logistic", _fit_logistic,
+                      lambda m, X: logistic_proba(m, X), ("train",), "0.5", "lr"),
+            ModelSpec("random_forest", "fit_random_forest", _fit_forest, _tree_scores, ("train",), "0.5", "rf"),
+            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, _tree_scores, ("fit", "val"), "platt", "gb"),
+        ),
+    ),
+    "ueba": DomainSpec(
+        "anomaly_label", "threat_session", ("activity_type",), scale=True, resample=None, validation=False, sessions=True,
+        models=(
+            ModelSpec("lstm_autoencoder", "fit_lstm_autoencoder", _fit_lstm_ae,
+                      lambda m, X: score_sessions(m, X), ("clean",), "percentile", "lstm"),
+        ),
+    ),
 }
 
 
 def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None = None) -> RunReport:
+    """Run one domain as its DOMAIN_SPECS entry says: prepare partitions, fit
+    each model on its rows, calibrate on training rows only, then score,
+    explain and, given out_dir, save the artifacts."""
     config.validate()
-    return _PIPELINES[config.domain](config, out_dir=out_dir, audit=audit)
+    spec = DOMAIN_SPECS[config.domain]
+    rec = _StageRecorder()
+    rng = RngStream(config.seed, f"pipeline/{config.domain}")
+    pp = _merged(_PREPROCESS_DEFAULTS, config.preprocess, "preprocess")
+    mc = _merged(_MODEL_DEFAULTS, config.models, "models")
+    with rec.stage("generate"):
+        dataset = GENERATORS[config.domain](generator_config(config))
+    prepare = _prepare_sessions if spec.sessions else _prepare_tabular
+    features, parts, dataset_extra = prepare(spec, dataset, pp, rng, rec, audit)
+    parts["clean"] = parts["train"].select(np.flatnonzero(parts["train"].y == 0))
+
+    fitted, calibrators, thresholds = {}, {}, {}
+    for m in spec.models:
+        with rec.stage(m.stage):
+            rows = [parts[name] for name in m.rows]
+            fitted[m.name] = m.fit(mc, rng, *rows)
+            _record(audit, m.stage, *rows)
+        if m.threshold == "platt" and mc["calibrate_boosting"]:
+            with rec.stage("calibrate_boosting"):
+                val = parts["val"]
+                calibrators[m.name] = fit_platt(fitted[m.name].predict_margin(val.X), val.y)
+                _record(audit, "calibrate_boosting", val)
+    by_percentile = [m for m in spec.models if m.threshold == "percentile"]
+    if by_percentile:
+        stage = "calibrate_thresholds" if len(by_percentile) > 1 else "calibrate_threshold"
+        with rec.stage(stage):
+            for m in by_percentile:
+                rows = parts[m.rows[0]]
+                thresholds[m.name] = calibrate_threshold(m.score(fitted[m.name], rows.X), config.threshold_percentile)
+                _record(audit, stage, rows)
+
+    test = parts["test"]
+    models, importances, flags = {}, {}, {}
+    with rec.stage("evaluate"):
+        for m in spec.models:
+            model = fitted[m.name]
+            if m.name in calibrators:
+                scores = calibrators[m.name].apply(model.predict_margin(test.X))
+            else:
+                scores = m.score(model, test.X)
+            if m.name in thresholds:
+                predicted = detect_anomalies(scores, thresholds[m.name])
+                flags[m.name] = [int(i) for i in np.flatnonzero(predicted)]
+            else:
+                predicted = (scores >= 0.5).astype(int)
+            models[m.name] = classification_report(test.y, predicted, scores=scores, positive_label=spec.threat).to_dict()
+            X, score = test.importance_inputs(partial(m.score, model))
+            importance = permutation_importance(
+                score, X, test.y, "auc", int(mc["importance_repeats"]), rng.child(f"imp/{m.tag}"), features
+            )
+            importances[m.name] = [[name, value] for name, value in importance.top(10)]
+
+    artifacts = {}
+    if out_dir:
+        paths = write_dataset(dataset, config.domain, os.path.join(out_dir, "data"))
+        os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
+        saved = {m.name: (fitted[m.name], thresholds.get(m.name)) for m in spec.models}
+        for calibrator in calibrators.values():
+            saved["boosting_calibrator"] = (calibrator, None)
+        for name, (model, threshold) in saved.items():
+            paths[name] = os.path.join(out_dir, "models", f"{name}.json")
+            save_model(model, paths[name], threshold=threshold)
+        artifacts = {name: os.path.relpath(path, out_dir) for name, path in paths.items()}
+    return RunReport(
+        domain=config.domain,
+        config=config.to_dict(),
+        toolkit_version=__version__,
+        dataset={**_dataset_block(dataset), **dataset_extra},
+        stages=rec.stages,
+        models=models,
+        thresholds={name: asdict(t) for name, t in thresholds.items()},
+        importances=importances,
+        flags=flags,
+        histograms=_histograms(dataset),
+        artifacts=artifacts,
+    )
 
 
 # -- report emission ------------------------------------------------------------------
@@ -810,7 +619,7 @@ def parse_report(path) -> RunReport:
             return RunReport.from_dict(json.load(fh))
     except FileNotFoundError as exc:
         raise DataError(f"report file not found: {path}") from exc
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (json.JSONDecodeError, TypeError) as exc:
         raise DataError(f"malformed report document {path}: {exc}") from exc
 
 

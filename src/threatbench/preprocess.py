@@ -7,7 +7,6 @@ lexicographically at fit time so "drop the first level" is stable across runs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -68,12 +67,9 @@ def apply_one_hot(spec: EncoderSpec, dataset: Dataset) -> Dataset:
 
 @dataclass(frozen=True)
 class ScalerSpec:
-    """Per-column population mean/std; zero-variance columns are flagged."""
+    """Per-column population mean/std; zero-variance columns scale to zeros."""
 
     stats: dict  # column -> (mean, std)
-
-    def zero_variance_columns(self):
-        return [c for c, (_, s) in self.stats.items() if s == 0.0]
 
 
 def fit_scaler(dataset: Dataset, columns) -> ScalerSpec:
@@ -230,43 +226,4 @@ def sessionize(events: Dataset, time_steps: int, group_columns=("user_id", "day"
         feature_names=feature_names,
         keys=keys,
         event_row_ids=row_ids,
-    )
-
-
-def save_session_tensor(tensor: SessionTensor, path) -> None:
-    """Text format: one JSON header line, then one comma-separated line per
-    (session, step) in row-major order, floats as exact reprs."""
-    header = {
-        "version": 1,
-        "sessions": int(tensor.n_sessions),
-        "time_steps": int(tensor.time_steps),
-        "features": list(tensor.feature_names),
-        "lengths": tensor.lengths.tolist(),
-        "labels": tensor.labels.tolist(),
-    }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            flat = tensor.data.reshape(-1, tensor.data.shape[2])
-            for row in flat:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write session tensor to {path}: {exc}") from exc
-
-
-def load_session_tensor(path) -> SessionTensor:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            rows = [[float(v) for v in line.rstrip("\n").split(",")] for line in fh if line.strip()]
-    except FileNotFoundError as exc:
-        raise DataError(f"session tensor file not found: {path}") from exc
-    S, T = header["sessions"], header["time_steps"]
-    d = len(header["features"])
-    data = np.asarray(rows, dtype=np.float64).reshape(S, T, d) if rows else np.zeros((S, T, d))
-    return SessionTensor(
-        data=data,
-        lengths=np.asarray(header["lengths"], dtype=np.int64),
-        labels=np.asarray(header["labels"], dtype=np.int64),
-        feature_names=list(header["features"]),
     )

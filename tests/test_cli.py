@@ -88,6 +88,9 @@ class TestExitCodes:
         assert run_cli(["run", "intrusion", "--override", "bogus.key=1"]) == 2
         assert run_cli(["run", "intrusion", "--override", "generator.anomaly_rate=0.9"]) == 2
         assert run_cli(["run", "intrusion", "--override", "no-equals-sign"]) == 2
+        assert run_cli(["run", "intrusion", "--override", 'threshold_percentile="x"']) == 2
+        assert run_cli(["run", "malware", "--override", "models.boosting=5"]) == 2
+        assert run_cli(["run", "malware", "--override", "preprocess.validation_fraction=0"]) == 2
 
     def test_data_error_is_3(self, tmp_path):
         assert run_cli(["evaluate", "--report", str(tmp_path / "missing.json")]) == 3

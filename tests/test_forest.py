@@ -16,7 +16,6 @@ from threatbench.forest import (
     fit_random_forest,
     harmonic,
     iforest_score,
-    predict_proba,
 )
 from threatbench.tabular import RngStream
 
@@ -109,7 +108,7 @@ class TestRandomForest:
         X = np_rng.normal(size=(150, 4))
         y = (X[:, 0] > 0).astype(int)
         model = fit_random_forest(X, y, ForestConfig(n_trees=10), RngStream(3, "rf"))
-        P = predict_proba(model, np_rng.normal(size=(1000, 4)) * 3)
+        P = model.predict_proba(np_rng.normal(size=(1000, 4)) * 3)
         assert (P >= 0.0).all() and (P <= 1.0).all()
         assert np.allclose(P.sum(axis=1), 1.0)
 

@@ -73,12 +73,6 @@ class TestDenseAutoencoder:
 
         assert weight_mass(10.0) < weight_mass(0.0)
 
-    def test_validation_losses_logged(self, np_rng):
-        X = np_rng.normal(size=(24, 4))
-        Xv = np_rng.normal(size=(8, 4))
-        _, log = fit_dense_autoencoder(X, [4, 2, 4], epochs=5, rng=RngStream(1, "f"), X_val=Xv)
-        assert len(log.val_losses) == 5
-
 
 class TestReconstructionErrors:
     def test_perfect_and_shifted(self):

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from threatbench import pipeline
 from threatbench.errors import ConfigError, DataError
 from threatbench.pipeline import (
     LeakageAudit,
@@ -120,6 +121,30 @@ class TestStructure:
             for model_name in report.models:
                 assert model_name in report.importances
                 assert 1 <= len(report.importances[model_name]) <= 10
+
+
+@pytest.mark.parametrize("domain, expected", [
+    ("malware", {"fit_random_forest": 1, "fit_gradient_boosting": 1, "smote_oversample": 1, "permutation_importance": 2}),
+    ("phishing", {"fit_logistic": 1}),
+    ("intrusion", {"fit_isolation_forest": 1, "fit_dense_autoencoder": 1}),
+    ("ueba", {"fit_lstm_autoencoder": 1}),
+])
+def test_kernels_called_through_module_globals(domain, expected, monkeypatch):
+    """A run reaches each kernel through `threatbench.pipeline` globals at call
+    time, so wrappers set on those globals (as the tracer sets them) see every call."""
+    calls = dict.fromkeys(expected, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in expected:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    run_domain(small_config(domain))
+    assert calls == expected
 
 
 class TestLeakage:

@@ -8,8 +8,6 @@ from threatbench.preprocess import (
     downsample_majority,
     fit_one_hot,
     fit_scaler,
-    load_session_tensor,
-    save_session_tensor,
     sessionize,
     smote_oversample,
 )
@@ -73,7 +71,6 @@ class TestScaler:
     def test_constant_column_zeros_and_flag(self):
         ds = Dataset([("x", "numeric")], {"x": [5.0, 5.0, 5.0]})
         spec = fit_scaler(ds, ["x"])
-        assert spec.zero_variance_columns() == ["x"]
         assert np.array_equal(apply_scaler(spec, ds).column("x"), [0.0, 0.0, 0.0])
 
     def test_train_statistics_do_not_leak(self, np_rng):
@@ -236,16 +233,3 @@ class TestSessionize:
         encoded, _ = encoded_events(users=2, days=2)
         with pytest.raises(DataError, match="time_steps"):
             sessionize(encoded, 0)
-
-
-class TestSessionTensorIO:
-    def test_round_trip(self, tmp_path):
-        encoded, _ = encoded_events(users=3, days=2)
-        t = sessionize(encoded, time_steps=12)
-        path = tmp_path / "tensor.txt"
-        save_session_tensor(t, path)
-        t2 = load_session_tensor(path)
-        assert np.array_equal(t.data, t2.data)
-        assert np.array_equal(t.lengths, t2.lengths)
-        assert np.array_equal(t.labels, t2.labels)
-        assert t.feature_names == t2.feature_names
