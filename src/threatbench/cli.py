@@ -65,6 +65,8 @@ def _build_config(args) -> PipelineConfig:
             raise ConfigError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object, got {loaded!r:.80}")
         if "domain" in loaded and loaded["domain"] != args.domain:
             raise ConfigError(
                 f"config file domain {loaded['domain']!r} conflicts with requested domain {args.domain!r}"

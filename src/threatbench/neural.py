@@ -25,7 +25,13 @@ def _sigmoid(z):
 
 @dataclass
 class TrainLog:
-    """Per-epoch training loss."""
+    """One training loss per epoch.
+
+    The dense autoencoder logs the full-set loss after the epoch's last update.
+    The LSTM autoencoder logs the row-weighted mean of that epoch's mini-batch
+    losses, each taken before its batch's update; `lstm_loss` gives the
+    full-set value for a caller who needs it.
+    """
 
     train_losses: list = field(default_factory=list)
 
@@ -240,9 +246,10 @@ def init_lstm_autoencoder(input_dim: int, hidden: int, latent: int, rng: RngStre
     return LstmAutoencoder(input_dim=input_dim, hidden=hidden, latent=latent, params=params)
 
 
-def _lstm_cell_forward(x, h_prev, c_prev, m, Wx, Wh, b, hidden):
-    """One masked step. Rows with mask 0 carry h/c through unchanged."""
-    pre = x @ Wx + h_prev @ Wh + b
+def _lstm_cell_forward(x, xw, h_prev, c_prev, m, Wh, b, hidden):
+    """One masked step on the input projection xw = x @ Wx. Rows with mask 0
+    carry h/c through unchanged."""
+    pre = xw + h_prev @ Wh + b
     i = _sigmoid(pre[:, :hidden])
     f = _sigmoid(pre[:, hidden : 2 * hidden])
     g = np.tanh(pre[:, 2 * hidden : 3 * hidden])
@@ -257,8 +264,9 @@ def _lstm_cell_forward(x, h_prev, c_prev, m, Wx, Wh, b, hidden):
     return h, c, cache
 
 
-def _lstm_cell_backward(dh, dc, cache, Wx, Wh, grads, prefix):
-    """Backward through one masked step; returns (dh_prev, dc_prev, dx)."""
+def _lstm_cell_backward(dh, dc, cache, Wh, grads, prefix):
+    """Backward through one masked step; returns (dh_prev, dc_prev, dpre), where
+    dpre @ Wx.T is the gradient of the step input."""
     x, h_prev, c_prev, i, f, g, o, c_new, tanh_c, mm = cache
     dh_new = mm * dh
     dh_prev_pass = (1.0 - mm) * dh
@@ -280,12 +288,11 @@ def _lstm_cell_backward(dh, dc, cache, Wx, Wh, grads, prefix):
 
     dh_prev = dpre @ Wh.T + dh_prev_pass
     dc_prev = dc_new * f + dc_prev_pass
-    dx = dpre @ Wx.T
-    return dh_prev, dc_prev, dx
+    return dh_prev, dc_prev, dpre
 
 
-def _lstm_forward(model: LstmAutoencoder, data, lengths, need_caches: bool = True):
-    """Full forward pass; per-step caches are collected only for training."""
+def _lstm_forward(model: LstmAutoencoder, data, lengths):
+    """Training forward pass over the whole batch, keeping per-step caches."""
     B, T, d = data.shape
     H = model.hidden
     p = model.params
@@ -295,11 +302,12 @@ def _lstm_forward(model: LstmAutoencoder, data, lengths, need_caches: bool = Tru
     c = np.zeros((B, H))
     enc_caches = []
     for t in range(T):
-        h, c, cache = _lstm_cell_forward(data[:, t, :], h, c, mask[:, t], p["enc_Wx"], p["enc_Wh"], p["enc_b"], H)
-        if need_caches:
-            enc_caches.append(cache)
+        x = data[:, t, :]
+        h, c, cache = _lstm_cell_forward(x, x @ p["enc_Wx"], h, c, mask[:, t], p["enc_Wh"], p["enc_b"], H)
+        enc_caches.append(cache)
     h_final = h
     z = h_final @ p["lat_W"] + p["lat_b"]
+    zx = z @ p["dec_Wx"]  # the decoder input is z at every step
 
     hd = np.zeros((B, H))
     cd = np.zeros((B, H))
@@ -307,21 +315,122 @@ def _lstm_forward(model: LstmAutoencoder, data, lengths, need_caches: bool = Tru
     dec_h = []
     recon = np.zeros_like(data)
     for t in range(T):
-        hd, cd, cache = _lstm_cell_forward(z, hd, cd, mask[:, t], p["dec_Wx"], p["dec_Wh"], p["dec_b"], H)
-        if need_caches:
-            dec_caches.append(cache)
-            dec_h.append(hd)
+        hd, cd, cache = _lstm_cell_forward(z, zx, hd, cd, mask[:, t], p["dec_Wh"], p["dec_b"], H)
+        dec_caches.append(cache)
+        dec_h.append(hd)
         recon[:, t, :] = hd @ p["out_W"] + p["out_b"]
     return recon, mask, enc_caches, dec_caches, dec_h, h_final, z
+
+
+_SCAN_CHUNK = 128
+
+
+def _scan_blocks(lengths) -> list:
+    """Row blocks for `_masked_sq_errors`: full blocks of `_SCAN_CHUNK` rows in
+    length order, then the last B % _SCAN_CHUNK rows in place.
+
+    A BLAS product may compute its last M mod 2^k rows through another kernel
+    path than the rows before them. Keeping the tail of the whole set as the
+    tail of its own block, at the same positions mod `_SCAN_CHUNK`, gives every
+    row the value the whole-set product gives it. A lone last row joins the
+    block before it, because a one-row product runs as a matrix-vector product.
+    """
+    B = len(lengths)
+    cut = B - B % _SCAN_CHUNK
+    if B - cut == 1 and cut:
+        cut -= _SCAN_CHUNK
+    head = np.argsort(lengths[:cut], kind="stable")
+    blocks = [head[start : start + _SCAN_CHUNK] for start in range(0, cut, _SCAN_CHUNK)]
+    if cut < B:
+        blocks.append(np.arange(cut, B))
+    return blocks
+
+
+def _scan_step(xw, h, c, m, keep, Wh, b, bufs):
+    """`_lstm_cell_forward` without caches, in place on h and c; the same
+    elementwise operations in the same order, written through `out=`.
+    Training keeps `_lstm_cell_forward`: its separate gate arrays keep the
+    backward pass on contiguous arrays, which made the batch-64 step faster."""
+    pre, gates, c_new, tmp = bufs
+    H = h.shape[1]
+    np.matmul(h, Wh, out=pre)
+    np.add(xw, pre, out=pre)
+    np.add(pre, b, out=pre)
+    np.multiply(pre, 0.5, out=gates)  # sigmoid on all four gates, then tanh on g
+    np.tanh(gates, out=gates)
+    np.add(gates, 1.0, out=gates)
+    np.multiply(gates, 0.5, out=gates)
+    i, f, g, o = gates[:, :H], gates[:, H : 2 * H], gates[:, 2 * H : 3 * H], gates[:, 3 * H :]
+    np.tanh(pre[:, 2 * H : 3 * H], out=g)
+    np.multiply(f, c, out=c_new)
+    np.multiply(i, g, out=tmp)
+    np.add(c_new, tmp, out=c_new)
+    np.multiply(c_new, m, out=tmp)  # c = m * c_new + (1 - m) * c
+    np.multiply(c, keep, out=c)
+    np.add(tmp, c, out=c)
+    np.tanh(c_new, out=c_new)  # h_new = o * tanh(c_new)
+    np.multiply(o, c_new, out=c_new)
+    np.multiply(c_new, m, out=c_new)
+    np.multiply(h, keep, out=h)
+    np.add(c_new, h, out=h)
+
+
+def _masked_sq_errors(model: LstmAutoencoder, data, lengths) -> np.ndarray:
+    """The forward pass without caches: (recon - data)**2 * mask, shape (B, T, d).
+
+    Rows of the recurrence are independent, so sessions are scanned in blocks
+    of about `_SCAN_CHUNK` rows (see `_scan_blocks`), each stopping after its
+    longest session, with buffers allocated once. Every real step gets the
+    value the whole-batch `_lstm_forward` gives it; padded steps are 0.
+    """
+    B, T, d = data.shape
+    H = model.hidden
+    p = model.params
+    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
+    err = np.zeros_like(data)
+    n = min(_SCAN_CHUNK + 1, B)
+    xw_all, zx_all = np.empty((n, 4 * H)), np.empty((n, 4 * H))
+    bufs_all = (np.empty((n, 4 * H)), np.empty((n, 4 * H)), np.empty((n, H)), np.empty((n, H)))
+    h_all, c_all, z_all = np.empty((n, H)), np.empty((n, H)), np.empty((n, model.latent))
+    recon_all = np.empty((n, d))
+    for rows in _scan_blocks(lengths):
+        m = len(rows)
+        steps = max(0, min(T, int(lengths[rows].max())))
+        x = data[rows, :steps]
+        mk = mask[rows, :steps, None]
+        keep = 1.0 - mk
+        e = np.empty((m, steps, d))
+        bufs = tuple(buf[:m] for buf in bufs_all)
+        xw, zx, z, recon = xw_all[:m], zx_all[:m], z_all[:m], recon_all[:m]
+        h, c = h_all[:m], c_all[:m]
+        h.fill(0.0)
+        c.fill(0.0)
+        for t in range(steps):
+            np.matmul(x[:, t], p["enc_Wx"], out=xw)
+            _scan_step(xw, h, c, mk[:, t], keep[:, t], p["enc_Wh"], p["enc_b"], bufs)
+        np.matmul(h, p["lat_W"], out=z)
+        np.add(z, p["lat_b"], out=z)
+        np.matmul(z, p["dec_Wx"], out=zx)
+        h.fill(0.0)
+        c.fill(0.0)
+        for t in range(steps):
+            _scan_step(zx, h, c, mk[:, t], keep[:, t], p["dec_Wh"], p["dec_b"], bufs)
+            np.matmul(h, p["out_W"], out=recon)
+            np.add(recon, p["out_b"], out=recon)
+            np.subtract(recon, x[:, t], out=recon)
+            np.square(recon, out=recon)
+            np.multiply(recon, mk[:, t], out=e[:, t])
+        err[rows, :steps] = e
+    return err
 
 
 def lstm_loss(model: LstmAutoencoder, data, lengths) -> float:
     """Masked mean squared error over every real (step, feature) entry."""
     data = np.asarray(data, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    recon, mask, *_ = _lstm_forward(model, data, lengths, need_caches=False)
-    denom = float(mask.sum()) * data.shape[2]
-    return float((((recon - data) ** 2) * mask[:, :, None]).sum() / denom)
+    B, T, d = data.shape
+    denom = float(np.clip(lengths, 0, T).sum()) * d
+    return float(_masked_sq_errors(model, data, lengths).sum() / denom)
 
 
 def lstm_loss_and_grads(model: LstmAutoencoder, data, lengths):
@@ -344,15 +453,15 @@ def lstm_loss_and_grads(model: LstmAutoencoder, data, lengths):
         grads["out_W"] += dec_h[t].T @ dy
         grads["out_b"] += dy.sum(axis=0)
         dh = dh + dy @ p["out_W"].T
-        dh, dc, dx = _lstm_cell_backward(dh, dc, dec_caches[t], p["dec_Wx"], p["dec_Wh"], grads, "dec")
-        dz += dx
+        dh, dc, dpre = _lstm_cell_backward(dh, dc, dec_caches[t], p["dec_Wh"], grads, "dec")
+        dz += dpre @ p["dec_Wx"].T
 
     grads["lat_W"] = h_final.T @ dz
     grads["lat_b"] = dz.sum(axis=0)
     dh = dz @ p["lat_W"].T
     dc = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
-        dh, dc, _ = _lstm_cell_backward(dh, dc, enc_caches[t], p["enc_Wx"], p["enc_Wh"], grads, "enc")
+        dh, dc, _ = _lstm_cell_backward(dh, dc, enc_caches[t], p["enc_Wh"], grads, "enc")
     return loss, grads
 
 
@@ -367,7 +476,10 @@ def fit_lstm_autoencoder(
 ):
     """Train the seq2seq autoencoder on (assumed clean) sessions.
 
-    Returns (model, TrainLog) with one full-set masked loss per epoch.
+    Returns (model, TrainLog). The log holds, per epoch, the mean of the
+    mini-batch losses weighted by batch rows; it is not the full-set loss after
+    the epoch, which `lstm_loss(model, data, lengths)` computes on request.
+    Raises NumericError on a non-finite batch loss or non-finite final weights.
     """
     rng = rng or RngStream(0, "lstm-ae")
     data = np.asarray(sessions.data, dtype=np.float64)
@@ -382,14 +494,17 @@ def fit_lstm_autoencoder(
     n = data.shape[0]
     for epoch in range(epochs):
         order = rng.child(f"epoch/{epoch}").permutation(n)
+        weighted = 0.0
         for start in range(0, n, batch_size):
             sel = order[start : start + batch_size]
-            _, grads = lstm_loss_and_grads(model, data[sel], lengths[sel])
+            loss, grads = lstm_loss_and_grads(model, data[sel], lengths[sel])
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite training loss at epoch {epoch + 1}")
+            weighted += loss * len(sel)
             opt.update(model.params, grads)
-        loss = lstm_loss(model, data, lengths)
-        if not math.isfinite(loss):
-            raise NumericError(f"non-finite training loss at epoch {epoch + 1}")
-        log.train_losses.append(loss)
+        log.train_losses.append(weighted / n)
+    if not all(np.isfinite(v).all() for v in model.params.values()):
+        raise NumericError(f"non-finite weights after epoch {epochs}")
     return model, log
 
 
@@ -399,7 +514,6 @@ def score_sessions(model: LstmAutoencoder, sessions: SessionTensor) -> np.ndarra
     lengths = np.asarray(sessions.lengths, dtype=np.int64)
     if data.ndim != 3 or data.shape[2] != model.input_dim:
         raise DataError(f"session features do not match model width {model.input_dim}")
-    recon, mask, *_ = _lstm_forward(model, data, lengths, need_caches=False)
-    sq = ((recon - data) ** 2 * mask[:, :, None]).sum(axis=(1, 2))
+    sq = _masked_sq_errors(model, data, lengths).sum(axis=(1, 2))
     denom = np.maximum(lengths, 1) * data.shape[2]
     return sq / denom

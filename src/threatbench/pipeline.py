@@ -95,6 +95,22 @@ _MODEL_DEFAULTS = {
     "importance_repeats": 3,
 }
 
+# The cast each stage applies to a config value. `PipelineConfig.validate`
+# applies the same casts before any stage runs, so a value of the wrong type
+# is a config error rather than a failure after earlier stages have run.
+_CASTS = {
+    "generator": {"n": int, "anomaly_rate": float},
+    "preprocess": {"smote_k": int, "downsample_ratio": float, "time_steps": int},
+    "models": {
+        "importance_repeats": int,
+        "iforest": {"n_trees": int, "psi": int},
+        "dense_ae": {"l1": float, "epochs": int, "step_size": float, "batch_size": int},
+        "forest": {"n_trees": int, "max_depth": int, "min_samples_split": int},
+        "logistic": {"l2": float, "epochs": int, "step_size": float},
+        "lstm_ae": {"hidden": int, "latent": int, "epochs": int, "step_size": float, "batch_size": int},
+    },
+}
+
 
 @dataclass
 class PipelineConfig:
@@ -113,9 +129,11 @@ class PipelineConfig:
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         _check_between("threshold_percentile", self.threshold_percentile, 100.0)
-        _merged(_GENERATOR_DEFAULTS[self.domain], self.generator, "generator")
-        _merged(_MODEL_DEFAULTS, self.models, "models")
+        generator = _merged(_GENERATOR_DEFAULTS[self.domain], self.generator, "generator")
+        _check_casts("generator", generator, _CASTS["generator"])
+        _check_casts("models", _merged(_MODEL_DEFAULTS, self.models, "models"), _CASTS["models"])
         pp = _merged(_PREPROCESS_DEFAULTS, self.preprocess, "preprocess")
+        _check_casts("preprocess", pp, _CASTS["preprocess"])
         for key in ("test_fraction", "validation_fraction"):
             _check_between(key, pp[key], 1.0)
 
@@ -150,6 +168,18 @@ def _check_between(name: str, value, upper: float) -> None:
         raise ConfigError(f"{name} must be a number in (0, {upper:g}), got {value!r}")
 
 
+def _check_casts(name: str, values: dict, casts: dict) -> None:
+    """Apply a `_CASTS` entry to the merged config section it names."""
+    for key, cast in casts.items():
+        if isinstance(cast, dict):
+            _check_casts(f"{name}.{key}", values[key], cast)
+            continue
+        try:
+            cast(values[key])
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{name}.{key} must be {cast.__name__}-valued, got {values[key]!r}") from None
+
+
 def _merged(defaults: dict, overrides, section: str) -> dict:
     """Defaults overlaid with overrides; nested dicts merge one level deep. The
     one config-section merge, for the CLI and the runner alike."""
@@ -169,8 +199,7 @@ def _merged(defaults: dict, overrides, section: str) -> dict:
 def generator_config(config: PipelineConfig) -> GeneratorConfig:
     g = _merged(_GENERATOR_DEFAULTS[config.domain], config.generator, "generator")
     return GeneratorConfig(
-        n=int(g["n"]),
-        anomaly_rate=float(g["anomaly_rate"]),
+        **_typed(g, **_CASTS["generator"]),
         seed=config.seed,
         overrides=dict(g.get("overrides", {})),
     )
@@ -414,25 +443,25 @@ def _prepare_sessions(spec, events, pp, rng, rec, audit):
 
 
 def _typed(section: dict, **casts) -> dict:
-    """The named keys of a model-config section, each cast to its kernel's type."""
+    """The named keys of a config section, each cast as `_CASTS` gives."""
     return {key: cast(section[key]) for key, cast in casts.items()}
 
 
 def _fit_iforest(mc, rng, rows):
-    psi = min(int(mc["iforest"]["psi"]), rows.X.shape[0])
-    return fit_isolation_forest(rows.X, int(mc["iforest"]["n_trees"]), psi, rng.child("iforest"))
+    kw = _typed(mc["iforest"], **_CASTS["models"]["iforest"])
+    return fit_isolation_forest(rows.X, kw["n_trees"], min(kw["psi"], rows.X.shape[0]), rng.child("iforest"))
 
 
 def _fit_dense_ae(mc, rng, rows):
     d = rows.X.shape[1]
     layers = mc["dense_ae"].get("layers") or [d, max(8, d // 2), max(4, d // 4), max(8, d // 2), d]
-    kwargs = _typed(mc["dense_ae"], l1=float, epochs=int, step_size=float, batch_size=int)
+    kwargs = _typed(mc["dense_ae"], **_CASTS["models"]["dense_ae"])
     ae, _ = fit_dense_autoencoder(rows.X, layers, rng=rng.child("dense_ae"), **kwargs)
     return ae
 
 
 def _fit_forest(mc, rng, rows):
-    fc = ForestConfig(**_typed(mc["forest"], n_trees=int, max_depth=int, min_samples_split=int))
+    fc = ForestConfig(**_typed(mc["forest"], **_CASTS["models"]["forest"]))
     return fit_random_forest(rows.X, rows.y, fc, rng.child("forest"))
 
 
@@ -442,11 +471,11 @@ def _fit_boosting(mc, rng, rows, val):
 
 
 def _fit_logistic(mc, rng, rows):
-    return fit_logistic(rows.X, rows.y, **_typed(mc["logistic"], l2=float, epochs=int, step_size=float))
+    return fit_logistic(rows.X, rows.y, **_typed(mc["logistic"], **_CASTS["models"]["logistic"]))
 
 
 def _fit_lstm_ae(mc, rng, rows):
-    kwargs = _typed(mc["lstm_ae"], hidden=int, latent=int, epochs=int, step_size=float, batch_size=int)
+    kwargs = _typed(mc["lstm_ae"], **_CASTS["models"]["lstm_ae"])
     lstm, _ = fit_lstm_autoencoder(rows.X, rng=rng.child("lstm"), **kwargs)
     return lstm
 

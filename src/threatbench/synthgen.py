@@ -10,13 +10,13 @@ documented in the README.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tabular import Dataset, RngStream
+from .tabular import WRITE_BLOCK, Dataset, RngStream
 
 NETWORK_SCHEMA = [
     ("src_port", "numeric"),
@@ -514,20 +514,40 @@ def generate_user_activity(config: GeneratorConfig) -> Dataset:
     return Dataset(USER_EVENT_SCHEMA, cols, meta=meta)
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_block(values, kind: str) -> list:
+    """JSON values of one column slice, spelled as `json.dumps` spells them."""
+    if kind == "categorical":
+        return list(map(encode_basestring_ascii, values))
+    if kind != "numeric":
+        return list(map(str, values.tolist()))
+    cells = list(map(repr, values.tolist()))
+    if not np.isfinite(values).all():
+        cells = [_JSON_NONFINITE.get(cell, cell) for cell in cells]
+    return cells
+
+
 def save_events_jsonl(dataset: Dataset, path) -> None:
-    """Write an event log as line-delimited records in row order."""
-    names = dataset.column_names
+    """Write an event log as line-delimited records in row order.
+
+    Each line is `json.dumps(record, sort_keys=True)` of the row: categorical
+    cells as strings, numeric as floats, binary and label as ints. Records are
+    built from one `%` template per file, a block of rows at a time.
+    """
+    names = sorted(dataset.column_names)
     kinds = dict(dataset.columns)
+    keys = (encode_basestring_ascii(name).replace("%", "%%") for name in names)
+    template = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
+    columns = [dataset.column(name) for name in names]
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for i in range(dataset.n):
-                rec = {}
-                for name in names:
-                    v = dataset.column(name)[i]
-                    rec[name] = str(v) if kinds[name] == "categorical" else (
-                        float(v) if kinds[name] == "numeric" else int(v)
-                    )
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            for start in range(0, dataset.n, WRITE_BLOCK):
+                stop = min(start + WRITE_BLOCK, dataset.n)
+                cells = [_json_block(col[start:stop], kinds[name]) for col, name in zip(columns, names)]
+                rows = zip(*cells) if cells else [()] * (stop - start)
+                fh.write("".join([template % row for row in rows]))
     except OSError as exc:
         raise DataError(f"cannot write events to {path}: {exc}") from exc
 

@@ -174,30 +174,36 @@ class Dataset:
 # -- CSV I/O ----------------------------------------------------------------
 
 
-def _format_cell(value, kind: str) -> str:
+WRITE_BLOCK = 512  # rows formatted per column slice by the dataset and event writers
+
+
+def _format_block(values, kind: str) -> list:
+    """CSV cells of one column slice: shortest round-trip repr for numeric,
+    decimal integers for binary/label, categorical strings as they are."""
     if kind == "numeric":
-        return repr(float(value))
+        return list(map(repr, values.tolist()))
     if kind in ("binary", "label"):
-        return str(int(value))
-    return str(value)
+        return list(map(str, values.tolist()))
+    return values
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a Dataset as header + comma-separated rows.
 
     Numeric cells use shortest round-trip float repr, so save → load is exact
-    and two saves of the same table are byte-identical.
+    and two saves of the same table are byte-identical. Cells are formatted a
+    column slice of `WRITE_BLOCK` rows at a time and written a block at a time.
     """
+    kinds = [k for _, k in dataset.columns]
+    columns = [dataset.column(n) for n in dataset.column_names]
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(dataset.column_names)
-            kinds = [k for _, k in dataset.columns]
-            columns = [dataset.column(n) for n in dataset.column_names]
-            for i in range(dataset.n):
-                writer.writerow(
-                    [_format_cell(col[i], kind) for col, kind in zip(columns, kinds)]
-                )
+            for start in range(0, dataset.n, WRITE_BLOCK):
+                stop = min(start + WRITE_BLOCK, dataset.n)
+                cells = [_format_block(col[start:stop], kind) for col, kind in zip(columns, kinds)]
+                writer.writerows(zip(*cells) if cells else [()] * (stop - start))
     except OSError as exc:
         raise DataError(f"cannot write dataset to {path}: {exc}") from exc
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from threatbench.tabular import WRITE_BLOCK, Dataset
+
 
 def relative_deviation(analytic, numeric, floor=1e-6):
     """Symmetric relative difference used by every gradient check."""
@@ -34,3 +36,26 @@ def finite_difference_check(loss_fn, params, grads, eps=1e-5, floor=1e-6):
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(12345)
+
+
+def edge_dataset(seed: int = 0) -> Dataset:
+    """More than two writer blocks of awkward cells: signed zero, subnormal,
+    huge and non-finite floats, 64-bit extreme ints, and strings with commas,
+    quotes, newlines, format characters and non-ASCII text (also in names)."""
+    rng = np.random.default_rng(seed)
+    n = 2 * WRITE_BLOCK + 77
+    nums = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    nums[:9] = [-0.0, 0.0, 1e-300, 5e-324, np.nan, np.inf, -np.inf, 1.7976931348623157e308, 0.1]
+    nums[WRITE_BLOCK] = np.nan
+    big = rng.integers(-(2**62), 2**62, size=n)
+    big[:3] = [2**63 - 1, -(2**63), 0]
+    texts = ["a,b", 'say "hi"', "two\nlines", "cr\rlf", "ünïcödé ☃", "", " ", "%s %d", "100%", "\\", "\t"]
+    return Dataset(
+        [("size%", "numeric"), ("név,\"q\"", "categorical"), ("flag", "binary"), ("id", "label")],
+        {
+            "size%": nums,
+            "név,\"q\"": [texts[i] for i in rng.integers(0, len(texts), size=n)],
+            "flag": rng.integers(0, 2, size=n),
+            "id": big,
+        },
+    )

@@ -91,12 +91,21 @@ class TestExitCodes:
         assert run_cli(["run", "intrusion", "--override", 'threshold_percentile="x"']) == 2
         assert run_cli(["run", "malware", "--override", "models.boosting=5"]) == 2
         assert run_cli(["run", "malware", "--override", "preprocess.validation_fraction=0"]) == 2
+        assert run_cli(["run", "intrusion", "--override", "generator.n=abc"]) == 2
+        assert run_cli(["run", "phishing", "--override", "preprocess.downsample_ratio=x"]) == 2
+        assert run_cli(["run", "phishing", "--override", "models.importance_repeats=x"]) == 2
 
     def test_data_error_is_3(self, tmp_path):
         assert run_cli(["evaluate", "--report", str(tmp_path / "missing.json")]) == 3
 
     def test_missing_config_file_is_2(self, tmp_path):
         assert run_cli(["run", "intrusion", "--config", str(tmp_path / "none.json")]) == 2
+
+    def test_non_object_config_file_is_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[1]")
+        assert run_cli(["run", "intrusion", "--config", str(cfg_path)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
 
     def test_bad_expectations_file_is_2(self, tmp_path):
         out = tmp_path / "run"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference_check
-from threatbench.errors import DataError
+from threatbench.errors import DataError, NumericError
 from threatbench.neural import (
+    Adam,
     AnomalyThreshold,
     DenseAutoencoder,
     calibrate_threshold,
@@ -20,6 +21,7 @@ from threatbench.neural import (
     reconstruction_errors,
     score_sessions,
 )
+from threatbench.neural import _lstm_forward, _masked_sq_errors
 from threatbench.preprocess import SessionTensor
 from threatbench.tabular import RngStream
 
@@ -158,7 +160,38 @@ class TestLstmAutoencoder:
         const = np.tile(np.array([0.5, -0.2]), (8, 5, 1))
         tensor = session_tensor(const, [5] * 8)
         model, log = fit_lstm_autoencoder(tensor, hidden=8, latent=4, epochs=150, step_size=0.02, rng=RngStream(3, "l"))
-        assert log.train_losses[-1] <= 1e-3
+        assert lstm_loss(model, tensor.data, tensor.lengths) <= 1e-3
+        assert len(log.train_losses) == 150
+
+    def test_log_is_row_weighted_mean_of_batch_losses(self, np_rng):
+        data = np_rng.normal(size=(7, 4, 2))
+        tensor = session_tensor(data, np_rng.integers(1, 5, size=7))
+        model, log = fit_lstm_autoencoder(tensor, hidden=4, latent=2, epochs=1, batch_size=3, rng=RngStream(2, "l"))
+        # replay the one epoch: same init, same batch order, same updates
+        replay = init_lstm_autoencoder(2, 4, 2, RngStream(2, "l"))
+        opt = Adam(0.01)
+        order = RngStream(2, "l").child("epoch/0").permutation(7)
+        weighted = 0.0
+        for start in range(0, 7, 3):
+            sel = order[start : start + 3]
+            loss, grads = lstm_loss_and_grads(replay, tensor.data[sel], tensor.lengths[sel])
+            weighted += loss * len(sel)
+            opt.update(replay.params, grads)
+        assert log.train_losses == [weighted / 7]
+        for key in model.params:
+            assert np.array_equal(model.params[key], replay.params[key])
+
+    def test_diverging_fit_raises_numeric_error(self, np_rng):
+        tensor = session_tensor(np_rng.normal(size=(8, 4, 2)), [4] * 8)
+        with np.errstate(all="ignore"):
+            # the second batch sees weights near 1e300: its loss overflows
+            with pytest.raises(NumericError, match="non-finite training loss"):
+                fit_lstm_autoencoder(tensor, hidden=4, latent=2, epochs=3, step_size=1e300, batch_size=4,
+                                     rng=RngStream(0, "l"))
+            # one batch, one epoch: only the final weight check can see the last update
+            with pytest.raises(NumericError, match="non-finite weights"):
+                fit_lstm_autoencoder(tensor, hidden=4, latent=2, epochs=1, step_size=float("inf"), batch_size=8,
+                                     rng=RngStream(0, "l"))
 
     def test_memorized_session_scores_below_threshold(self):
         rng = np.random.default_rng(8)
@@ -204,3 +237,34 @@ class TestLstmAutoencoder:
         model = init_lstm_autoencoder(2, 4, 2, RngStream(0, "l"))
         with pytest.raises(DataError, match="width|features"):
             score_sessions(model, session_tensor(np.zeros((2, 3, 5)), [3, 3]))
+
+
+class TestBufferedScan:
+    """The cache-free scan that `lstm_loss` and `score_sessions` run must give
+    every entry exactly what the whole-batch training forward gives."""
+
+    # one block; whole blocks only; a lone last row; tails of 2, 44 and 4 rows
+    @pytest.mark.parametrize("n_sessions", [1, 5, 128, 129, 130, 300, 388])
+    def test_matches_training_forward(self, np_rng, n_sessions):
+        T, d = 6, 3
+        data = np_rng.normal(size=(n_sessions, T, d))
+        lengths = np_rng.integers(0, T + 1, size=n_sessions)
+        lengths[::5] = 0  # zero-length sessions
+        model = init_lstm_autoencoder(d, 5, 2, RngStream(n_sessions, "scan"))
+        recon, mask, *_ = _lstm_forward(model, data, lengths)
+        expected = (recon - data) ** 2 * mask[:, :, None]
+        assert np.array_equal(_masked_sq_errors(model, data, lengths), expected)
+        if lengths.sum():
+            assert lstm_loss(model, data, lengths) == float(expected.sum() / (float(mask.sum()) * d))
+        scores = score_sessions(model, session_tensor(data, lengths))
+        assert np.array_equal(scores, expected.sum(axis=(1, 2)) / (np.maximum(lengths, 1) * d))
+
+    def test_padding_values_cannot_reach_the_scan(self, np_rng):
+        data = np_rng.normal(size=(9, 5, 2))
+        lengths = np.array([5, 2, 0, 3, 1, 4, 5, 2, 3])
+        model = init_lstm_autoencoder(2, 4, 2, RngStream(1, "scan"))
+        clean = data.copy()
+        for s, n in enumerate(lengths):
+            clean[s, n:] = 0.0
+            data[s, n:] = 1e6
+        assert np.array_equal(_masked_sq_errors(model, data, lengths), _masked_sq_errors(model, clean, lengths))

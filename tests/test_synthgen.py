@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import edge_dataset
 from threatbench.errors import ConfigError
 from threatbench.linear import fit_logistic, predict_proba
 from threatbench.synthgen import (
@@ -15,7 +16,7 @@ from threatbench.synthgen import (
     generate_user_activity,
     save_events_jsonl,
 )
-from threatbench.tabular import save_dataset
+from threatbench.tabular import Dataset, save_dataset
 
 # Nearest chi-square critical value for df=23 at alpha=0.01, frozen from the
 # inverse CDF (regularized incomplete gamma).
@@ -206,6 +207,21 @@ class TestUserActivity:
         assert len(lines) == ds.n
         first = json.loads(lines[0])
         assert set(first) == {name for name, _ in ds.columns}
+
+    def test_block_writer_matches_per_cell_reference(self, tmp_path):
+        for ds in (edge_dataset(), Dataset([], {}, row_ids=np.arange(3))):
+            kinds = dict(ds.columns)
+            path = tmp_path / "events.jsonl"
+            save_events_jsonl(ds, path)
+            ref = []
+            for i in range(ds.n):
+                rec = {}
+                for name in ds.column_names:
+                    v = ds.column(name)[i]
+                    kind = kinds[name]
+                    rec[name] = str(v) if kind == "categorical" else (float(v) if kind == "numeric" else int(v))
+                ref.append(json.dumps(rec, sort_keys=True) + "\n")
+            assert path.read_bytes() == "".join(ref).encode("utf-8")
 
     def test_zero_users_rejected(self):
         with pytest.raises(ConfigError, match="users and days"):

@@ -1,8 +1,10 @@
+import csv
 import hashlib
 
 import numpy as np
 import pytest
 
+from conftest import edge_dataset
 from threatbench.errors import DataError
 from threatbench.synthgen import GeneratorConfig, generate_network_flows
 from threatbench.tabular import (
@@ -116,6 +118,24 @@ class TestIO:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(DataError, match="cannot write"):
             save_dataset(make_dataset(), tmp_path / "missing-dir" / "x.csv")
+
+    def test_block_writer_matches_per_cell_reference(self, tmp_path):
+        def cell(value, kind):
+            if kind == "numeric":
+                return repr(float(value))
+            if kind in ("binary", "label"):
+                return str(int(value))
+            return str(value)
+
+        for ds in (edge_dataset(), Dataset([], {}, row_ids=np.arange(3))):
+            path, ref = tmp_path / "block.csv", tmp_path / "ref.csv"
+            save_dataset(ds, path)
+            with open(ref, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(ds.column_names)
+                for i in range(ds.n):
+                    writer.writerow([cell(ds.column(name)[i], kind) for name, kind in ds.columns])
+            assert path.read_bytes() == ref.read_bytes()
 
 
 class TestDatasetInvariants:
