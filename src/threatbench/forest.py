@@ -78,6 +78,12 @@ class _FlatTree:
         return self.value[pos]
 
 
+def _check_finite(X: np.ndarray, name: str = "X") -> np.ndarray:
+    if not np.isfinite(X).all():
+        raise DataError(f"{name} contains NaN or infinite values; cannot fit on non-finite features")
+    return X
+
+
 def _check_width(X: np.ndarray, expected: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != expected:
@@ -96,24 +102,47 @@ class ForestConfig:
     max_features: int | None = None  # default ceil(sqrt(d))
 
 
-def _gini_best_split(X, y, idx, feature_indices):
+def _column_codes(X):
+    """One fit's split-search inputs: a column-major copy of X, and per column
+    each row's rank among the column's distinct values.
+
+    Equal codes mean equal values, so a stable sort of a node's codes is the
+    permutation a stable sort of its values gives, and all sums that follow
+    run in the same order. Codes take the smallest unsigned type that holds
+    them; numpy sorts types of 16 bits or less with a linear-time radix sort.
+    """
+    Xc = np.ascontiguousarray(X.T)
+    codes = []
+    for col in Xc:
+        uniq, inv = np.unique(col, return_inverse=True)
+        codes.append(inv.astype(np.min_scalar_type(len(uniq) - 1)))
+    return Xc, codes
+
+
+def _sorted_cuts(ci):
+    """Stable order of one node's codes, and the positions in that order after
+    which the value changes."""
+    order = np.argsort(ci, kind="stable")
+    sc = ci.take(order)
+    return order, np.flatnonzero(sc[:-1] != sc[1:])
+
+
+def _gini_best_split(Xc, codes, y, idx, feature_indices):
     """Minimum weighted Gini over midpoint thresholds of the given features.
 
-    Returns (feature, threshold, weighted_gini) or None when no feature varies.
-    Ties resolve to the lower feature index, then the lower threshold.
+    `Xc` and `codes` come from `_column_codes`. Returns (feature, threshold,
+    weighted_gini) or None when no feature varies. Ties resolve to the lower
+    feature index, then the lower threshold.
     """
     best = None
     n = len(idx)
-    total1 = int(y[idx].sum())
+    yi = y[idx]
+    total1 = int(yi.sum())
     for f in sorted(feature_indices):
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        sy = y[idx][order]
-        cut = np.flatnonzero(sv[:-1] != sv[1:])
+        order, cut = _sorted_cuts(codes[f].take(idx))
         if len(cut) == 0:
             continue
-        c1 = np.cumsum(sy)[cut]
+        c1 = np.cumsum(yi.take(order))[cut]
         nl = cut + 1.0
         nr = n - nl
         c1r = total1 - c1
@@ -122,28 +151,27 @@ def _gini_best_split(X, y, idx, feature_indices):
         weighted = (nl * gl + nr * gr) / n
         j = int(np.argmin(weighted))
         if best is None or weighted[j] < best[2]:
-            thr = (sv[cut[j]] + sv[cut[j] + 1]) / 2.0
+            thr = (Xc[f, idx[order[cut[j]]]] + Xc[f, idx[order[cut[j] + 1]]]) / 2.0
             best = (f, float(thr), float(weighted[j]))
     return best
 
 
-def _grow_classification_tree(X, y, idx, depth, config, m, rng):
+def _grow_classification_tree(Xc, codes, y, idx, depth, config, m, rng):
     counts = np.array([float((y[idx] == 0).sum()), float((y[idx] == 1).sum())])
     node = TreeNode(counts=counts, n_samples=len(idx), mean=counts[1] / len(idx), value=counts[1] / len(idx))
     pure = counts[0] == 0 or counts[1] == 0
     if pure or depth >= config.max_depth or len(idx) < config.min_samples_split:
         return node
-    d = X.shape[1]
-    feats = rng.choice(d, size=m, replace=False)
-    best = _gini_best_split(X, y, idx, feats)
+    feats = rng.choice(len(codes), size=m, replace=False)
+    best = _gini_best_split(Xc, codes, y, idx, feats)
     if best is None:
         return node
     f, thr, _ = best
-    mask = X[idx, f] <= thr
+    mask = Xc[f].take(idx) <= thr
     node.feature = int(f)
     node.threshold = thr
-    node.left = _grow_classification_tree(X, y, idx[mask], depth + 1, config, m, rng)
-    node.right = _grow_classification_tree(X, y, idx[~mask], depth + 1, config, m, rng)
+    node.left = _grow_classification_tree(Xc, codes, y, idx[mask], depth + 1, config, m, rng)
+    node.right = _grow_classification_tree(Xc, codes, y, idx[~mask], depth + 1, config, m, rng)
     return node
 
 
@@ -177,7 +205,7 @@ def fit_random_forest(X, y, config: ForestConfig | None = None, rng: RngStream |
     """
     config = config or ForestConfig()
     rng = rng or RngStream(0, "forest")
-    X = np.asarray(X, dtype=np.float64)
+    X = _check_finite(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
     if n < 2:
@@ -186,11 +214,12 @@ def fit_random_forest(X, y, config: ForestConfig | None = None, rng: RngStream |
         raise DataError("labels contain a single class; cannot fit a classifier")
     m = config.max_features or math.ceil(math.sqrt(d))
     m = min(m, d)
+    Xc, codes = _column_codes(X)
     trees = []
     for t in range(config.n_trees):
         tr = rng.child(f"tree/{t}")
         boot = tr.integers(0, n, size=n)
-        trees.append(_grow_classification_tree(X, y, boot, 0, config, m, tr))
+        trees.append(_grow_classification_tree(Xc, codes, y, boot, 0, config, m, tr))
     return RandomForestModel(trees=trees, n_features=d, config=config)
 
 
@@ -217,48 +246,46 @@ def _logloss(y, p):
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def _boost_best_split(X, g, h, idx, lam, gamma):
+def _boost_best_split(Xc, codes, g, h, idx, lam, gamma):
     """Maximum second-order gain split.
 
     gain = 1/2 [GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam)] - gamma,
-    over midpoint thresholds; splits with gain <= 0 are refused.
+    over midpoint thresholds; splits with gain <= 0 are refused. `Xc` and
+    `codes` come from `_column_codes`.
     """
-    G = g[idx].sum()
-    H = h[idx].sum()
+    gi = g[idx]
+    hi = h[idx]
+    G = gi.sum()
+    H = hi.sum()
     parent = G * G / (H + lam)
     best = None
-    for f in range(X.shape[1]):
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        sg = g[idx][order]
-        sh = h[idx][order]
-        cut = np.flatnonzero(sv[:-1] != sv[1:])
+    for f in range(len(codes)):
+        order, cut = _sorted_cuts(codes[f].take(idx))
         if len(cut) == 0:
             continue
-        GL = np.cumsum(sg)[cut]
-        HL = np.cumsum(sh)[cut]
+        GL = np.cumsum(gi.take(order))[cut]
+        HL = np.cumsum(hi.take(order))[cut]
         GR = G - GL
         HR = H - HL
         gain = 0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent) - gamma
         j = int(np.argmax(gain))
         if gain[j] > 0.0 and (best is None or gain[j] > best[2]):
-            thr = (sv[cut[j]] + sv[cut[j] + 1]) / 2.0
+            thr = (Xc[f, idx[order[cut[j]]]] + Xc[f, idx[order[cut[j] + 1]]]) / 2.0
             best = (f, float(thr), float(gain[j]))
     return best
 
 
-def _grow_boost_tree(X, g, h, idx, depth, config):
+def _grow_boost_tree(Xc, codes, g, h, idx, depth, config):
     node = TreeNode(n_samples=len(idx))
     if depth < config.max_depth and len(idx) >= 2:
-        best = _boost_best_split(X, g, h, idx, config.lam, config.gamma)
+        best = _boost_best_split(Xc, codes, g, h, idx, config.lam, config.gamma)
         if best is not None:
             f, thr, _ = best
-            mask = X[idx, f] <= thr
+            mask = Xc[f].take(idx) <= thr
             node.feature = int(f)
             node.threshold = thr
-            node.left = _grow_boost_tree(X, g, h, idx[mask], depth + 1, config)
-            node.right = _grow_boost_tree(X, g, h, idx[~mask], depth + 1, config)
+            node.left = _grow_boost_tree(Xc, codes, g, h, idx[mask], depth + 1, config)
+            node.right = _grow_boost_tree(Xc, codes, g, h, idx[~mask], depth + 1, config)
             nl, nr = node.left.n_samples, node.right.n_samples
             node.mean = (nl * node.left.mean + nr * node.right.mean) / (nl + nr)
             return node
@@ -304,7 +331,7 @@ def fit_gradient_boosting(X, y, config: BoostConfig | None = None, validation=No
     """
     config = config or BoostConfig()
     rng = rng or RngStream(0, "boost")
-    X = np.asarray(X, dtype=np.float64)
+    X = _check_finite(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
     if len(np.unique(y)) < 2:
@@ -312,7 +339,7 @@ def fit_gradient_boosting(X, y, config: BoostConfig | None = None, validation=No
     if validation is None:
         raise DataError("gradient boosting requires a validation split for early stopping")
     X_val, y_val = validation
-    X_val = np.asarray(X_val, dtype=np.float64)
+    X_val = _check_finite(np.asarray(X_val, dtype=np.float64), "X_val")
     y_val = np.asarray(y_val, dtype=np.float64)
     if X_val.shape[0] == 0:
         raise DataError("validation split is empty")
@@ -329,6 +356,7 @@ def fit_gradient_boosting(X, y, config: BoostConfig | None = None, validation=No
     best_loss = math.inf
     best_round = 0
     n_sub = max(1, int(math.floor(n * config.subsample + 0.5)))
+    Xc, codes = _column_codes(X)
     for t in range(config.n_rounds):
         p = _sigmoid(margins)
         g = p - y
@@ -338,7 +366,7 @@ def fit_gradient_boosting(X, y, config: BoostConfig | None = None, validation=No
             if config.subsample >= 1.0
             else rng.child(f"round/{t}").choice(n, size=n_sub, replace=False)
         )
-        tree = _grow_boost_tree(X, g, h, rows, 0, config)
+        tree = _grow_boost_tree(Xc, codes, g, h, rows, 0, config)
         trees.append(tree)
         flat = _FlatTree(tree, lambda node, depth: node.value)
         margins = margins + config.learning_rate * flat.apply(X)
@@ -420,7 +448,7 @@ class IsolationForestModel:
 def fit_isolation_forest(X, n_trees: int = 100, psi: int = 256, rng: RngStream | None = None) -> IsolationForestModel:
     """Random-split trees on psi-subsamples, height-limited to ceil(log2 psi)."""
     rng = rng or RngStream(0, "iforest")
-    X = np.asarray(X, dtype=np.float64)
+    X = _check_finite(np.asarray(X, dtype=np.float64))
     n = X.shape[0]
     if psi < 2:
         raise DataError(f"psi must be >= 2, got {psi}")

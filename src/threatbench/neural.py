@@ -25,12 +25,10 @@ def _sigmoid(z):
 
 @dataclass
 class TrainLog:
-    """One training loss per epoch.
-
-    The dense autoencoder logs the full-set loss after the epoch's last update.
-    The LSTM autoencoder logs the row-weighted mean of that epoch's mini-batch
-    losses, each taken before its batch's update; `lstm_loss` gives the
-    full-set value for a caller who needs it.
+    """One training loss per epoch: the row-weighted mean of that epoch's
+    mini-batch losses, each taken before its batch's update. It is not the
+    full-set loss after the epoch; `dense_loss_and_grads` and `lstm_loss` give
+    that on request.
     """
 
     train_losses: list = field(default_factory=list)
@@ -61,6 +59,39 @@ class Adam:
             params[key] = params[key] - self.step_size * (self.m[key] / b1c) / (
                 np.sqrt(self.v[key] / b2c) + self.eps
             )
+
+
+def _adam_fit(
+    params: dict, batch_loss_and_grads, n: int, epochs: int, step_size: float, batch_size: int, rng: RngStream
+) -> TrainLog:
+    """Mini-batch Adam over `n` rows in a seeded order per epoch.
+
+    `batch_loss_and_grads(rows)` returns (loss, grads) for a batch of row
+    indices, or None for a batch with nothing to learn from: that batch makes
+    no update and has no weight in the epoch's logged mean. Raises
+    NumericError on a non-finite batch loss or non-finite final weights.
+    """
+    opt = Adam(step_size)
+    log = TrainLog()
+    for epoch in range(epochs):
+        order = rng.child(f"epoch/{epoch}").permutation(n)
+        weighted = 0.0
+        rows = 0
+        for start in range(0, n, batch_size):
+            sel = order[start : start + batch_size]
+            step = batch_loss_and_grads(sel)
+            if step is None:
+                continue
+            loss, grads = step
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite training loss at epoch {epoch + 1}")
+            weighted += loss * len(sel)
+            rows += len(sel)
+            opt.update(params, grads)
+        log.train_losses.append(weighted / rows)
+    if not all(np.isfinite(v).all() for v in params.values()):
+        raise NumericError(f"non-finite weights after epoch {epochs}")
+    return log
 
 
 # -- thresholding ----------------------------------------------------------------
@@ -174,7 +205,7 @@ def fit_dense_autoencoder(
     """Train on clean rows only (the caller guarantees label-0 input).
 
     Batch order per epoch comes from the rng, so training is reproducible.
-    Returns (model, TrainLog with one full-dataset loss entry per epoch).
+    Returns (model, TrainLog); see `_adam_fit` for the log and the checks.
     """
     rng = rng or RngStream(0, "dense-ae")
     X = np.asarray(X_clean, dtype=np.float64)
@@ -183,19 +214,9 @@ def fit_dense_autoencoder(
     model = init_dense_autoencoder(layer_sizes, l1, rng)
     if model.input_dim != X.shape[1]:
         raise DataError(f"layer sizes start at {model.input_dim}, data has {X.shape[1]} features")
-    opt = Adam(step_size)
-    log = TrainLog()
-    n = X.shape[0]
-    for epoch in range(epochs):
-        order = rng.child(f"epoch/{epoch}").permutation(n)
-        for start in range(0, n, batch_size):
-            batch = X[order[start : start + batch_size]]
-            _, grads = dense_loss_and_grads(model, batch)
-            opt.update(model.params, grads)
-        loss, _ = dense_loss_and_grads(model, X)
-        if not math.isfinite(loss):
-            raise NumericError(f"non-finite training loss at epoch {epoch + 1}")
-        log.train_losses.append(loss)
+    log = _adam_fit(
+        model.params, lambda rows: dense_loss_and_grads(model, X[rows]), X.shape[0], epochs, step_size, batch_size, rng
+    )
     return model, log
 
 
@@ -476,35 +497,25 @@ def fit_lstm_autoencoder(
 ):
     """Train the seq2seq autoencoder on (assumed clean) sessions.
 
-    Returns (model, TrainLog). The log holds, per epoch, the mean of the
-    mini-batch losses weighted by batch rows; it is not the full-set loss after
-    the epoch, which `lstm_loss(model, data, lengths)` computes on request.
-    Raises NumericError on a non-finite batch loss or non-finite final weights.
+    Returns (model, TrainLog); see `_adam_fit` for the log and the checks.
+    A mini-batch whose sessions all have length 0 is skipped.
     """
     rng = rng or RngStream(0, "lstm-ae")
     data = np.asarray(sessions.data, dtype=np.float64)
     lengths = np.asarray(sessions.lengths, dtype=np.int64)
     if data.ndim != 3 or data.shape[0] == 0:
         raise DataError("session tensor must be non-empty and 3-D")
-    if lengths.sum() == 0:
+    has_steps = lengths > 0
+    if not has_steps.any():
         raise DataError("all session lengths are zero")
     model = init_lstm_autoencoder(data.shape[2], hidden, latent, rng)
-    opt = Adam(step_size)
-    log = TrainLog()
-    n = data.shape[0]
-    for epoch in range(epochs):
-        order = rng.child(f"epoch/{epoch}").permutation(n)
-        weighted = 0.0
-        for start in range(0, n, batch_size):
-            sel = order[start : start + batch_size]
-            loss, grads = lstm_loss_and_grads(model, data[sel], lengths[sel])
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite training loss at epoch {epoch + 1}")
-            weighted += loss * len(sel)
-            opt.update(model.params, grads)
-        log.train_losses.append(weighted / n)
-    if not all(np.isfinite(v).all() for v in model.params.values()):
-        raise NumericError(f"non-finite weights after epoch {epochs}")
+
+    def batch(rows):
+        if has_steps[rows].any():
+            return lstm_loss_and_grads(model, data[rows], lengths[rows])
+        return None
+
+    log = _adam_fit(model.params, batch, data.shape[0], epochs, step_size, batch_size, rng)
     return model, log
 
 

@@ -106,6 +106,15 @@ _CASTS = {
         "iforest": {"n_trees": int, "psi": int},
         "dense_ae": {"l1": float, "epochs": int, "step_size": float, "batch_size": int},
         "forest": {"n_trees": int, "max_depth": int, "min_samples_split": int},
+        "boosting": {
+            "learning_rate": float,
+            "n_rounds": int,
+            "max_depth": int,
+            "lam": float,
+            "gamma": float,
+            "subsample": float,
+            "early_stopping_rounds": int,
+        },
         "logistic": {"l2": float, "epochs": int, "step_size": float},
         "lstm_ae": {"hidden": int, "latent": int, "epochs": int, "step_size": float, "batch_size": int},
     },
@@ -131,7 +140,15 @@ class PipelineConfig:
         _check_between("threshold_percentile", self.threshold_percentile, 100.0)
         generator = _merged(_GENERATOR_DEFAULTS[self.domain], self.generator, "generator")
         _check_casts("generator", generator, _CASTS["generator"])
-        _check_casts("models", _merged(_MODEL_DEFAULTS, self.models, "models"), _CASTS["models"])
+        models = _merged(_MODEL_DEFAULTS, self.models, "models")
+        _check_casts("models", models, _CASTS["models"])
+        forest, boosting = models["forest"], models["boosting"]
+        if int(forest["n_trees"]) < 1:
+            raise ConfigError(f"models.forest.n_trees must be >= 1, got {forest['n_trees']!r}")
+        if int(boosting["n_rounds"]) < 1:
+            raise ConfigError(f"models.boosting.n_rounds must be >= 1, got {boosting['n_rounds']!r}")
+        if not 0.0 < float(boosting["subsample"]) <= 1.0:
+            raise ConfigError(f"models.boosting.subsample must be in (0, 1], got {boosting['subsample']!r}")
         pp = _merged(_PREPROCESS_DEFAULTS, self.preprocess, "preprocess")
         _check_casts("preprocess", pp, _CASTS["preprocess"])
         for key in ("test_fraction", "validation_fraction"):
@@ -240,7 +257,10 @@ class _StageRecorder:
         try:
             yield
         except Exception as exc:
-            raise type(exc)(f"stage {name!r}: {exc}") from exc
+            # Reworded in place: calling type(exc)(...) fails for exception
+            # classes whose constructors take other arguments.
+            exc.args = (f"stage {name!r}: {exc}",)
+            raise
 
 
 @dataclass
@@ -466,7 +486,7 @@ def _fit_forest(mc, rng, rows):
 
 
 def _fit_boosting(mc, rng, rows, val):
-    bc = BoostConfig(**{f.name: mc["boosting"][f.name] for f in fields(BoostConfig)})
+    bc = BoostConfig(**_typed(mc["boosting"], **_CASTS["models"]["boosting"]))
     return fit_gradient_boosting(rows.X, rows.y, bc, validation=(val.X, val.y), rng=rng.child("boost"))
 
 

@@ -44,6 +44,11 @@ class RngStream:
         return RngStream(self.seed, f"{self.label}/{label}")
 
     def __getattr__(self, name):
+        # Only reached for names the instance lacks. `gen` is missing while
+        # copy and pickle rebuild an instance, and dunder lookups must fail
+        # normally so those protocols take their defaults.
+        if name == "gen" or name.startswith("__"):
+            raise AttributeError(name)
         return getattr(self.gen, name)
 
     def __repr__(self):

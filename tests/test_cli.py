@@ -94,6 +94,12 @@ class TestExitCodes:
         assert run_cli(["run", "intrusion", "--override", "generator.n=abc"]) == 2
         assert run_cli(["run", "phishing", "--override", "preprocess.downsample_ratio=x"]) == 2
         assert run_cli(["run", "phishing", "--override", "models.importance_repeats=x"]) == 2
+        assert run_cli(["run", "malware", "--override", 'models.boosting.n_rounds="abc"']) == 2
+        assert run_cli(["run", "malware", "--override", 'models.boosting.lam="x"']) == 2
+        assert run_cli(["run", "malware", "--override", "models.forest.n_trees=0"]) == 2
+        assert run_cli(["run", "malware", "--override", "models.boosting.n_rounds=0"]) == 2
+        assert run_cli(["run", "malware", "--override", "models.boosting.subsample=0"]) == 2
+        assert run_cli(["run", "malware", "--override", "models.boosting.subsample=1.5"]) == 2
 
     def test_data_error_is_3(self, tmp_path):
         assert run_cli(["evaluate", "--report", str(tmp_path / "missing.json")]) == 3

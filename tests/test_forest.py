@@ -7,6 +7,8 @@ from threatbench.errors import DataError
 from threatbench.forest import (
     BoostConfig,
     ForestConfig,
+    _boost_best_split,
+    _column_codes,
     _gini_best_split,
     _logloss,
     _sigmoid,
@@ -37,6 +39,107 @@ def exhaustive_gini(X, y, idx, features):
             if best is None or gini < best[2] - 1e-15:
                 best = (f, thr, gini)
     return best
+
+
+def reference_gini_split(X, y, idx, feature_indices):
+    """The float-argsort Gini finder that rank codes replaced, kept verbatim."""
+    best = None
+    n = len(idx)
+    total1 = int(y[idx].sum())
+    for f in sorted(feature_indices):
+        v = X[idx, f]
+        order = np.argsort(v, kind="stable")
+        sv = v[order]
+        sy = y[idx][order]
+        cut = np.flatnonzero(sv[:-1] != sv[1:])
+        if len(cut) == 0:
+            continue
+        c1 = np.cumsum(sy)[cut]
+        nl = cut + 1.0
+        nr = n - nl
+        c1r = total1 - c1
+        gl = 1.0 - (c1 / nl) ** 2 - ((nl - c1) / nl) ** 2
+        gr = 1.0 - (c1r / nr) ** 2 - ((nr - c1r) / nr) ** 2
+        weighted = (nl * gl + nr * gr) / n
+        j = int(np.argmin(weighted))
+        if best is None or weighted[j] < best[2]:
+            thr = (sv[cut[j]] + sv[cut[j] + 1]) / 2.0
+            best = (f, float(thr), float(weighted[j]))
+    return best
+
+
+def reference_boost_split(X, g, h, idx, lam, gamma):
+    """The float-argsort second-order finder that rank codes replaced, kept verbatim."""
+    G = g[idx].sum()
+    H = h[idx].sum()
+    parent = G * G / (H + lam)
+    best = None
+    for f in range(X.shape[1]):
+        v = X[idx, f]
+        order = np.argsort(v, kind="stable")
+        sv = v[order]
+        sg = g[idx][order]
+        sh = h[idx][order]
+        cut = np.flatnonzero(sv[:-1] != sv[1:])
+        if len(cut) == 0:
+            continue
+        GL = np.cumsum(sg)[cut]
+        HL = np.cumsum(sh)[cut]
+        GR = G - GL
+        HR = H - HL
+        gain = 0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent) - gamma
+        j = int(np.argmax(gain))
+        if gain[j] > 0.0 and (best is None or gain[j] > best[2]):
+            thr = (sv[cut[j]] + sv[cut[j] + 1]) / 2.0
+            best = (f, float(thr), float(gain[j]))
+    return best
+
+
+def split_search_cases(rng):
+    """(X, idx) pairs with heavy ties, signed zeros, bootstrap duplicates,
+    constant columns, and one column too wide for 16-bit codes."""
+    n = 3000
+    ties = np.round(rng.normal(size=(n, 4)) * 2.0)  # about a dozen values per column
+    signed = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(n, 3))
+    mixed = np.column_stack([ties[:, :2], np.full(n, 7.5), signed[:, 0], rng.normal(size=n)])
+    for X in (ties, signed, mixed):
+        yield X, np.arange(n)
+        yield X, rng.integers(0, n, size=n)  # bootstrap: duplicate rows
+        yield X, rng.choice(n, size=n // 3, replace=False)
+    wide = np.column_stack([rng.permutation(80_000) / 7.0, np.round(rng.normal(size=80_000))])
+    wide[:5000, 0] = wide[5000:10_000, 0]  # ties among the wide column's values too
+    yield wide, rng.integers(0, 80_000, size=80_000)
+
+
+class TestSplitSearchOracle:
+    """The rank-code finders return exactly what the float-argsort finders did."""
+
+    def test_wide_column_takes_32_bit_codes(self, np_rng):
+        X = next(c for c in split_search_cases(np_rng) if len(c[0]) == 80_000)[0]
+        _, codes = _column_codes(X)
+        assert codes[0].dtype == np.uint32 and codes[1].dtype == np.uint8
+
+    def test_signed_zeros_share_a_code(self):
+        _, codes = _column_codes(np.array([[0.0], [-0.0], [1.0], [-1.0]]))
+        assert codes[0].tolist() == [1, 1, 2, 0]
+
+    def test_gini_matches_reference(self, np_rng):
+        for X, idx in split_search_cases(np_rng):
+            Xc, codes = _column_codes(X)
+            y = np_rng.integers(0, 2, size=len(X))
+            d = X.shape[1]
+            for feats in (list(range(d)), np_rng.choice(d, size=2, replace=False)):
+                assert _gini_best_split(Xc, codes, y, idx, feats) == reference_gini_split(X, y, idx, feats)
+
+    def test_boost_matches_reference(self, np_rng):
+        for X, idx in split_search_cases(np_rng):
+            Xc, codes = _column_codes(X)
+            p = 1.0 / (1.0 + np.exp(-np_rng.normal(size=len(X))))
+            g = p - np_rng.integers(0, 2, size=len(X))
+            h = p * (1.0 - p)
+            for lam, gamma in ((1.0, 0.0), (0.0, 0.5)):
+                got = _boost_best_split(Xc, codes, g, h, idx, lam, gamma)
+                assert got == reference_boost_split(X, g, h, idx, lam, gamma)
 
 
 class TestRandomForest:
@@ -90,13 +193,18 @@ class TestRandomForest:
                 continue
             idx = np.arange(n)
             feats = list(range(d))
-            got = _gini_best_split(X, y, idx, feats)
+            got = _gini_best_split(*_column_codes(X), y, idx, feats)
             want = exhaustive_gini(X, y, idx, feats)
             if want is None:
                 assert got is None
                 continue
             assert got is not None
             assert abs(got[2] - want[2]) <= 1e-12
+
+    def test_non_finite_features_rejected(self):
+        X = np.array([[0.0], [1.0], [np.nan], [3.0]])
+        with pytest.raises(DataError, match="non-finite"):
+            fit_random_forest(X, np.array([0, 0, 1, 1]), ForestConfig(n_trees=2), RngStream(0, "rf"))
 
     def test_all_trees_voting_one(self):
         X = np.array([[0.0], [0.1], [10.0], [10.1]])
@@ -203,6 +311,17 @@ class TestGradientBoosting:
         with pytest.raises(DataError, match="validation"):
             fit_gradient_boosting(X, y, BoostConfig(), validation=None, rng=RngStream(0, "gb"))
 
+    def test_non_finite_features_rejected(self):
+        X = np.arange(8.0).reshape(4, 2)
+        y = np.array([0, 1, 0, 1])
+        bad = X.copy()
+        bad[1, 1] = np.inf
+        with pytest.raises(DataError, match="X contains"):
+            fit_gradient_boosting(bad, y, BoostConfig(n_rounds=1), validation=(X, y), rng=RngStream(0, "gb"))
+        bad[1, 1] = np.nan
+        with pytest.raises(DataError, match="X_val contains"):
+            fit_gradient_boosting(X, y, BoostConfig(n_rounds=1), validation=(bad, y), rng=RngStream(0, "gb"))
+
     def test_single_class_rejected(self):
         X = np.zeros((10, 1))
         with pytest.raises(DataError, match="single class"):
@@ -250,6 +369,12 @@ class TestIsolationForest:
     def test_psi_larger_than_n_rejected(self, np_rng):
         with pytest.raises(DataError, match="psi"):
             fit_isolation_forest(np_rng.normal(size=(10, 2)), 5, 11, RngStream(0, "if"))
+
+    def test_non_finite_features_rejected(self, np_rng):
+        X = np_rng.normal(size=(20, 2))
+        X[3, 0] = -np.inf
+        with pytest.raises(DataError, match="non-finite"):
+            fit_isolation_forest(X, 5, 8, RngStream(0, "if"))
 
     def test_determinism(self, np_rng):
         X = np_rng.normal(size=(200, 2))

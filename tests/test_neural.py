@@ -51,6 +51,34 @@ class TestDenseAutoencoder:
         assert reconstruction_errors(model, X).max() <= 1e-4
         assert len(log.train_losses) == 500
 
+    def test_log_is_row_weighted_mean_of_batch_losses(self, np_rng):
+        X = np_rng.normal(size=(7, 4))
+        model, log = fit_dense_autoencoder(X, [4, 2, 4], l1=0.01, epochs=2, batch_size=3, rng=RngStream(2, "fit"))
+        # replay both epochs: same init, same batch orders, same updates
+        replay = init_dense_autoencoder([4, 2, 4], 0.01, RngStream(2, "fit"))
+        opt = Adam(0.01)
+        want = []
+        for epoch in range(2):
+            order = RngStream(2, "fit").child(f"epoch/{epoch}").permutation(7)
+            weighted = 0.0
+            for start in range(0, 7, 3):
+                loss, grads = dense_loss_and_grads(replay, X[order[start : start + 3]])
+                weighted += loss * len(order[start : start + 3])
+                opt.update(replay.params, grads)
+            want.append(weighted / 7)
+        assert log.train_losses == want
+        for key in model.params:
+            assert np.array_equal(model.params[key], replay.params[key])
+
+    def test_diverging_fit_raises_numeric_error(self, np_rng):
+        X = np_rng.normal(size=(8, 4))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match="non-finite training loss"):
+                fit_dense_autoencoder(X, [4, 2, 4], epochs=3, step_size=1e300, batch_size=4, rng=RngStream(0, "fit"))
+            with pytest.raises(NumericError, match="non-finite weights"):
+                fit_dense_autoencoder(X, [4, 2, 4], epochs=1, step_size=float("inf"), batch_size=8,
+                                      rng=RngStream(0, "fit"))
+
     def test_determinism(self, np_rng):
         X = np_rng.normal(size=(30, 4))
         a, _ = fit_dense_autoencoder(X, [4, 3, 2, 3, 4], epochs=10, rng=RngStream(5, "fit"))
@@ -178,6 +206,25 @@ class TestLstmAutoencoder:
             weighted += loss * len(sel)
             opt.update(replay.params, grads)
         assert log.train_losses == [weighted / 7]
+        for key in model.params:
+            assert np.array_equal(model.params[key], replay.params[key])
+
+    def test_all_empty_batch_is_skipped(self, np_rng):
+        lengths = [3, 0, 2, 3]
+        tensor = session_tensor(np_rng.normal(size=(4, 3, 2)), lengths)
+        model, log = fit_lstm_autoencoder(tensor, hidden=4, latent=2, epochs=1, batch_size=1, rng=RngStream(5, "l"))
+        # replay: the empty session's batch makes no update and has no weight
+        replay = init_lstm_autoencoder(2, 4, 2, RngStream(5, "l"))
+        opt = Adam(0.01)
+        weighted = 0.0
+        for i in RngStream(5, "l").child("epoch/0").permutation(4):
+            if lengths[i] == 0:
+                continue
+            loss, grads = lstm_loss_and_grads(replay, tensor.data[[i]], tensor.lengths[[i]])
+            weighted += loss
+            opt.update(replay.params, grads)
+        assert opt.t == 3
+        assert log.train_losses == [weighted / 3]
         for key in model.params:
             assert np.array_equal(model.params[key], replay.params[key])
 

@@ -240,6 +240,17 @@ class TestErrors:
         with pytest.raises(DataError, match="downsample_majority"):
             run_domain(cfg)
 
+    def test_stage_context_keeps_the_original_exception(self):
+        class TwoArgError(ValueError):
+            def __init__(self, what, why):
+                super().__init__(f"{what}: {why}")
+
+        original = TwoArgError("model", "broke")
+        with pytest.raises(TwoArgError, match=r"^stage 'fit': model: broke$") as info:
+            with pipeline._StageRecorder().stage("fit"):
+                raise original
+        assert info.value is original
+
     def test_unknown_domain(self):
         with pytest.raises(ConfigError, match="unknown domain"):
             default_config("dns")

@@ -1,5 +1,7 @@
+import copy
 import csv
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -60,6 +62,15 @@ class TestRngStream:
         assert not np.array_equal(
             RngStream(1, "a").normal(size=5), RngStream(1, "b").normal(size=5)
         )
+
+    def test_copy_and_pickle_continue_the_sequence(self):
+        a = RngStream(1, "x")
+        a.normal(size=3)
+        copies = [copy.deepcopy(a), pickle.loads(pickle.dumps(a))]
+        want = a.normal(size=5)
+        for b in copies:
+            assert repr(b) == repr(a)
+            assert np.array_equal(b.normal(size=5), want)
 
 
 class TestIO:
