@@ -5,7 +5,7 @@ Subcommands: `generate` (dataset only), `run` (full pipeline + report),
 human summary from a report document).
 
 Exit codes: 0 success, 1 failed evaluation bands, 2 config error, 3 data
-error, 4 numeric failure during fitting.
+error, 4 numeric failure during fitting, 5 internal error.
 """
 
 from __future__ import annotations
@@ -229,6 +229,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

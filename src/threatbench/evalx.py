@@ -126,15 +126,12 @@ def roc_auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC requires both classes present")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # midrank, 1-based
-        i = j + 1
+    # tie groups of the sorted scores: [starts[g], ends[g]], 0-based, inclusive
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:] - 1, len(scores) - 1]
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)  # midrank, 1-based
     r_pos = float(ranks[labels == 1].sum())
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -188,16 +185,14 @@ def permutation_importance(predict_fn, X, y, metric: str = "auc", repeats: int =
     baseline = score(y, np.asarray(predict_fn(X), dtype=np.float64))
 
     drops = np.zeros((repeats, d))
+    Xp = X.copy()  # one working copy; each feature's column is restored after scoring
     for r in range(repeats):
         rr = rng.child(f"repeat/{r}")
         for j in range(d):
             perm = rr.permutation(X.shape[0])
-            Xp = X.copy()
-            if X.ndim == 3:
-                Xp[:, :, j] = X[perm, :, j]
-            else:
-                Xp[:, j] = X[perm, j]
+            Xp[..., j] = X[perm, ..., j]
             drops[r, j] = baseline - score(y, np.asarray(predict_fn(Xp), dtype=np.float64))
+            Xp[..., j] = X[..., j]
     return AttributionReport(
         feature_names=names,
         global_importances={names[j]: float(drops[:, j].mean()) for j in range(d)},

@@ -5,7 +5,8 @@ All trees share one node type. Classification nodes carry class counts,
 boosted-tree leaves carry Newton-step weights, isolation leaves carry training
 sample counts. Every node also stores its training-mean prediction so path
 attributions telescope exactly (see evalx.tree_path_attribution). Prediction
-runs over a flattened array form of each tree, one vectorized level at a time.
+runs over one flat node table per ensemble (`_FlatForest`): a branch-free walk,
+one vectorized level at a time, over all (tree, row) pairs of a row block.
 """
 
 from __future__ import annotations
@@ -38,44 +39,85 @@ class TreeNode:
         return self.feature is None
 
 
-class _FlatTree:
-    """Array form of a tree for vectorized batch traversal."""
+# Pairs of (tree, row) walked together in one block. Larger blocks fall out of
+# cache; small ones keep the walk's temporaries a fixed size at any row count.
+_BLOCK = 1 << 14
 
-    def __init__(self, root: TreeNode, leaf_value):
-        nodes = []
+
+class _FlatForest:
+    """One node table holding every tree of an ensemble, for batch prediction.
+
+    Node i tests `x[feature[i]] <= threshold[i]`; its right child is
+    `children[2i]` and its left child `children[2i + 1]`. A leaf points both
+    slots at itself, so a walk needs no leaf test: one level is
+    `pos = children[2 pos + (x[feature[pos]] <= threshold[pos])]` for all
+    (tree, row) pairs at once, and NaN goes right because `NaN <= t` is false.
+    The walk visits trees deepest first, so the pairs still walking at a level
+    are a prefix of the block. Leaf values are then summed per row in tree
+    order, the order of a loop of `total += tree value` over the trees.
+    """
+
+    def __init__(self, trees, leaf_value):
+        feature, threshold, value, children = [], [], [], []
+        starts, depths = [], []
 
         def walk(node, depth):
-            idx = len(nodes)
-            nodes.append(None)
+            i = len(feature)
+            feature.append(0)
+            threshold.append(0.0)
+            value.append(0.0)
+            children.extend((i, i))
             if node.is_leaf:
-                nodes[idx] = (-1, 0.0, -1, -1, leaf_value(node, depth))
-            else:
-                li = walk(node.left, depth + 1)
-                ri = walk(node.right, depth + 1)
-                nodes[idx] = (node.feature, node.threshold, li, ri, 0.0)
-            return idx
+                value[i] = leaf_value(node, depth)
+                return depth
+            feature[i] = node.feature
+            threshold[i] = node.threshold
+            children[2 * i + 1] = i + 1
+            below = walk(node.left, depth + 1)
+            children[2 * i] = len(feature)
+            return max(below, walk(node.right, depth + 1))
 
-        walk(root, 0)
-        arr = np.array(nodes, dtype=np.float64)
-        self.feature = arr[:, 0].astype(np.int64)
-        self.threshold = arr[:, 1]
-        self.left = arr[:, 2].astype(np.int64)
-        self.right = arr[:, 3].astype(np.int64)
-        self.value = arr[:, 4]
+        for root in trees:
+            starts.append(len(feature))
+            depths.append(walk(root, 0))
+        self.feature = np.array(feature, dtype=np.int64)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.value = np.array(value, dtype=np.float64)
+        self.children = np.array(children, dtype=np.int64)
+        self.starts = np.array(starts, dtype=np.int64)
+        self.depths = np.array(depths, dtype=np.int64)
+        self.order = np.argsort(-self.depths, kind="stable")  # walk order: deepest first
+        # walking[k]: trees in walk order still above their deepest leaf at level k
+        self.walking = (self.depths[:, None] > np.arange(self.depths.max(initial=0))).sum(axis=0)
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        n = X.shape[0]
-        pos = np.zeros(n, dtype=np.int64)
-        rows = np.arange(n)
-        while True:
-            feat = self.feature[pos]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            xv = X[rows, np.maximum(feat, 0)]
-            nxt = np.where(xv <= self.threshold[pos], self.left[pos], self.right[pos])
-            pos = np.where(internal, nxt, pos)
-        return self.value[pos]
+    def predict(self, X: np.ndarray, init=0.0, scale: float = 1.0) -> np.ndarray:
+        """Per row, `init + scale * v_0 + scale * v_1 + ...` over the trees'
+        leaf values, added left to right; `init` is a scalar or one per row."""
+        n, d = X.shape
+        t = len(self.starts)
+        init = np.broadcast_to(np.asarray(init, dtype=np.float64), (n,))
+        out = np.array(init)
+        if t == 0:
+            return out
+        flat = X.ravel()  # row-major, so x[r, f] is flat[r * d + f]
+        starts = self.starts[self.order]
+        rows = max(1, _BLOCK // t)
+        for r0 in range(0, n, rows):
+            b = min(rows, n - r0)
+            xs = flat[r0 * d : (r0 + b) * d]
+            offset = np.tile(np.arange(0, b * d, d), t)
+            pos = np.repeat(starts, b)
+            for walking in self.walking:
+                a = walking * b
+                p = pos[:a]
+                left = xs.take(offset[:a] + self.feature.take(p)) <= self.threshold.take(p)
+                pos[:a] = self.children.take(2 * p + left)
+            terms = np.empty((t + 1, b))
+            terms[0] = init[r0 : r0 + b]
+            leaf = self.value.take(pos).reshape(t, b)
+            terms[1 + self.order] = scale * leaf
+            out[r0 : r0 + b] = np.add.accumulate(terms, axis=0)[-1]
+        return out
 
 
 def _check_finite(X: np.ndarray, name: str = "X") -> np.ndarray:
@@ -181,18 +223,13 @@ class RandomForestModel:
     n_features: int
     config: ForestConfig
     classes: tuple = (0, 1)
-    _flat: list = field(default_factory=list, repr=False)
-
-    def _flat_trees(self):
-        if not self._flat:
-            self._flat = [_FlatTree(t, lambda node, depth: node.counts[1] / node.counts.sum()) for t in self.trees]
-        return self._flat
+    _flat: _FlatForest | None = field(default=None, repr=False, compare=False)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = _check_width(X, self.n_features)
-        p1 = np.zeros(X.shape[0])
-        for flat in self._flat_trees():
-            p1 += flat.apply(X)
+        if self._flat is None:
+            self._flat = _FlatForest(self.trees, lambda node, depth: node.counts[1] / node.counts.sum())
+        p1 = self._flat.predict(X)
         p1 /= len(self.trees)
         return np.column_stack([1.0 - p1, p1])
 
@@ -275,6 +312,10 @@ def _boost_best_split(Xc, codes, g, h, idx, lam, gamma):
     return best
 
 
+def _boost_leaf(node, depth):
+    return node.value
+
+
 def _grow_boost_tree(Xc, codes, g, h, idx, depth, config):
     node = TreeNode(n_samples=len(idx))
     if depth < config.max_depth and len(idx) >= 2:
@@ -302,19 +343,13 @@ class GradientBoostingModel:
     n_features: int
     config: BoostConfig
     val_losses: list = field(default_factory=list)
-    _flat: list = field(default_factory=list, repr=False)
-
-    def _flat_trees(self):
-        if not self._flat:
-            self._flat = [_FlatTree(t, lambda node, depth: node.value) for t in self.trees]
-        return self._flat
+    _flat: _FlatForest | None = field(default=None, repr=False, compare=False)
 
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         X = _check_width(X, self.n_features)
-        margin = np.full(X.shape[0], self.base_score)
-        for flat in self._flat_trees()[: self.best_iteration]:
-            margin += self.config.learning_rate * flat.apply(X)
-        return margin
+        if self._flat is None or len(self._flat.starts) != self.best_iteration:
+            self._flat = _FlatForest(self.trees[: self.best_iteration], _boost_leaf)
+        return self._flat.predict(X, self.base_score, self.config.learning_rate)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         p1 = _sigmoid(self.predict_margin(X))
@@ -368,9 +403,9 @@ def fit_gradient_boosting(X, y, config: BoostConfig | None = None, validation=No
         )
         tree = _grow_boost_tree(Xc, codes, g, h, rows, 0, config)
         trees.append(tree)
-        flat = _FlatTree(tree, lambda node, depth: node.value)
-        margins = margins + config.learning_rate * flat.apply(X)
-        val_margins = val_margins + config.learning_rate * flat.apply(X_val)
+        step = _FlatForest([tree], _boost_leaf)
+        margins = step.predict(X, margins, config.learning_rate)
+        val_margins = step.predict(X_val, val_margins, config.learning_rate)
         loss = _logloss(y_val, _sigmoid(val_margins))
         if not math.isfinite(loss):
             raise NumericError(f"non-finite validation loss at round {t + 1}")
@@ -430,19 +465,11 @@ class IsolationForestModel:
     trees: list
     psi: int
     n_features: int
-    _flat: list = field(default_factory=list, repr=False)
+    _flat: _FlatForest | None = field(default=None, repr=False, compare=False)
 
     @property
     def c_psi(self) -> float:
         return average_path_length(self.psi)
-
-    def _flat_trees(self):
-        if not self._flat:
-            self._flat = [
-                _FlatTree(t, lambda node, depth: depth + average_path_length(node.n_samples))
-                for t in self.trees
-            ]
-        return self._flat
 
 
 def fit_isolation_forest(X, n_trees: int = 100, psi: int = 256, rng: RngStream | None = None) -> IsolationForestModel:
@@ -466,8 +493,7 @@ def fit_isolation_forest(X, n_trees: int = 100, psi: int = 256, rng: RngStream |
 def iforest_score(model: IsolationForestModel, X) -> np.ndarray:
     """Anomaly scores 2^(-mean path length / c(psi)), in (0, 1)."""
     X = _check_width(X, model.n_features)
-    total = np.zeros(X.shape[0])
-    for flat in model._flat_trees():
-        total += flat.apply(X)
-    mean_h = total / len(model.trees)
+    if model._flat is None:
+        model._flat = _FlatForest(model.trees, lambda node, depth: depth + average_path_length(node.n_samples))
+    mean_h = model._flat.predict(X) / len(model.trees)
     return np.power(2.0, -mean_h / model.c_psi)

@@ -95,6 +95,9 @@ _MODEL_DEFAULTS = {
     "importance_repeats": 3,
 }
 
+# Keys a config section may hold that its defaults leave out.
+_OPTIONAL_KEYS = {"models.dense_ae": ("layers",)}
+
 # The cast each stage applies to a config value. `PipelineConfig.validate`
 # applies the same casts before any stage runs, so a value of the wrong type
 # is a config error rather than a failure after earlier stages have run.
@@ -141,6 +144,7 @@ class PipelineConfig:
         generator = _merged(_GENERATOR_DEFAULTS[self.domain], self.generator, "generator")
         _check_casts("generator", generator, _CASTS["generator"])
         models = _merged(_MODEL_DEFAULTS, self.models, "models")
+        _check_known("models", models, _MODEL_DEFAULTS)
         _check_casts("models", models, _CASTS["models"])
         forest, boosting = models["forest"], models["boosting"]
         if int(forest["n_trees"]) < 1:
@@ -150,6 +154,7 @@ class PipelineConfig:
         if not 0.0 < float(boosting["subsample"]) <= 1.0:
             raise ConfigError(f"models.boosting.subsample must be in (0, 1], got {boosting['subsample']!r}")
         pp = _merged(_PREPROCESS_DEFAULTS, self.preprocess, "preprocess")
+        _check_known("preprocess", pp, _PREPROCESS_DEFAULTS)
         _check_casts("preprocess", pp, _CASTS["preprocess"])
         for key in ("test_fraction", "validation_fraction"):
             _check_between(key, pp[key], 1.0)
@@ -183,6 +188,15 @@ def default_config(domain: str, seed: int = 42) -> PipelineConfig:
 def _check_between(name: str, value, upper: float) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < upper:
         raise ConfigError(f"{name} must be a number in (0, {upper:g}), got {value!r}")
+
+
+def _check_known(name: str, values: dict, defaults: dict) -> None:
+    """Reject keys of a merged config section that its defaults lack."""
+    for key, value in values.items():
+        if isinstance(defaults.get(key), dict):
+            _check_known(f"{name}.{key}", value, defaults[key])
+        elif key not in defaults and key not in _OPTIONAL_KEYS.get(name, ()):
+            raise ConfigError(f"unknown config key {name}.{key}")
 
 
 def _check_casts(name: str, values: dict, casts: dict) -> None:

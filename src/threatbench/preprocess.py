@@ -94,6 +94,10 @@ def apply_scaler(spec: ScalerSpec, dataset: Dataset) -> Dataset:
     return Dataset(dataset.columns, data, row_ids=dataset.row_ids, meta=dataset.meta)
 
 
+# Elements of the (rows, m, d) difference block in SMOTE's neighbour search.
+_SMOTE_BLOCK = 1 << 18
+
+
 def smote_oversample(minority_rows: np.ndarray, k: int, n_synthetic: int, rng: RngStream) -> np.ndarray:
     """Interpolated minority samples: x' = x + u * (nn - x), u ~ U[0,1].
 
@@ -110,13 +114,15 @@ def smote_oversample(minority_rows: np.ndarray, k: int, n_synthetic: int, rng: R
     if n_synthetic == 0:
         return np.empty((0, X.shape[1]))
 
-    diffs = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt((diffs**2).sum(axis=2))
     neighbors = np.empty((m, k), dtype=np.int64)
-    for i in range(m):
-        order = np.argsort(dist[i], kind="stable")  # index order breaks ties
-        order = order[order != i]
-        neighbors[i] = order[:k]
+    rows = max(1, _SMOTE_BLOCK // (m * max(1, X.shape[1])))
+    for i0 in range(0, m, rows):
+        i1 = min(m, i0 + rows)
+        diffs = X[i0:i1, None, :] - X[None, :, :]
+        dist = np.sqrt((diffs**2).sum(axis=2))
+        order = np.argsort(dist, axis=1, kind="stable")  # index order breaks ties
+        others = order != np.arange(i0, i1)[:, None]
+        neighbors[i0:i1] = order[others].reshape(i1 - i0, m - 1)[:, :k]
 
     parents = rng.integers(0, m, size=n_synthetic)
     picks = rng.integers(0, k, size=n_synthetic)

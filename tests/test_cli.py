@@ -1,5 +1,6 @@
 import json
 
+from threatbench import pipeline
 from threatbench.cli import main
 
 FAST_OVERRIDES = [
@@ -84,7 +85,7 @@ class TestReportCommand:
 
 
 class TestExitCodes:
-    def test_config_error_is_2(self):
+    def test_config_error_is_2(self, capsys):
         assert run_cli(["run", "intrusion", "--override", "bogus.key=1"]) == 2
         assert run_cli(["run", "intrusion", "--override", "generator.anomaly_rate=0.9"]) == 2
         assert run_cli(["run", "intrusion", "--override", "no-equals-sign"]) == 2
@@ -100,6 +101,20 @@ class TestExitCodes:
         assert run_cli(["run", "malware", "--override", "models.boosting.n_rounds=0"]) == 2
         assert run_cli(["run", "malware", "--override", "models.boosting.subsample=0"]) == 2
         assert run_cli(["run", "malware", "--override", "models.boosting.subsample=1.5"]) == 2
+        for key in ("models.bogus", "models.forest.bogus", "models.forest.n_tree", "preprocess.smote"):
+            capsys.readouterr()
+            assert run_cli(["run", "malware", "--override", f"{key}=5"]) == 2
+            assert f"unknown config key {key}" in capsys.readouterr().err
+
+    def test_internal_error_is_5_without_traceback(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("kernel broke")
+
+        monkeypatch.setattr(pipeline, "fit_isolation_forest", broken)
+        assert run_cli(["run", "intrusion", "--out", str(tmp_path)] + FAST_OVERRIDES) == 5
+        err = capsys.readouterr().err
+        assert "internal error: RuntimeError: stage 'fit_isolation_forest': kernel broke" in err
+        assert "Traceback" not in err
 
     def test_data_error_is_3(self, tmp_path):
         assert run_cli(["evaluate", "--report", str(tmp_path / "missing.json")]) == 3

@@ -141,6 +141,29 @@ class TestRocAuc:
                 labels[0] = 1 - labels[0]
             assert roc_auc(scores, labels) == pair_counting_auc(scores, labels)
 
+    def test_midranks_match_the_loop_reference(self, np_rng):
+        def loop_auc(scores, labels):
+            order = np.argsort(scores, kind="stable")
+            ranks = np.empty(len(scores))
+            sorted_scores = scores[order]
+            i = 0
+            while i < len(scores):
+                j = i
+                while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+                    j += 1
+                ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+                i = j + 1
+            n_pos = int((labels == 1).sum())
+            n_neg = int((labels == 0).sum())
+            return (float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+        for n, grid in ((2, 1), (7, 0), (500, 1), (3000, 2), (3000, 12)):
+            scores = np.round(np_rng.normal(size=n), grid)
+            scores[::9] = -0.0  # signed zeros tie with 0.0
+            labels = np_rng.integers(0, 2, size=n)
+            labels[:2] = (0, 1)
+            assert roc_auc(scores, labels) == loop_auc(scores, labels)
+
     def test_invariant_under_monotone_transform(self, np_rng):
         scores = np_rng.normal(size=80)
         labels = np_rng.integers(0, 2, size=80)
@@ -178,6 +201,39 @@ class TestPermutationImportance:
         b = permutation_importance(fn, X, y, "auc", 4, RngStream(7, "p"))
         assert a.global_importances == b.global_importances
         assert a.global_std == b.global_std
+
+    def test_working_copy_matches_a_fresh_copy_per_feature(self, np_rng):
+        def fresh_copy_drops(predict_fn, X, y, repeats, rng):
+            baseline = roc_auc(predict_fn(X), y)
+            drops = np.zeros((repeats, X.shape[-1]))
+            for r in range(repeats):
+                rr = rng.child(f"repeat/{r}")
+                for j in range(X.shape[-1]):
+                    perm = rr.permutation(X.shape[0])
+                    Xp = X.copy()
+                    Xp[..., j] = X[perm, ..., j]
+                    drops[r, j] = baseline - roc_auc(predict_fn(Xp), y)
+            return drops
+
+        seen = []
+
+        def fn(A):
+            seen.append(A.copy())
+            return A.reshape(len(A), -1) @ np.linspace(1.0, 2.0, A[0].size)
+
+        for shape in ((60, 4), (30, 5, 3)):
+            X = np_rng.normal(size=shape)
+            y = (X.reshape(len(X), -1).sum(axis=1) > 0).astype(int)
+            before = X.copy()
+            rep = permutation_importance(fn, X, y, "auc", 2, RngStream(3, "p"))
+            assert np.array_equal(X, before)
+            drops = fresh_copy_drops(fn, X, y, 2, RngStream(3, "p"))
+            assert rep.global_importances == {f"f{j}": float(drops[:, j].mean()) for j in range(shape[-1])}
+            # every scored matrix differs from X in at most the permuted column
+            for j, A in enumerate(seen[1 : 1 + 2 * shape[-1]]):
+                changed = np.flatnonzero((A != X).reshape(-1, shape[-1]).any(axis=0))
+                assert set(changed) <= {j % shape[-1]}
+            seen.clear()
 
     def test_bad_repeats_and_metric(self, np_rng):
         X = np_rng.normal(size=(10, 2))

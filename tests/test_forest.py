@@ -7,6 +7,11 @@ from threatbench.errors import DataError
 from threatbench.forest import (
     BoostConfig,
     ForestConfig,
+    GradientBoostingModel,
+    IsolationForestModel,
+    RandomForestModel,
+    TreeNode,
+    _BLOCK,
     _boost_best_split,
     _column_codes,
     _gini_best_split,
@@ -140,6 +145,111 @@ class TestSplitSearchOracle:
             for lam, gamma in ((1.0, 0.0), (0.0, 0.5)):
                 got = _boost_best_split(Xc, codes, g, h, idx, lam, gamma)
                 assert got == reference_boost_split(X, g, h, idx, lam, gamma)
+
+
+def random_tree(rng, depth):
+    """A tree of at most `depth` levels (a single leaf at depth 0) that splits
+    on grid values, so rows land exactly on thresholds. Leaves carry class
+    counts, a boosted weight and a sample count."""
+    if depth == 0 or rng.random() < 0.3:
+        counts = rng.integers(0, 9, size=2).astype(float)
+        counts[rng.integers(0, 2)] += 1.0
+        return TreeNode(counts=counts, value=float(rng.normal()), n_samples=int(rng.integers(1, 40)))
+    return TreeNode(
+        feature=int(rng.integers(0, 3)),
+        threshold=float(rng.integers(-4, 5)) / 2.0,
+        left=random_tree(rng, depth - 1),
+        right=random_tree(rng, depth - 1),
+    )
+
+
+def edge_rows(rng, n):
+    X = rng.integers(-5, 6, size=(n, 3)) / 2.0  # the threshold grid and one step beyond
+    for value, step in ((np.nan, 5), (np.inf, 7), (-np.inf, 11)):
+        X.flat[::step] = value
+    return X
+
+
+def scalar_leaf(root, x):
+    """Walks one row down one tree: left iff x <= threshold."""
+    node, depth = root, 0
+    while not node.is_leaf:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+        depth += 1
+    return node, depth
+
+
+def reference_sum(trees, leaf_value, X, init=0.0, scale=1.0):
+    """Per row, init plus each tree's scaled leaf value, added in tree order."""
+    out = np.empty(len(X))
+    for i, x in enumerate(X):
+        total = np.float64(init)
+        for tree in trees:
+            total = total + scale * leaf_value(*scalar_leaf(tree, x))
+        out[i] = total
+    return out
+
+
+def rf_leaf(node, depth):
+    return node.counts[1] / node.counts.sum()
+
+
+def iforest_leaf(node, depth):
+    return depth + average_path_length(node.n_samples)
+
+
+class TestFlatForestOracle:
+    """The node-table walk gives the bytes of a scalar per-row TreeNode walk
+    whose leaf values are summed in tree order."""
+
+    def check_all(self, trees, X, n_features=3):
+        rf = RandomForestModel(trees=trees, n_features=n_features, config=ForestConfig())
+        p1 = reference_sum(trees, rf_leaf, X) / len(trees)
+        assert rf.predict_proba(X).tobytes() == np.column_stack([1.0 - p1, p1]).tobytes()
+
+        cfg = BoostConfig(learning_rate=0.3)
+        gb = GradientBoostingModel(base_score=-0.7, trees=trees, best_iteration=0, n_features=n_features, config=cfg)
+        for k in sorted({0, 1, max(0, len(trees) - 2), len(trees)}):
+            gb.best_iteration = k
+            want = reference_sum(trees[:k], lambda node, depth: node.value, X, -0.7, 0.3)
+            assert gb.predict_margin(X).tobytes() == want.tobytes()
+
+        iso = IsolationForestModel(trees=trees, psi=64, n_features=n_features)
+        mean_h = reference_sum(trees, iforest_leaf, X) / len(trees)
+        assert iforest_score(iso, X).tobytes() == np.power(2.0, -mean_h / iso.c_psi).tobytes()
+
+    def test_mixed_depths_and_edge_values(self, np_rng):
+        # shallow trees before deep ones, so walk order differs from tree order
+        trees = [random_tree(np_rng, depth) for depth in (0, 1, 5, 2, 6, 0, 3, 6, 4, 1)]
+        self.check_all(trees, edge_rows(np_rng, 400))
+
+    def test_row_counts_around_the_block(self, np_rng):
+        trees = [random_tree(np_rng, depth) for depth in (2, 0, 4, 3, 1, 4, 2)]
+        rows = _BLOCK // len(trees)
+        for n in (0, 1, rows - 1, rows, rows + 1):
+            self.check_all(trees, edge_rows(np_rng, n))
+
+    def test_more_trees_than_a_block(self, np_rng):
+        trees = [random_tree(np_rng, int(depth)) for depth in np_rng.integers(0, 3, size=_BLOCK + 1)]
+        self.check_all(trees, edge_rows(np_rng, 3))
+
+    def test_single_leaf_trees(self, np_rng):
+        self.check_all([random_tree(np_rng, 0) for _ in range(5)], edge_rows(np_rng, 20))
+
+    def test_fitted_models(self, np_rng):
+        X = np.round(np_rng.normal(size=(300, 3)), 1)
+        y = (X[:, 0] + 0.5 * np_rng.normal(size=300) > 0).astype(int)
+        Xt = np.vstack([X[:50], edge_rows(np_rng, 50)])
+        rf = fit_random_forest(X, y, ForestConfig(n_trees=15, max_depth=6), RngStream(0, "rf"))
+        p1 = reference_sum(rf.trees, rf_leaf, Xt) / len(rf.trees)
+        assert rf.predict_proba(Xt).tobytes() == np.column_stack([1.0 - p1, p1]).tobytes()
+        cfg = BoostConfig(n_rounds=30, early_stopping_rounds=30)
+        gb = fit_gradient_boosting(X[:200], y[:200], cfg, validation=(X[200:], y[200:]), rng=RngStream(0, "gb"))
+        want = reference_sum(gb.trees[: gb.best_iteration], lambda node, depth: node.value, Xt, gb.base_score, 0.1)
+        assert gb.predict_margin(Xt).tobytes() == want.tobytes()
+        iso = fit_isolation_forest(X, 20, 64, RngStream(0, "if"))
+        mean_h = reference_sum(iso.trees, iforest_leaf, Xt) / len(iso.trees)
+        assert iforest_score(iso, Xt).tobytes() == np.power(2.0, -mean_h / iso.c_psi).tobytes()
 
 
 class TestRandomForest:

@@ -268,6 +268,14 @@ class TestErrors:
         again = PipelineConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
+    def test_dense_ae_layers_is_the_one_optional_key(self):
+        cfg = small_config("intrusion")
+        cfg.models["dense_ae"]["layers"] = [12, 6, 12]
+        cfg.validate()
+        cfg.models["dense_ae"]["layer"] = [12, 6, 12]
+        with pytest.raises(ConfigError, match="models.dense_ae.layer$"):
+            cfg.validate()
+
     def test_unknown_config_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config fields"):
             PipelineConfig.from_dict({"domain": "malware", "extra": 1})

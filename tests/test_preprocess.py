@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from threatbench import preprocess
 from threatbench.errors import DataError
 from threatbench.preprocess import (
     apply_one_hot,
@@ -120,6 +121,29 @@ class TestSmote:
     def test_zero_synthetic_allowed(self):
         out = smote_oversample(np.eye(4), k=2, n_synthetic=0, rng=RngStream(0, "s"))
         assert out.shape == (0, 4)
+
+    def test_row_blocks_match_the_full_tensor(self, np_rng, monkeypatch):
+        def full_tensor(X, k, n_synthetic, rng):
+            m = X.shape[0]
+            diffs = X[:, None, :] - X[None, :, :]
+            dist = np.sqrt((diffs**2).sum(axis=2))
+            neighbors = np.empty((m, k), dtype=np.int64)
+            for i in range(m):
+                order = np.argsort(dist[i], kind="stable")
+                neighbors[i] = order[order != i][:k]
+            parents = rng.integers(0, m, size=n_synthetic)
+            picks = rng.integers(0, k, size=n_synthetic)
+            u = rng.random(n_synthetic)
+            nn = neighbors[parents, picks]
+            return X[parents] + u[:, None] * (X[nn] - X[parents])
+
+        for m, d in ((7, 1), (60, 3), (300, 14)):
+            X = np.round(np_rng.normal(size=(m, d)))  # many distance ties
+            X[: m // 4] = X[m - 1]  # duplicate rows: self is not always first
+            want = full_tensor(X, 5, 200, RngStream(2, "s")).tobytes()
+            for rows in (1, 2, 7, m - 1, m):
+                monkeypatch.setattr(preprocess, "_SMOTE_BLOCK", rows * m * d)
+                assert smote_oversample(X, 5, 200, RngStream(2, "s")).tobytes() == want
 
     def test_deterministic(self, np_rng):
         X = np_rng.normal(size=(20, 3))
