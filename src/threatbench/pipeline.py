@@ -55,7 +55,7 @@ from .preprocess import (
     sessionize,
     smote_oversample,
 )
-from .synthgen import GENERATORS, GeneratorConfig, save_events_jsonl
+from .synthgen import GENERATOR_PARAMS, GENERATORS, GeneratorConfig, save_events_jsonl
 from .tabular import Dataset, RngStream, save_dataset, stratified_indices, stratified_split
 
 DOMAINS = ("intrusion", "malware", "phishing", "ueba")
@@ -142,10 +142,18 @@ class PipelineConfig:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         _check_between("threshold_percentile", self.threshold_percentile, 100.0)
         generator = _merged(_GENERATOR_DEFAULTS[self.domain], self.generator, "generator")
+        _check_known("generator", generator, _GENERATOR_DEFAULTS[self.domain])
         _check_casts("generator", generator, _CASTS["generator"])
+        generator_config(self).params(GENERATOR_PARAMS[self.domain])
         models = _merged(_MODEL_DEFAULTS, self.models, "models")
         _check_known("models", models, _MODEL_DEFAULTS)
         _check_casts("models", models, _CASTS["models"])
+        layers = models["dense_ae"].get("layers")
+        if layers is not None and not (
+            isinstance(layers, list) and len(layers) >= 3 and layers == layers[::-1]
+            and all(isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in layers)
+        ):
+            raise ConfigError(f"models.dense_ae.layers must be a symmetric list of at least 3 positive ints, got {layers!r}")
         forest, boosting = models["forest"], models["boosting"]
         if int(forest["n_trees"]) < 1:
             raise ConfigError(f"models.forest.n_trees must be >= 1, got {forest['n_trees']!r}")
@@ -191,9 +199,10 @@ def _check_between(name: str, value, upper: float) -> None:
 
 
 def _check_known(name: str, values: dict, defaults: dict) -> None:
-    """Reject keys of a merged config section that its defaults lack."""
+    """Reject keys of a merged config section that its defaults lack. An empty
+    default (`generator.overrides`) holds keys its own owner checks."""
     for key, value in values.items():
-        if isinstance(defaults.get(key), dict):
+        if isinstance(defaults.get(key), dict) and defaults[key]:
             _check_known(f"{name}.{key}", value, defaults[key])
         elif key not in defaults and key not in _OPTIONAL_KEYS.get(name, ()):
             raise ConfigError(f"unknown config key {name}.{key}")

@@ -192,10 +192,13 @@ class SessionTensor:
 def sessionize(events: Dataset, time_steps: int, group_columns=("user_id", "day"), label_column="anomaly_label") -> SessionTensor:
     """Group events into per-(user, day) sequences of at most time_steps steps.
 
-    Features are every numeric/binary column except the group keys; events keep
-    their row order (the generators emit user/day/hour order). Longer sessions
-    are truncated to their earliest time_steps events; the session label is the
-    max anomaly flag over all of the session's events, truncated ones included.
+    Features are every numeric/binary column except the group keys. Sessions
+    are numbered in ascending (user, day) order; -0.0 and 0.0 are one key, and
+    a session's key is spelt as its first event's. Within a session events keep
+    their row order, whatever order the rows come in (the generators emit
+    user/day/hour order). Longer sessions are truncated to their earliest
+    time_steps events; the session label is the max anomaly flag over all of
+    the session's events, truncated ones included.
     """
     if time_steps < 1:
         raise DataError(f"time_steps must be >= 1, got {time_steps}")
@@ -203,33 +206,29 @@ def sessionize(events: Dataset, time_steps: int, group_columns=("user_id", "day"
         n for n, k in events.columns
         if k in ("numeric", "binary") and n not in group_columns
     ]
-    X = events.matrix(feature_names)
-    labels = np.asarray(events.column(label_column))
-    gu = np.asarray(events.column(group_columns[0]))
-    gd = np.asarray(events.column(group_columns[1]))
+    gu = np.asarray(events.column(group_columns[0]), dtype=np.float64)
+    gd = np.asarray(events.column(group_columns[1]), dtype=np.float64)
+    order = np.lexsort((gd, gu))  # stable: row order within a session
+    gu, gd = gu[order], gd[order]
+    starts = np.flatnonzero(np.concatenate([[events.n > 0], (gu[1:] != gu[:-1]) | (gd[1:] != gd[:-1])]))
+    sizes = np.diff(np.append(starts, events.n))
 
-    groups = {}
-    for i in range(events.n):
-        groups.setdefault((float(gu[i]), float(gd[i])), []).append(i)
-    keys = sorted(groups)
-
-    S = len(keys)
-    data = np.zeros((S, time_steps, len(feature_names)))
-    lengths = np.zeros(S, dtype=np.int64)
-    sess_labels = np.zeros(S, dtype=np.int64)
-    row_ids = []
-    for s, key in enumerate(keys):
-        idx = groups[key]
-        take = idx[:time_steps]
-        data[s, : len(take)] = X[take]
-        lengths[s] = len(take)
-        sess_labels[s] = int(labels[idx].max())
-        row_ids.append([int(events.row_ids[i]) for i in idx])
+    # Event i of the order goes to cell (session, step) of the tensor.
+    step = np.arange(events.n) - np.repeat(starts, sizes)
+    kept = step < time_steps
+    cell = (np.repeat(np.arange(len(starts)), sizes) * time_steps + step)[kept]
+    rows = order[kept]
+    data = np.zeros((len(starts), time_steps, len(feature_names)))
+    cells = data.reshape(len(starts) * time_steps, len(feature_names))
+    for f, name in enumerate(feature_names):
+        cells[cell, f] = np.asarray(events.column(name), dtype=np.float64)[rows]
+    labels = np.asarray(events.column(label_column), dtype=np.int64)[order]
+    row_ids = events.row_ids[order].tolist()
     return SessionTensor(
         data=data,
-        lengths=lengths,
-        labels=sess_labels,
+        lengths=np.minimum(sizes, time_steps),
+        labels=np.maximum.reduceat(labels, starts),
         feature_names=feature_names,
-        keys=keys,
-        event_row_ids=row_ids,
+        keys=list(zip(gu[starts].tolist(), gd[starts].tolist())),
+        event_row_ids=[row_ids[a:b] for a, b in zip(starts.tolist(), (starts + sizes).tolist())],
     )

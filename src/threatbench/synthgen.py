@@ -159,12 +159,27 @@ class GeneratorConfig:
             raise ConfigError(f"anomaly_rate must be in (0, 0.5), got {self.anomaly_rate}")
 
     def params(self, defaults: dict) -> dict:
+        """`defaults` with the overrides laid over them; an override must name
+        a default and have its type (see `_like`)."""
         merged = dict(defaults)
         for key, value in self.overrides.items():
             if key not in merged:
-                raise ConfigError(f"unknown generator override {key!r}")
+                raise ConfigError(f"unknown config key generator.overrides.{key}")
+            if not _like(value, merged[key]):
+                raise ConfigError(f"generator.overrides.{key} must have the type of {merged[key]!r}, got {value!r}")
             merged[key] = value
         return merged
+
+
+def _like(value, default) -> bool:
+    """Whether `value` has the type of `default`: any number for a float, an
+    int for an int, a str for a str, and lists and dicts of such values."""
+    if isinstance(default, dict):
+        return isinstance(value, dict) and _like(list(value), list(default)) and _like(
+            list(value.values()), list(default.values()))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_like(v, default[0]) for v in value)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default)) and not isinstance(value, bool)
 
 
 def _exact_positive_count(n: int, rate: float) -> int:
@@ -387,6 +402,9 @@ def generate_user_activity(config: GeneratorConfig) -> Dataset:
     in three patterns (off-hour access, failed-login spikes >= 5, sensitive-file
     touches) until exactly round(total * rate) events carry
     label 1. Rows are ordered by (user_id, day, hour, tiebreak counter).
+    Events are drawn one user-day block at a time and held as whole columns;
+    activities are codes into one name table that also holds the names the
+    injections write.
     """
     config.validate(min_n=None)
     p = config.params(UEBA_DEFAULTS)
@@ -400,117 +418,84 @@ def generate_user_activity(config: GeneratorConfig) -> Dataset:
     work_len = rp.integers(8, 10, size=users)
     cmd_rate = rp.uniform(5.0, 15.0, size=users)
 
-    activity_types = list(p["activity_types"])
+    n_types = len(p["activity_types"])
+    names = list(p["activity_types"]) + ["login", "file_access"]
+    login, file_access = names.index("login"), names.index("file_access")
+    is_command, is_file, is_privilege = (
+        np.array([n == k for n in names]) for k in ("command", "file_access", "privilege_use")
+    )
     activity_mix = np.asarray(p["activity_mix"], dtype=float)
     activity_mix = activity_mix / activity_mix.sum()
 
     re = rng.child("events")
-    records = []  # one dict of numpy scalars per user-day block
+    blocks = []  # (hour, activity, failed, commands, sensitive, admin) per user-day, user-major
     for u in range(users):
         lo, hi = int(work_start[u]), int(work_start[u] + work_len[u] - 1)
         center, spread = (lo + hi) / 2.0, max(1.0, (hi - lo) / 3.0)
-        for d in range(1, days + 1):
+        for _ in range(days):
             m = max(1, int(re.poisson(p["events_per_day_mean"])))
-            hours = np.clip(np.round(re.normal(center, spread, size=m)), lo, hi).astype(int)
-            acts = re.choice(activity_types, size=m, p=activity_mix)
+            hours = np.clip(np.round(re.normal(center, spread, size=m)), lo, hi).astype(np.int64)
+            acts = re.choice(n_types, size=m, p=activity_mix)
             failed = re.poisson(0.1, size=m)
-            cmds = np.where(
-                acts == "command", re.poisson(cmd_rate[u], size=m), re.poisson(1.0, size=m)
-            )
-            sens = ((acts == "file_access") & (re.random(m) < p["sensitive_file_rate"])).astype(int)
-            admin = np.where(
-                acts == "privilege_use",
-                (re.random(m) < 0.5).astype(int),
-                (re.random(m) < p["admin_action_rate"]).astype(int),
-            )
-            records.append(
-                {
-                    "user": u + 1,
-                    "day": d,
-                    "hour": hours,
-                    "activity": acts,
-                    "failed": failed.astype(float),
-                    "cmds": cmds.astype(float),
-                    "sens": sens,
-                    "admin": admin,
-                    "anom": np.zeros(m, dtype=int),
-                    "pattern": [None] * m,
-                }
-            )
+            cmds = np.where(is_command[acts], re.poisson(cmd_rate[u], size=m), re.poisson(1.0, size=m))
+            sens = is_file[acts] & (re.random(m) < p["sensitive_file_rate"])
+            admin = np.where(is_privilege[acts], re.random(m) < 0.5, re.random(m) < p["admin_action_rate"])
+            blocks.append((hours, acts, failed, cmds, sens, admin))
+    sizes = np.array([len(b[0]) for b in blocks])
+    starts = np.cumsum(sizes) - sizes
+    hour, act, failed, cmds, sens, admin = (np.concatenate(col) for col in zip(*blocks))
+    del blocks
 
-    total = sum(len(b["hour"]) for b in records)
-    target = _exact_positive_count(total, config.anomaly_rate)
+    target = _exact_positive_count(len(hour), config.anomaly_rate)
     ri = rng.child("inject")
-    order = ri.permutation(len(records))
-    pattern_cycle = ["off_hour", "failed_spike", "sensitive_file"]
-    injected = 0
-    pat_i = 0
-    for bi in order:
-        if injected >= target:
-            break
-        block = records[bi]
-        m = len(block["hour"])
-        k = min(max(3, int(np.floor(p["anomalous_share_of_session"] * m + 0.5))), m, target - injected)
-        hit = ri.choice(m, size=k, replace=False)
-        for j in hit:
-            pattern = pattern_cycle[pat_i % 3]
-            pat_i += 1
-            block["anom"][j] = 1
-            block["pattern"][j] = pattern
-            if pattern == "off_hour":
-                block["hour"][j] = int(ri.integers(0, 6))
-            elif pattern == "failed_spike":
-                block["failed"][j] = float(ri.integers(5, 16))
-                block["activity"][j] = "login"
-            else:
-                block["sens"][j] = 1
-                block["activity"][j] = "file_access"
-        injected += k
+    order = ri.permutation(len(sizes))
+    tag = np.zeros(len(hour), dtype=np.int8)  # 1 + pattern index on injected events
 
-    # The per-session share can under-fill extreme rates; top up from any
-    # remaining clean events so the positive count is exact.
-    if injected < target:
-        for bi in order:
-            block = records[bi]
-            for j in np.flatnonzero(block["anom"] == 0):
-                if injected >= target:
-                    break
-                pattern = pattern_cycle[pat_i % 3]
-                pat_i += 1
-                block["anom"][j] = 1
-                block["pattern"][j] = pattern
-                if pattern == "off_hour":
-                    block["hour"][j] = int(ri.integers(0, 6))
-                elif pattern == "failed_spike":
-                    block["failed"][j] = float(ri.integers(5, 16))
-                    block["activity"][j] = "login"
-                else:
-                    block["sens"][j] = 1
-                    block["activity"][j] = "file_access"
-                injected += 1
-            if injected >= target:
-                break
+    def candidates():
+        # A share of each block in `order`, drawn only once the previous
+        # block's events are injected; then, since the share can under-fill
+        # extreme rates, every event still clean, block by block.
+        done = 0
+        for b in order:
+            if done >= target:
+                return
+            m = sizes[b]
+            k = min(max(3, int(np.floor(p["anomalous_share_of_session"] * m + 0.5))), m, target - done)
+            yield from starts[b] + ri.choice(m, size=k, replace=False)
+            done += k
+        rows = np.concatenate([np.arange(starts[b], starts[b] + sizes[b]) for b in order])
+        yield from rows[tag[rows] == 0]
 
-    # Emit ordered by (user, day, hour, original position).
-    cols = {name: [] for name, _ in USER_EVENT_SCHEMA}
-    patterns = []
-    for block in records:
-        m = len(block["hour"])
-        emit = sorted(range(m), key=lambda j: (block["hour"][j], j))
-        for j in emit:
-            cols["user_id"].append(float(block["user"]))
-            cols["day"].append(float(block["day"]))
-            cols["hour"].append(float(block["hour"][j]))
-            cols["weekday"].append(float((block["day"] - 1) % 7))
-            cols["activity_type"].append(str(block["activity"][j]))
-            cols["failed_login_attempts"].append(float(block["failed"][j]))
-            cols["command_count"].append(float(block["cmds"][j]))
-            cols["accessed_sensitive_file"].append(int(block["sens"][j]))
-            cols["is_admin_action"].append(int(block["admin"][j]))
-            cols["anomaly_label"].append(int(block["anom"][j]))
-            patterns.append(block["pattern"][j])
+    for i, j in zip(range(target), candidates()):
+        tag[j] = 1 + i % 3
+        if i % 3 == 0:
+            hour[j] = ri.integers(0, 6)
+        elif i % 3 == 1:
+            failed[j], act[j] = ri.integers(5, 16), login
+        else:
+            sens[j], act[j] = True, file_access
 
-    meta = {"injection_pattern": {i: t for i, t in enumerate(patterns) if t is not None}}
+    # Emit ordered by (user, day, hour, original position): a stable sort
+    # that only moves events within their block.
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    emit = np.lexsort((hour, block))
+    day = (block % days + 1).astype(float)
+    tag = tag[emit]
+    cols = {
+        "user_id": (block // days + 1).astype(float),
+        "day": day,
+        "hour": hour[emit].astype(float),
+        "weekday": (day - 1) % 7,
+        "activity_type": [names[c] for c in act[emit].tolist()],
+        "failed_login_attempts": failed[emit].astype(float),
+        "command_count": cmds[emit].astype(float),
+        "accessed_sensitive_file": sens[emit].astype(np.int64),
+        "is_admin_action": admin[emit].astype(np.int64),
+        "anomaly_label": (tag > 0).astype(np.int64),
+    }
+    patterns = ("off_hour", "failed_spike", "sensitive_file")
+    injected = np.flatnonzero(tag)
+    meta = {"injection_pattern": dict(zip(injected.tolist(), [patterns[t - 1] for t in tag[injected].tolist()]))}
     return Dataset(USER_EVENT_SCHEMA, cols, meta=meta)
 
 
@@ -552,6 +537,10 @@ def save_events_jsonl(dataset: Dataset, path) -> None:
         raise DataError(f"cannot write events to {path}: {exc}") from exc
 
 
+# Each domain's generator and the defaults its overrides are checked against.
+GENERATOR_PARAMS = {
+    "intrusion": NETWORK_DEFAULTS, "malware": MALWARE_DEFAULTS, "phishing": EMAIL_DEFAULTS, "ueba": UEBA_DEFAULTS,
+}
 GENERATORS = {
     "intrusion": generate_network_flows,
     "malware": generate_malware_corpus,

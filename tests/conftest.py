@@ -33,6 +33,24 @@ def finite_difference_check(loss_fn, params, grads, eps=1e-5, floor=1e-6):
     return worst
 
 
+def segment_offsets(rows, X, slack=1e-12):
+    """Distance from each row to the nearest segment X[i] -> X[j] (i != j) on
+    which the row projects, at t in [-slack, 1 + slack]; inf if there is none.
+    The brute-force SMOTE geometry oracle, one row at a time over all pairs."""
+    seg = X[None, :, :] - X[:, None, :]  # seg[i, j] = X[j] - X[i]
+    seg_sq = (seg**2).sum(axis=2)
+    pairs = ~np.eye(len(X), dtype=bool)
+    out = np.empty(len(rows))
+    for r, row in enumerate(rows):
+        d = row - X  # d[i] = row - X[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.einsum("ik,ijk->ij", d, seg) / seg_sq  # nan for a zero-length segment
+        on = pairs & (t >= -slack) & (t <= 1 + slack)
+        dist = np.linalg.norm(d[:, None, :] - t[:, :, None] * seg, axis=2)
+        out[r] = dist[on].min(initial=np.inf)
+    return out
+
+
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(12345)

@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import finite_difference_check, relative_deviation
+from conftest import finite_difference_check, relative_deviation, segment_offsets
 from threatbench.evalx import ConfusionMatrix, report_from_confusion, roc_auc
 from threatbench.forest import average_path_length, fit_isolation_forest, iforest_score
 from threatbench.linear import LogisticModel, logistic_gradient, logistic_loss
@@ -125,19 +125,7 @@ def test_criterion_4_smote_geometry():
     rng = np.random.default_rng(404)
     X = rng.normal(size=(50, 4))
     synth = smote_oversample(X, k=5, n_synthetic=1000, rng=RngStream(44, "acc"))
-    worst = 0.0
-    for row in synth:
-        best = math.inf
-        for i in range(len(X)):
-            d = row - X[i]
-            for j in range(len(X)):
-                if i == j:
-                    continue
-                seg = X[j] - X[i]
-                t = float(np.dot(d, seg) / np.dot(seg, seg))
-                if -1e-12 <= t <= 1 + 1e-12:
-                    best = min(best, float(np.linalg.norm(d - t * seg)))
-        worst = max(worst, best)
+    worst = float(segment_offsets(synth, X).max())
     verdict(f"4: 1000 SMOTE samples on parent-neighbor segments (worst offset {worst:.2e})", worst <= 1e-9)
 
 

@@ -105,6 +105,16 @@ class TestExitCodes:
             capsys.readouterr()
             assert run_cli(["run", "malware", "--override", f"{key}=5"]) == 2
             assert f"unknown config key {key}" in capsys.readouterr().err
+        for domain, override, message in (
+            ("phishing", "generator.bogus=1", "unknown config key generator.bogus"),
+            ("ueba", 'generator.overrides={"users": "x"}', "generator.overrides.users must have the type of 100"),
+            ("ueba", 'generator.overrides={"user": 5}', "unknown config key generator.overrides.user"),
+            ("intrusion", 'models.dense_ae.layers="abc"', "models.dense_ae.layers must be a symmetric list"),
+        ):
+            capsys.readouterr()
+            assert run_cli(["run", domain, "--override", override]) == 2
+            err = capsys.readouterr().err
+            assert message in err and "stage" not in err  # raised before the first stage
 
     def test_internal_error_is_5_without_traceback(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):

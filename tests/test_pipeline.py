@@ -276,6 +276,61 @@ class TestErrors:
         with pytest.raises(ConfigError, match="models.dense_ae.layer$"):
             cfg.validate()
 
+    @pytest.mark.parametrize("layers", [None, [12, 6, 12], [7, 3, 1, 3, 7]])
+    def test_dense_ae_layers_accepted(self, layers):
+        cfg = small_config("intrusion")
+        cfg.models["dense_ae"]["layers"] = layers
+        cfg.validate()
+
+    @pytest.mark.parametrize("layers", ["abc", [], [12, 12], [12, 6, 11], [12, 0, 12], [4, 2.0, 4], [1, True, 1], 12])
+    def test_dense_ae_layers_rejected(self, layers):
+        cfg = small_config("intrusion")
+        cfg.models["dense_ae"]["layers"] = layers
+        with pytest.raises(ConfigError, match="models.dense_ae.layers must be"):
+            cfg.validate()
+
+    @pytest.mark.parametrize(
+        "domain, overrides",
+        [
+            ("ueba", {"users": 3, "events_per_day_mean": 12, "activity_types": ["a", "b"], "activity_mix": [1, 0.5]}),
+            ("intrusion", {"protocol_mix": {"TCP": 1, "SCTP": 0.5}, "bytes_log_mean": 7.0}),
+            ("malware", {"file_types": ["exe"], "benign_file_type_mix": [1.0]}),
+        ],
+    )
+    def test_generator_overrides_of_the_default_types_pass(self, domain, overrides):
+        cfg = default_config(domain)
+        cfg.generator["overrides"] = overrides
+        cfg.validate()
+
+    @pytest.mark.parametrize(
+        "domain, overrides, key",
+        [
+            ("ueba", {"users": "x"}, "users"),
+            ("ueba", {"users": 10.0}, "users"),
+            ("ueba", {"days": True}, "days"),
+            ("ueba", {"activity_types": [1, 2]}, "activity_types"),
+            ("ueba", {"activity_mix": "0.5"}, "activity_mix"),
+            ("intrusion", {"protocol_mix": {"TCP": "x"}}, "protocol_mix"),
+            ("intrusion", {"protocol_mix": [0.5]}, "protocol_mix"),
+            ("phishing", {"noise_fraction": None}, "noise_fraction"),
+        ],
+    )
+    def test_generator_override_types_checked_before_generate(self, domain, overrides, key):
+        cfg = default_config(domain)
+        cfg.generator["overrides"] = overrides
+        with pytest.raises(ConfigError, match=f"^generator.overrides.{key} must have the type"):
+            cfg.validate()
+
+    def test_generator_keys_checked(self):
+        cfg = default_config("phishing")
+        cfg.generator["bogus"] = 1
+        with pytest.raises(ConfigError, match="unknown config key generator.bogus$"):
+            cfg.validate()
+        cfg = default_config("phishing")
+        cfg.generator["overrides"] = {"users": 3}  # a ueba key
+        with pytest.raises(ConfigError, match="unknown config key generator.overrides.users$"):
+            cfg.validate()
+
     def test_unknown_config_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config fields"):
             PipelineConfig.from_dict({"domain": "malware", "extra": 1})

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import segment_offsets
 from threatbench import preprocess
 from threatbench.errors import DataError
 from threatbench.preprocess import (
@@ -8,6 +11,7 @@ from threatbench.preprocess import (
     apply_scaler,
     downsample_majority,
     fit_one_hot,
+    SessionTensor,
     fit_scaler,
     sessionize,
     smote_oversample,
@@ -95,19 +99,8 @@ class TestSmote:
         rng = RngStream(4, "smote")
         synth = smote_oversample(X, k=5, n_synthetic=1000, rng=rng)
         assert synth.shape == (1000, 5)
-        for row in synth:
-            # distance from the row to the nearest parent-neighbor segment is ~0
-            best = np.inf
-            for i in range(len(X)):
-                d = row - X[i]
-                for j in range(len(X)):
-                    if i == j:
-                        continue
-                    seg = X[j] - X[i]
-                    t = np.dot(d, seg) / np.dot(seg, seg)
-                    if -1e-12 <= t <= 1 + 1e-12:
-                        best = min(best, np.linalg.norm(d - t * seg))
-            assert best <= 1e-9
+        # distance from each row to the nearest parent-neighbor segment is ~0
+        assert segment_offsets(synth, X).max() <= 1e-9
 
     def test_identical_minority_rows(self):
         X = np.tile([[1.0, 2.0]], (6, 1))
@@ -190,6 +183,45 @@ class TestDownsample:
         assert len(kept_min) == 60
 
 
+def per_event_sessionize(events, time_steps, group_columns=("user_id", "day"), label_column="anomaly_label"):
+    """The former dict-of-index-lists `sessionize`, kept as the oracle of the
+    whole-array one."""
+    feature_names = [
+        n for n, k in events.columns
+        if k in ("numeric", "binary") and n not in group_columns
+    ]
+    X = events.matrix(feature_names)
+    labels = np.asarray(events.column(label_column))
+    gu = np.asarray(events.column(group_columns[0]))
+    gd = np.asarray(events.column(group_columns[1]))
+
+    groups = {}
+    for i in range(events.n):
+        groups.setdefault((float(gu[i]), float(gd[i])), []).append(i)
+    keys = sorted(groups)
+
+    S = len(keys)
+    data = np.zeros((S, time_steps, len(feature_names)))
+    lengths = np.zeros(S, dtype=np.int64)
+    sess_labels = np.zeros(S, dtype=np.int64)
+    row_ids = []
+    for s, key in enumerate(keys):
+        idx = groups[key]
+        take = idx[:time_steps]
+        data[s, : len(take)] = X[take]
+        lengths[s] = len(take)
+        sess_labels[s] = int(labels[idx].max())
+        row_ids.append([int(events.row_ids[i]) for i in idx])
+    return SessionTensor(
+        data=data,
+        lengths=lengths,
+        labels=sess_labels,
+        feature_names=feature_names,
+        keys=keys,
+        event_row_ids=row_ids,
+    )
+
+
 def encoded_events(users=4, days=3, seed=5, rate=0.05):
     events = generate_user_activity(
         GeneratorConfig(anomaly_rate=rate, seed=seed, overrides={"users": users, "days": days})
@@ -257,3 +289,80 @@ class TestSessionize:
         encoded, _ = encoded_events(users=2, days=2)
         with pytest.raises(DataError, match="time_steps"):
             sessionize(encoded, 0)
+
+
+def session_dataset(user, day, v, label):
+    return Dataset(
+        [("user_id", "numeric"), ("day", "numeric"), ("v", "numeric"), ("anomaly_label", "label")],
+        {"user_id": user, "day": day, "v": v, "anomaly_label": label},
+    )
+
+
+class TestSessionizeOracle:
+    """`sessionize` against the per-event oracle: the same tensor bytes,
+    lengths, labels, keys (signs included) and event row ids."""
+
+    @staticmethod
+    def check(events, time_steps):
+        got, want = sessionize(events, time_steps), per_event_sessionize(events, time_steps)
+        for name in ("data", "lengths", "labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert got.feature_names == want.feature_names
+        assert repr(got.keys) == repr(want.keys)  # repr tells -0.0 from 0.0
+        assert got.event_row_ids == want.event_row_ids
+        assert {type(i) for ids in got.event_row_ids for i in ids} <= {int}
+        return got
+
+    def test_default_events(self):
+        encoded, _ = encoded_events(users=100, days=30, seed=42, rate=0.02)
+        assert self.check(encoded, 50).n_sessions == 3000
+
+    @pytest.mark.parametrize("time_steps", [1, 2, 10, 37, 200])
+    def test_truncation(self, time_steps):
+        encoded, _ = encoded_events(users=5, days=4, rate=0.1)
+        self.check(encoded, time_steps)
+
+    def test_rows_out_of_group_order(self, np_rng):
+        encoded, _ = encoded_events(users=6, days=5, rate=0.1)
+        shuffled = encoded.select_rows(np_rng.permutation(encoded.n))
+        for time_steps in (1, 7, 50):
+            self.check(shuffled, time_steps)
+        interleaved = session_dataset([2.0, 1.0, 2.0, 1.0, 3.0, 1.0], [1.0, 2.0, 1.0, 1.0, 0.0, 2.0],
+                                      [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0, 1, 0, 0, 1, 0])
+        t = self.check(interleaved, 2)
+        assert t.keys == [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (3.0, 0.0)]
+        assert t.event_row_ids == [[3], [1, 5], [0, 2], [4]]
+
+    def test_signed_zero_keys(self):
+        ds = session_dataset([0.0, -0.0, 1.0, -0.0, 0.0], [-0.0, 0.0, 0.0, 2.0, 2.0],
+                             [1.0, 2.0, 3.0, 4.0, 5.0], [0, 0, 1, 1, 0])
+        t = self.check(ds, 3)
+        assert t.n_sessions == 3 and repr(t.keys[0]) == "(0.0, -0.0)"
+
+    def test_empty_and_featureless_tables(self):
+        self.check(session_dataset([], [], [], []), 4)
+        self.check(Dataset([("user_id", "numeric"), ("day", "numeric"), ("anomaly_label", "label")],
+                           {"user_id": [2.0, 1.0, 2.0], "day": [1.0, 1.0, 1.0], "anomaly_label": [0, 1, 0]}), 2)
+
+
+def test_generate_and_sessionize_memory_is_bounded():
+    """The traced peak of generating an event log and sessionizing it stays
+    under 3x the bytes of the arrays they return. Whole-array code reads 2.0x
+    at this size; per-event Python lists and index dicts read 4.0x."""
+
+    def run(users, days):
+        config = GeneratorConfig(anomaly_rate=0.02, seed=42, overrides={"users": users, "days": days})
+        events = generate_user_activity(config)
+        return events, sessionize(events, 50)
+
+    run(1, 1)  # lazy imports and caches stay out of the trace
+    tracemalloc.start()
+    try:
+        events, tensor = run(20, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [events.column(name) for name, kind in events.columns if kind != "categorical"]
+    arrays += [tensor.data, tensor.lengths, tensor.labels]
+    assert peak <= 3 * sum(a.nbytes for a in arrays)

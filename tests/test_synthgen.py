@@ -9,18 +9,151 @@ from threatbench.errors import ConfigError
 from threatbench.linear import fit_logistic, predict_proba
 from threatbench.synthgen import (
     EMAIL_SCHEMA,
+    UEBA_DEFAULTS,
+    USER_EVENT_SCHEMA,
     GeneratorConfig,
+    _exact_positive_count,
     generate_email_corpus,
     generate_malware_corpus,
     generate_network_flows,
     generate_user_activity,
     save_events_jsonl,
 )
-from threatbench.tabular import Dataset, save_dataset
+from threatbench.tabular import Dataset, RngStream, save_dataset
 
 # Nearest chi-square critical value for df=23 at alpha=0.01, frozen from the
 # inverse CDF (regularized incomplete gamma).
 CHI2_CRIT_DF23_P99 = 41.638398118858476
+
+
+def per_event_user_activity(config: GeneratorConfig) -> Dataset:
+    """The former per-event implementation of `generate_user_activity`, kept as
+    the oracle of the whole-array one."""
+    config.validate(min_n=None)
+    p = config.params(UEBA_DEFAULTS)
+    users, days = int(p["users"]), int(p["days"])
+    if users < 1 or days < 1:
+        raise ConfigError("users and days must both be >= 1")
+    rng = RngStream(config.seed, "ueba")
+
+    rp = rng.child("profiles")
+    work_start = rp.integers(7, 11, size=users)
+    work_len = rp.integers(8, 10, size=users)
+    cmd_rate = rp.uniform(5.0, 15.0, size=users)
+
+    activity_types = list(p["activity_types"])
+    activity_mix = np.asarray(p["activity_mix"], dtype=float)
+    activity_mix = activity_mix / activity_mix.sum()
+
+    re = rng.child("events")
+    records = []  # one dict of numpy scalars per user-day block
+    for u in range(users):
+        lo, hi = int(work_start[u]), int(work_start[u] + work_len[u] - 1)
+        center, spread = (lo + hi) / 2.0, max(1.0, (hi - lo) / 3.0)
+        for d in range(1, days + 1):
+            m = max(1, int(re.poisson(p["events_per_day_mean"])))
+            hours = np.clip(np.round(re.normal(center, spread, size=m)), lo, hi).astype(int)
+            acts = re.choice(activity_types, size=m, p=activity_mix)
+            failed = re.poisson(0.1, size=m)
+            cmds = np.where(
+                acts == "command", re.poisson(cmd_rate[u], size=m), re.poisson(1.0, size=m)
+            )
+            sens = ((acts == "file_access") & (re.random(m) < p["sensitive_file_rate"])).astype(int)
+            admin = np.where(
+                acts == "privilege_use",
+                (re.random(m) < 0.5).astype(int),
+                (re.random(m) < p["admin_action_rate"]).astype(int),
+            )
+            records.append(
+                {
+                    "user": u + 1,
+                    "day": d,
+                    "hour": hours,
+                    "activity": acts,
+                    "failed": failed.astype(float),
+                    "cmds": cmds.astype(float),
+                    "sens": sens,
+                    "admin": admin,
+                    "anom": np.zeros(m, dtype=int),
+                    "pattern": [None] * m,
+                }
+            )
+
+    total = sum(len(b["hour"]) for b in records)
+    target = _exact_positive_count(total, config.anomaly_rate)
+    ri = rng.child("inject")
+    order = ri.permutation(len(records))
+    pattern_cycle = ["off_hour", "failed_spike", "sensitive_file"]
+    injected = 0
+    pat_i = 0
+    for bi in order:
+        if injected >= target:
+            break
+        block = records[bi]
+        m = len(block["hour"])
+        k = min(max(3, int(np.floor(p["anomalous_share_of_session"] * m + 0.5))), m, target - injected)
+        hit = ri.choice(m, size=k, replace=False)
+        for j in hit:
+            pattern = pattern_cycle[pat_i % 3]
+            pat_i += 1
+            block["anom"][j] = 1
+            block["pattern"][j] = pattern
+            if pattern == "off_hour":
+                block["hour"][j] = int(ri.integers(0, 6))
+            elif pattern == "failed_spike":
+                block["failed"][j] = float(ri.integers(5, 16))
+                block["activity"][j] = "login"
+            else:
+                block["sens"][j] = 1
+                block["activity"][j] = "file_access"
+        injected += k
+
+    # The per-session share can under-fill extreme rates; top up from any
+    # remaining clean events so the positive count is exact.
+    if injected < target:
+        for bi in order:
+            block = records[bi]
+            for j in np.flatnonzero(block["anom"] == 0):
+                if injected >= target:
+                    break
+                pattern = pattern_cycle[pat_i % 3]
+                pat_i += 1
+                block["anom"][j] = 1
+                block["pattern"][j] = pattern
+                if pattern == "off_hour":
+                    block["hour"][j] = int(ri.integers(0, 6))
+                elif pattern == "failed_spike":
+                    block["failed"][j] = float(ri.integers(5, 16))
+                    block["activity"][j] = "login"
+                else:
+                    block["sens"][j] = 1
+                    block["activity"][j] = "file_access"
+                injected += 1
+            if injected >= target:
+                break
+
+    # Emit ordered by (user, day, hour, original position).
+    cols = {name: [] for name, _ in USER_EVENT_SCHEMA}
+    patterns = []
+    for block in records:
+        m = len(block["hour"])
+        emit = sorted(range(m), key=lambda j: (block["hour"][j], j))
+        for j in emit:
+            cols["user_id"].append(float(block["user"]))
+            cols["day"].append(float(block["day"]))
+            cols["hour"].append(float(block["hour"][j]))
+            cols["weekday"].append(float((block["day"] - 1) % 7))
+            cols["activity_type"].append(str(block["activity"][j]))
+            cols["failed_login_attempts"].append(float(block["failed"][j]))
+            cols["command_count"].append(float(block["cmds"][j]))
+            cols["accessed_sensitive_file"].append(int(block["sens"][j]))
+            cols["is_admin_action"].append(int(block["admin"][j]))
+            cols["anomaly_label"].append(int(block["anom"][j]))
+            patterns.append(block["pattern"][j])
+
+    meta = {"injection_pattern": {i: t for i, t in enumerate(patterns) if t is not None}}
+    return Dataset(USER_EVENT_SCHEMA, cols, meta=meta)
+
 
 
 class TestNetwork:
@@ -233,6 +366,43 @@ class TestUserActivity:
         )
         labels = np.asarray(ds.column("anomaly_label"))
         assert labels.sum() == int(np.floor(ds.n * 0.45 + 0.5))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GeneratorConfig(n=0, anomaly_rate=0.02, seed=42),  # the pipeline default
+            GeneratorConfig(anomaly_rate=0.45, seed=3, overrides={"users": 4, "days": 3}),
+            # A share of 0.1 per block under-fills 0.45, so the top-up pass runs.
+            GeneratorConfig(anomaly_rate=0.45, seed=3, overrides={"users": 4, "days": 3, "anomalous_share_of_session": 0.1}),
+            GeneratorConfig(anomaly_rate=0.3, seed=5, overrides={"users": 1, "days": 1}),
+            GeneratorConfig(anomaly_rate=0.2, seed=6, overrides={"users": 3, "days": 4, "events_per_day_mean": 0.5}),
+            GeneratorConfig(anomaly_rate=0.01, seed=7, overrides={"users": 2, "days": 2, "events_per_day_mean": 300.0}),
+        ],
+        ids=["default", "extreme-rate", "top-up", "one-user-day", "one-event-days", "hour-ties"],
+    )
+    def test_matches_per_event_oracle(self, config):
+        got, want = generate_user_activity(config), per_event_user_activity(config)
+        assert got.columns == want.columns and got.n == want.n
+        for name, kind in got.columns:
+            a, b = got.column(name), want.column(name)
+            if kind == "categorical":
+                assert a == b and {type(v) for v in a} <= {str}
+            else:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.meta["injection_pattern"] == want.meta["injection_pattern"]
+        assert {type(i) for i in got.meta["injection_pattern"]} <= {int}
+        assert np.array_equal(got.row_ids, want.row_ids)
+        hours = np.asarray(got.column("hour"))
+        assert (hours[1:] == hours[:-1]).any()  # ties in hour keep their draw order
+
+    def test_injected_activity_names_are_not_truncated(self):
+        p = {"users": 3, "days": 2, "activity_types": ["ab", "cd"], "activity_mix": [0.5, 0.5]}
+        ds = generate_user_activity(GeneratorConfig(anomaly_rate=0.05, seed=42, overrides=p))
+        acts = ds.column("activity_type")
+        tags = ds.meta["injection_pattern"]
+        assert {acts[i] for i, t in tags.items() if t == "failed_spike"} == {"login"}
+        assert {acts[i] for i, t in tags.items() if t == "sensitive_file"} == {"file_access"}
+        assert set(acts) == {"ab", "cd", "login", "file_access"}
 
 
 def test_schema_matches_column_order():
