@@ -170,7 +170,10 @@ def permutation_importance(predict_fn, X, y, metric: str = "auc", repeats: int =
     `predict_fn` maps X to positive-class scores. X may be 2-D (rows x
     features) or 3-D (sessions x steps x features); in the 3-D case a
     feature's whole per-session sequence is shuffled across sessions.
-    Permutations derive from per-repeat child streams.
+    Permutations derive from per-repeat child streams. Each call of
+    `predict_fn` gets a matrix that differs from X in at most one feature, so
+    a tree model's `scorer(X)` (forest._RememberedWalk) serves as `predict_fn`
+    and re-walks only the (tree, row) pairs that feature can move.
     """
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")

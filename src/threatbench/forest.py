@@ -5,8 +5,10 @@ All trees share one node type. Classification nodes carry class counts,
 boosted-tree leaves carry Newton-step weights, isolation leaves carry training
 sample counts. Every node also stores its training-mean prediction so path
 attributions telescope exactly (see evalx.tree_path_attribution). Prediction
-runs over one flat node table per ensemble (`_FlatForest`): a branch-free walk,
-one vectorized level at a time, over all (tree, row) pairs of a row block.
+runs over one flat node table per ensemble (`_FlatForest`) with one walk: a
+branch-free walk, one vectorized level at a time, over a list of (tree, row)
+pairs. `predict` walks all pairs; a model's `scorer(X)`, made for permutation
+importance, re-walks only the pairs a change to X can move (`_RememberedWalk`).
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ class _FlatForest:
     slots at itself, so a walk needs no leaf test: one level is
     `pos = children[2 pos + (x[feature[pos]] <= threshold[pos])]` for all
     (tree, row) pairs at once, and NaN goes right because `NaN <= t` is false.
-    The walk visits trees deepest first, so the pairs still walking at a level
-    are a prefix of the block. Leaf values are then summed per row in tree
-    order, the order of a loop of `total += tree value` over the trees.
+    Trees are numbered in walk order, deepest first, and pairs come in that
+    order, so the pairs still walking at a level are a prefix. Leaf values are
+    then summed per row in tree order, the order of a loop of
+    `total += tree value` over the trees.
     """
 
     def __init__(self, trees, leaf_value):
@@ -87,37 +90,124 @@ class _FlatForest:
         self.starts = np.array(starts, dtype=np.int64)
         self.depths = np.array(depths, dtype=np.int64)
         self.order = np.argsort(-self.depths, kind="stable")  # walk order: deepest first
+        self.roots = self.starts[self.order]
         # walking[k]: trees in walk order still above their deepest leaf at level k
         self.walking = (self.depths[:, None] > np.arange(self.depths.max(initial=0))).sum(axis=0)
+        # the smallest unsigned type that holds a leaf's offset within its tree
+        self.offset_type = np.min_scalar_type(int(np.diff(self.starts, append=len(feature)).max(initial=1)) - 1)
 
-    def predict(self, X: np.ndarray, init=0.0, scale: float = 1.0) -> np.ndarray:
+    def walk(self, flat, pos, offset, walking) -> np.ndarray:
+        """Walks (tree, row) pairs in place from their roots `pos` to their
+        leaves. `offset` is a pair's row times the row width of the flat
+        row-major matrix; pairs go in walk order, so the first `walking[k]`
+        are the pairs still walking at level k."""
+        for a in walking:
+            p = pos[:a]
+            left = flat.take(offset[:a] + self.feature.take(p)) <= self.threshold.take(p)
+            pos[:a] = self.children.take(2 * p + left)
+        return pos
+
+    def sum(self, leaves, init, scale: float) -> np.ndarray:
+        """Per column of `leaves` (leaf nodes, trees in walk order by rows),
+        `init + scale * v_0 + scale * v_1 + ...`, added in tree order."""
+        terms = np.empty((len(leaves) + 1, leaves.shape[1]))
+        terms[0] = init
+        terms[1 + self.order] = scale * self.value.take(leaves)
+        return np.add.accumulate(terms, axis=0)[-1]
+
+    def predict(self, X: np.ndarray, init=0.0, scale: float = 1.0, leaf=None) -> np.ndarray:
         """Per row, `init + scale * v_0 + scale * v_1 + ...` over the trees'
-        leaf values, added left to right; `init` is a scalar or one per row."""
-        n, d = X.shape
-        t = len(self.starts)
+        leaf values, added left to right; `init` is a scalar or one per row.
+        A (trees, rows) array `leaf` also gets each pair's leaf offset."""
+        X = np.ascontiguousarray(X)
+        (n, d), t, flat = X.shape, len(self.starts), X.ravel()
         init = np.broadcast_to(np.asarray(init, dtype=np.float64), (n,))
-        out = np.array(init)
-        if t == 0:
-            return out
-        flat = X.ravel()  # row-major, so x[r, f] is flat[r * d + f]
-        starts = self.starts[self.order]
-        rows = max(1, _BLOCK // t)
+        out = np.empty(n)
+        rows = max(1, _BLOCK // max(t, 1))
         for r0 in range(0, n, rows):
             b = min(rows, n - r0)
-            xs = flat[r0 * d : (r0 + b) * d]
-            offset = np.tile(np.arange(0, b * d, d), t)
-            pos = np.repeat(starts, b)
-            for walking in self.walking:
-                a = walking * b
-                p = pos[:a]
-                left = xs.take(offset[:a] + self.feature.take(p)) <= self.threshold.take(p)
-                pos[:a] = self.children.take(2 * p + left)
-            terms = np.empty((t + 1, b))
-            terms[0] = init[r0 : r0 + b]
-            leaf = self.value.take(pos).reshape(t, b)
-            terms[1 + self.order] = scale * leaf
-            out[r0 : r0 + b] = np.add.accumulate(terms, axis=0)[-1]
+            offset = np.tile(np.arange(r0 * d, (r0 + b) * d, d), t)
+            pos = self.walk(flat, np.repeat(self.roots, b), offset, self.walking * b).reshape(t, b)
+            if leaf is not None:
+                leaf[:, r0 : r0 + b] = pos - self.roots[:, None]
+            out[r0 : r0 + b] = self.sum(pos, init[r0 : r0 + b], scale)
         return out
+
+
+class _RememberedWalk:
+    """A tree model's scores of matrices shaped like X, from one remembered walk
+    of X: each (tree, row) pair's leaf offset and each row's sum.
+
+    A column moves a pair only if the pair's path tests it. A call flags the
+    nodes below a test of a column in which its matrix differs from X, and
+    re-walks, by spans of rows holding about `_BLOCK` such pairs, every row of
+    a tree whose root is such a test and elsewhere the pairs whose leaf is
+    flagged. Only their rows are summed again, in tree order, so a call gives
+    the bytes of `finish(flat.predict(matrix, init, scale))`.
+    """
+
+    def __init__(self, flat, init, scale, finish, X):
+        self.flat, self.scale, self.finish = flat, scale, finish
+        self.X = np.array(X, order="C")  # a copy: the caller may change X
+        self.init = np.broadcast_to(np.asarray(init, dtype=np.float64), (len(X),))
+        self.leaf = np.empty((len(flat.starts), len(X)), flat.offset_type)
+        self.out = flat.predict(self.X, self.init, scale, self.leaf)
+
+    def __call__(self, X) -> np.ndarray:
+        X = np.ascontiguousarray(_check_width(X, self.X.shape[1]))
+        if X.shape != self.X.shape:
+            raise DataError(f"scorer holds {self.X.shape[0]} rows, got {X.shape[0]}")
+        f, (n, d), flat = self.flat, X.shape, X.ravel()
+        internal = f.children[1::2] != np.arange(len(f.feature))
+        changed = (X.view(np.uint64) != self.X.view(np.uint64)).any(axis=0)  # bytewise: -0.0 is not 0.0
+        tests = internal & changed.take(f.feature)
+        flag, level = np.zeros(len(tests), dtype=bool), f.roots
+        while len(level):
+            level = level[internal.take(level)]
+            kids = f.children.reshape(-1, 2)[level]
+            flag[kids] = (flag[level] | tests[level])[:, None]
+            level = kids.ravel()
+        whole = np.flatnonzero(tests.take(f.roots))  # trees by walk-order number
+        some = np.flatnonzero(np.logical_or.reduceat(flag, f.starts)[f.order] & ~tests.take(f.roots))
+        out, step = self.out.copy(), max(1, _BLOCK // max(len(f.starts), 1))  # rows summed at once
+        r0, span, walked = 0, step, 0
+        while r0 < n and len(whole) + len(some):
+            rows = np.arange(r0, min(n, r0 + span))
+            leaf, touched = self.leaf[:, r0 : r0 + len(rows)].copy(), np.full(len(rows), len(whole) > 0)
+            if len(whole):
+                pos = f.walk(flat, np.repeat(f.roots.take(whole), len(rows)), np.tile(rows * d, len(whole)),
+                             np.searchsorted(whole, f.walking) * len(rows))
+                leaf[whole] = pos.reshape(len(whole), len(rows)) - f.roots.take(whole)[:, None]
+            group, pairs, pos = max(1, _BLOCK // len(rows)), [], None
+            for i in range(0, len(some), group):  # at most _BLOCK candidate pairs at a time
+                k = some[i : i + group]
+                kk, rr = np.nonzero(flag.take(f.roots[k, None] + leaf[k]))
+                pairs.append((k.take(kk), rr))
+            tree, row = (np.concatenate(p) for p in zip(*pairs)) if pairs else (whole[:0], whole[:0])
+            if len(tree):
+                pos = f.walk(flat, f.roots.take(tree), (row + r0) * d, np.searchsorted(tree, f.walking))
+                leaf[tree, row] = pos - f.roots.take(tree)
+                touched[row] = True
+            walked, r0, touched = walked + len(whole) * len(rows) + len(tree), r0 + len(rows), np.flatnonzero(touched)
+            del pos, tree, row  # free the pairs before the sums
+            for i in range(0, len(touched), step):
+                r = touched[i : i + step]
+                out[rows[r]] = f.sum(f.roots[:, None] + leaf[:, r], self.init.take(rows[r]), self.scale)
+            span = step * min(4, max(1, round(_BLOCK * r0 / max(walked, 1) / step)))  # about _BLOCK pairs
+        return self.finish(out)
+
+
+class TreeEnsemble:
+    """Scoring shared by the tree models. `_walk_parts()` gives a model's node
+    table, the `init` and `scale` of its sums, and its map from sums to scores."""
+
+    def scores(self, X) -> np.ndarray:
+        flat, init, scale, finish = self._walk_parts()
+        return finish(flat.predict(_check_width(X, self.n_features), init, scale))
+
+    def scorer(self, X) -> _RememberedWalk:
+        """`scores` of matrices shaped like X, for one permutation-importance call."""
+        return _RememberedWalk(*self._walk_parts(), _check_width(X, self.n_features))
 
 
 def _check_finite(X: np.ndarray, name: str = "X") -> np.ndarray:
@@ -218,19 +308,20 @@ def _grow_classification_tree(Xc, codes, y, idx, depth, config, m, rng):
 
 
 @dataclass
-class RandomForestModel:
+class RandomForestModel(TreeEnsemble):
     trees: list
     n_features: int
     config: ForestConfig
     classes: tuple = (0, 1)
     _flat: _FlatForest | None = field(default=None, repr=False, compare=False)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = _check_width(X, self.n_features)
+    def _walk_parts(self):
         if self._flat is None:
             self._flat = _FlatForest(self.trees, lambda node, depth: node.counts[1] / node.counts.sum())
-        p1 = self._flat.predict(X)
-        p1 /= len(self.trees)
+        return self._flat, 0.0, 1.0, lambda total: total / len(self.trees)
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        p1 = self.scores(X)
         return np.column_stack([1.0 - p1, p1])
 
 
@@ -336,7 +427,7 @@ def _grow_boost_tree(Xc, codes, g, h, idx, depth, config):
 
 
 @dataclass
-class GradientBoostingModel:
+class GradientBoostingModel(TreeEnsemble):
     base_score: float
     trees: list
     best_iteration: int
@@ -345,11 +436,14 @@ class GradientBoostingModel:
     val_losses: list = field(default_factory=list)
     _flat: _FlatForest | None = field(default=None, repr=False, compare=False)
 
-    def predict_margin(self, X: np.ndarray) -> np.ndarray:
-        X = _check_width(X, self.n_features)
+    def _walk_parts(self):
         if self._flat is None or len(self._flat.starts) != self.best_iteration:
             self._flat = _FlatForest(self.trees[: self.best_iteration], _boost_leaf)
-        return self._flat.predict(X, self.base_score, self.config.learning_rate)
+        return self._flat, self.base_score, self.config.learning_rate, _sigmoid
+
+    def predict_margin(self, X: np.ndarray) -> np.ndarray:
+        flat, init, scale, _ = self._walk_parts()
+        return flat.predict(_check_width(X, self.n_features), init, scale)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         p1 = _sigmoid(self.predict_margin(X))
@@ -461,7 +555,7 @@ def _grow_isolation_tree(X, idx, depth, limit, rng):
 
 
 @dataclass
-class IsolationForestModel:
+class IsolationForestModel(TreeEnsemble):
     trees: list
     psi: int
     n_features: int
@@ -470,6 +564,11 @@ class IsolationForestModel:
     @property
     def c_psi(self) -> float:
         return average_path_length(self.psi)
+
+    def _walk_parts(self):
+        if self._flat is None:
+            self._flat = _FlatForest(self.trees, lambda node, depth: depth + average_path_length(node.n_samples))
+        return self._flat, 0.0, 1.0, lambda total: np.power(2.0, -(total / len(self.trees)) / self.c_psi)
 
 
 def fit_isolation_forest(X, n_trees: int = 100, psi: int = 256, rng: RngStream | None = None) -> IsolationForestModel:
@@ -492,8 +591,4 @@ def fit_isolation_forest(X, n_trees: int = 100, psi: int = 256, rng: RngStream |
 
 def iforest_score(model: IsolationForestModel, X) -> np.ndarray:
     """Anomaly scores 2^(-mean path length / c(psi)), in (0, 1)."""
-    X = _check_width(X, model.n_features)
-    if model._flat is None:
-        model._flat = _FlatForest(model.trees, lambda node, depth: depth + average_path_length(node.n_samples))
-    mean_h = model._flat.predict(X) / len(model.trees)
-    return np.power(2.0, -mean_h / model.c_psi)
+    return model.scores(X)

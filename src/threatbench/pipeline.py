@@ -18,8 +18,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
-from itertools import chain
+from functools import partial, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,6 +29,7 @@ from .evalx import classification_report, permutation_importance
 from .forest import (
     BoostConfig,
     ForestConfig,
+    TreeEnsemble,
     fit_gradient_boosting,
     fit_isolation_forest,
     fit_random_forest,
@@ -123,6 +123,11 @@ _CASTS = {
     },
 }
 
+# Counts and sizes that must be at least 1: at 0 a stage fits no model or
+# fails after earlier stages have run.
+_AT_LEAST_ONE = ("models.forest.n_trees", "models.boosting.n_rounds", "models.dense_ae.batch_size",
+                 "models.lstm_ae.batch_size", "models.importance_repeats", "preprocess.smote_k")
+
 
 @dataclass
 class PipelineConfig:
@@ -144,7 +149,10 @@ class PipelineConfig:
         generator = _merged(_GENERATOR_DEFAULTS[self.domain], self.generator, "generator")
         _check_known("generator", generator, _GENERATOR_DEFAULTS[self.domain])
         _check_casts("generator", generator, _CASTS["generator"])
-        generator_config(self).params(GENERATOR_PARAMS[self.domain])
+        params = generator_config(self).params(GENERATOR_PARAMS[self.domain])
+        if "activity_types" in params and not 0 < len(params["activity_types"]) == len(params["activity_mix"]):
+            raise ConfigError("generator.overrides.activity_mix must hold one weight per entry of a non-empty "
+                              f"generator.overrides.activity_types, got {params['activity_mix']!r}")
         models = _merged(_MODEL_DEFAULTS, self.models, "models")
         _check_known("models", models, _MODEL_DEFAULTS)
         _check_casts("models", models, _CASTS["models"])
@@ -154,18 +162,17 @@ class PipelineConfig:
             and all(isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in layers)
         ):
             raise ConfigError(f"models.dense_ae.layers must be a symmetric list of at least 3 positive ints, got {layers!r}")
-        forest, boosting = models["forest"], models["boosting"]
-        if int(forest["n_trees"]) < 1:
-            raise ConfigError(f"models.forest.n_trees must be >= 1, got {forest['n_trees']!r}")
-        if int(boosting["n_rounds"]) < 1:
-            raise ConfigError(f"models.boosting.n_rounds must be >= 1, got {boosting['n_rounds']!r}")
-        if not 0.0 < float(boosting["subsample"]) <= 1.0:
-            raise ConfigError(f"models.boosting.subsample must be in (0, 1], got {boosting['subsample']!r}")
+        if not 0.0 < float(models["boosting"]["subsample"]) <= 1.0:
+            raise ConfigError(f"models.boosting.subsample must be in (0, 1], got {models['boosting']['subsample']!r}")
         pp = _merged(_PREPROCESS_DEFAULTS, self.preprocess, "preprocess")
         _check_known("preprocess", pp, _PREPROCESS_DEFAULTS)
         _check_casts("preprocess", pp, _CASTS["preprocess"])
         for key in ("test_fraction", "validation_fraction"):
             _check_between(key, pp[key], 1.0)
+        for key in _AT_LEAST_ONE:
+            value = reduce(dict.get, key.split("."), {"models": models, "preprocess": pp})
+            if int(value) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -381,8 +388,7 @@ class _Sessions(_Rows):
     event of every session."""
 
     def __init__(self, tensor: SessionTensor):
-        event_ids = np.fromiter(chain.from_iterable(tensor.event_row_ids), dtype=np.int64)
-        super().__init__(tensor, tensor.labels, event_ids)
+        super().__init__(tensor, tensor.labels, tensor.event_row_ids)
 
     def select(self, idx) -> "_Sessions":
         return _Sessions(self.X.select(idx))
@@ -523,10 +529,6 @@ def _fit_lstm_ae(mc, rng, rows):
     return lstm
 
 
-def _tree_scores(model, X):
-    return model.predict_proba(X)[:, 1]
-
-
 class ModelSpec(NamedTuple):
     """One model. `fit(mc, rng, *parts)` trains on the partitions named in
     `rows`: "train", "clean" (its label-0 rows), "fit" or "val" (the two sides
@@ -572,8 +574,8 @@ DOMAIN_SPECS = {
     "malware": DomainSpec(
         "label", "malicious", ("file_type",), scale=False, resample="smote", validation=True, sessions=False,
         models=(
-            ModelSpec("random_forest", "fit_random_forest", _fit_forest, _tree_scores, ("fit",), "0.5", "rf"),
-            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, _tree_scores, ("fit", "val"), "platt", "gb"),
+            ModelSpec("random_forest", "fit_random_forest", _fit_forest, TreeEnsemble.scores, ("fit",), "0.5", "rf"),
+            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, TreeEnsemble.scores, ("fit", "val"), "platt", "gb"),
         ),
     ),
     "phishing": DomainSpec(
@@ -581,8 +583,8 @@ DOMAIN_SPECS = {
         models=(
             ModelSpec("logistic_regression", "fit_logistic", _fit_logistic,
                       lambda m, X: logistic_proba(m, X), ("train",), "0.5", "lr"),
-            ModelSpec("random_forest", "fit_random_forest", _fit_forest, _tree_scores, ("train",), "0.5", "rf"),
-            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, _tree_scores, ("fit", "val"), "platt", "gb"),
+            ModelSpec("random_forest", "fit_random_forest", _fit_forest, TreeEnsemble.scores, ("train",), "0.5", "rf"),
+            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, TreeEnsemble.scores, ("fit", "val"), "platt", "gb"),
         ),
     ),
     "ueba": DomainSpec(
@@ -638,18 +640,21 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
             model = fitted[m.name]
             if m.name in calibrators:
                 scores = calibrators[m.name].apply(model.predict_margin(test.X))
-            else:
-                scores = m.score(model, test.X)
+            # A tree model's scorer remembers its walk of the test rows, for this model only.
+            score = model.scorer(test.X) if isinstance(model, TreeEnsemble) else partial(m.score, model)
+            if m.name not in calibrators:
+                scores = score(test.X)
             if m.name in thresholds:
                 predicted = detect_anomalies(scores, thresholds[m.name])
                 flags[m.name] = [int(i) for i in np.flatnonzero(predicted)]
             else:
                 predicted = (scores >= 0.5).astype(int)
             models[m.name] = classification_report(test.y, predicted, scores=scores, positive_label=spec.threat).to_dict()
-            X, score = test.importance_inputs(partial(m.score, model))
+            X, score = test.importance_inputs(score)
             importance = permutation_importance(
                 score, X, test.y, "auc", int(mc["importance_repeats"]), rng.child(f"imp/{m.tag}"), features
             )
+            del score
             importances[m.name] = [[name, value] for name, value in importance.top(10)]
 
     artifacts = {}

@@ -54,14 +54,16 @@ def apply_one_hot(spec: EncoderSpec, dataset: Dataset) -> Dataset:
             continue
         cats = spec.categories[name]
         values = dataset.column(name)
-        known = set(cats)
-        for i, v in enumerate(values):
-            if v not in known:
-                raise DataError(f"unseen category {v!r} in column {name!r} (row {i})")
-        for cat in cats[1:]:
+        code = {cat: k for k, cat in enumerate(cats)}
+        try:
+            codes = np.fromiter(map(code.__getitem__, values), dtype=np.int64, count=len(values))
+        except KeyError:
+            i = next(i for i, v in enumerate(values) if v not in code)
+            raise DataError(f"unseen category {values[i]!r} in column {name!r} (row {i})") from None
+        for k, cat in enumerate(cats[1:], 1):
             out_name = f"{name}={cat}"
             columns.append((out_name, "binary"))
-            data[out_name] = np.fromiter((1 if v == cat else 0 for v in values), dtype=np.int64, count=len(values))
+            data[out_name] = (codes == k).astype(np.int64)
     return Dataset(columns, data, row_ids=dataset.row_ids, meta=dataset.meta)
 
 
@@ -167,7 +169,10 @@ class SessionTensor:
     labels: np.ndarray
     feature_names: list
     keys: list = field(default_factory=list)  # (user_id, day) per session
-    event_row_ids: list = field(default_factory=list)  # provenance for the leakage audit
+    # Provenance for the leakage audit: the row ids of every session's events,
+    # session after session; session i's are event_row_ids[event_bounds[i]:event_bounds[i + 1]].
+    event_row_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    event_bounds: np.ndarray | None = None
 
     @property
     def n_sessions(self) -> int:
@@ -179,13 +184,19 @@ class SessionTensor:
 
     def select(self, indices) -> "SessionTensor":
         indices = np.asarray(indices, dtype=np.int64)
+        ids, bounds = self.event_row_ids, self.event_bounds
+        if bounds is not None:
+            lo, sizes = bounds[indices], bounds[indices + 1] - bounds[indices]
+            bounds = np.concatenate([[0], np.cumsum(sizes)])
+            ids = ids[np.repeat(lo - bounds[:-1], sizes) + np.arange(bounds[-1])]
         return SessionTensor(
             data=self.data[indices],
             lengths=self.lengths[indices],
             labels=self.labels[indices],
             feature_names=list(self.feature_names),
             keys=[self.keys[i] for i in indices] if self.keys else [],
-            event_row_ids=[self.event_row_ids[i] for i in indices] if self.event_row_ids else [],
+            event_row_ids=ids,
+            event_bounds=bounds,
         )
 
 
@@ -223,12 +234,12 @@ def sessionize(events: Dataset, time_steps: int, group_columns=("user_id", "day"
     for f, name in enumerate(feature_names):
         cells[cell, f] = np.asarray(events.column(name), dtype=np.float64)[rows]
     labels = np.asarray(events.column(label_column), dtype=np.int64)[order]
-    row_ids = events.row_ids[order].tolist()
     return SessionTensor(
         data=data,
         lengths=np.minimum(sizes, time_steps),
         labels=np.maximum.reduceat(labels, starts),
         feature_names=feature_names,
         keys=list(zip(gu[starts].tolist(), gd[starts].tolist())),
-        event_row_ids=[row_ids[a:b] for a, b in zip(starts.tolist(), (starts + sizes).tolist())],
+        event_row_ids=events.row_ids[order],
+        event_bounds=np.append(starts, events.n),
     )

@@ -110,6 +110,14 @@ class TestExitCodes:
             ("ueba", 'generator.overrides={"users": "x"}', "generator.overrides.users must have the type of 100"),
             ("ueba", 'generator.overrides={"user": 5}', "unknown config key generator.overrides.user"),
             ("intrusion", 'models.dense_ae.layers="abc"', "models.dense_ae.layers must be a symmetric list"),
+            ("malware", "preprocess.smote_k=0", "preprocess.smote_k must be >= 1"),
+            ("ueba", "models.lstm_ae.batch_size=0", "models.lstm_ae.batch_size must be >= 1"),
+            ("intrusion", "models.dense_ae.batch_size=0", "models.dense_ae.batch_size must be >= 1"),
+            ("phishing", "models.importance_repeats=0", "models.importance_repeats must be >= 1"),
+            ("ueba", 'generator.overrides={"users": 2, "days": 1, "activity_mix": [1.0]}',
+             "generator.overrides.activity_mix must hold one weight per entry"),
+            ("ueba", 'generator.overrides={"activity_types": [], "activity_mix": []}',
+             "generator.overrides.activity_mix must hold one weight per entry of a non-empty"),
         ):
             capsys.readouterr()
             assert run_cli(["run", domain, "--override", override]) == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from threatbench.errors import DataError
+from threatbench.evalx import permutation_importance
 from threatbench.forest import (
     BoostConfig,
     ForestConfig,
@@ -147,7 +148,7 @@ class TestSplitSearchOracle:
                 assert got == reference_boost_split(X, g, h, idx, lam, gamma)
 
 
-def random_tree(rng, depth):
+def random_tree(rng, depth, n_features=3):
     """A tree of at most `depth` levels (a single leaf at depth 0) that splits
     on grid values, so rows land exactly on thresholds. Leaves carry class
     counts, a boosted weight and a sample count."""
@@ -156,15 +157,15 @@ def random_tree(rng, depth):
         counts[rng.integers(0, 2)] += 1.0
         return TreeNode(counts=counts, value=float(rng.normal()), n_samples=int(rng.integers(1, 40)))
     return TreeNode(
-        feature=int(rng.integers(0, 3)),
+        feature=int(rng.integers(0, n_features)),
         threshold=float(rng.integers(-4, 5)) / 2.0,
-        left=random_tree(rng, depth - 1),
-        right=random_tree(rng, depth - 1),
+        left=random_tree(rng, depth - 1, n_features),
+        right=random_tree(rng, depth - 1, n_features),
     )
 
 
-def edge_rows(rng, n):
-    X = rng.integers(-5, 6, size=(n, 3)) / 2.0  # the threshold grid and one step beyond
+def edge_rows(rng, n, n_features=3):
+    X = rng.integers(-5, 6, size=(n, n_features)) / 2.0  # the threshold grid and one step beyond
     for value, step in ((np.nan, 5), (np.inf, 7), (-np.inf, 11)):
         X.flat[::step] = value
     return X
@@ -250,6 +251,109 @@ class TestFlatForestOracle:
         iso = fit_isolation_forest(X, 20, 64, RngStream(0, "if"))
         mean_h = reference_sum(iso.trees, iforest_leaf, Xt) / len(iso.trees)
         assert iforest_score(iso, Xt).tobytes() == np.power(2.0, -mean_h / iso.c_psi).tobytes()
+
+
+def changed_matrices(rng, X):
+    """Matrices shaped like X that differ from it in 0, 1, 2 or all columns by
+    a row permutation, in one column by NaN and infinities, and in one column
+    by signed zeros alone."""
+    n, d = X.shape
+    out = []
+    for cols in ([], [d - 1], [0, d // 2], range(d)):
+        M = X.copy()
+        for c in cols:
+            M[:, c] = X[rng.permutation(n), c]
+        out.append(M)
+    M = X.copy()
+    M[::3, 0], M[1::3, 0], M[2::3, 0] = np.nan, np.inf, -np.inf
+    out.append(M)
+    M = X.copy()
+    c = int(np.argmax((X == 0.0).sum(axis=0))) if n else 0
+    zeros = M[:, c] == 0.0
+    M[zeros, c] = -M[zeros, c]  # 0.0 <-> -0.0: other bytes, the same walk
+    out.append(M)
+    return out
+
+
+class TestRememberedWalk:
+    """`model.scorer(X)` gives, for every matrix shaped like X, the bytes of
+    the model's own scores of that matrix."""
+
+    def check(self, trees, X, rng):
+        d = X.shape[1]
+        rf = RandomForestModel(trees=trees, n_features=d, config=ForestConfig())
+        iso = IsolationForestModel(trees=trees, psi=64, n_features=d)
+        cases = [(rf, lambda M: rf.predict_proba(M)[:, 1]), (iso, lambda M: iforest_score(iso, M))]
+        for k in sorted({0, 1, len(trees)}):
+            gb = GradientBoostingModel(base_score=-0.7, trees=trees, best_iteration=k, n_features=d,
+                                       config=BoostConfig(learning_rate=0.3))
+            cases.append((gb, lambda M, gb=gb: gb.predict_proba(M)[:, 1]))
+            cases.append((gb, lambda M, gb=gb: _sigmoid(gb.predict_margin(M))))
+        matrices = changed_matrices(rng, X)
+        for model, plain in cases:
+            scorer = model.scorer(X)
+            for M in matrices + matrices[::-1]:  # also back to X after other calls
+                assert scorer(M).tobytes() == plain(M).tobytes()
+
+    def test_mixed_depths_and_edge_values(self, np_rng):
+        trees = [random_tree(np_rng, depth) for depth in (0, 1, 5, 2, 6, 0, 3, 6, 4, 1)]
+        self.check(trees, edge_rows(np_rng, 400), np_rng)
+
+    def test_single_leaf_trees(self, np_rng):
+        self.check([random_tree(np_rng, 0) for _ in range(5)], edge_rows(np_rng, 30), np_rng)
+
+    def test_more_than_64_columns(self, np_rng):
+        trees = [random_tree(np_rng, 6, n_features=70) for _ in range(12)]
+        self.check(trees, edge_rows(np_rng, 300, n_features=70), np_rng)
+
+    def test_row_counts_around_the_block(self, np_rng):
+        trees = [random_tree(np_rng, depth) for depth in (2, 0, 4, 3)]
+        for n in (0, 1, _BLOCK // 4 - 1, _BLOCK // 4 + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1):
+            self.check(trees, edge_rows(np_rng, n), np_rng)
+
+    def test_fitted_models(self, np_rng):
+        X = np.round(np_rng.normal(size=(300, 4)), 1)
+        y = (X[:, 0] + 0.5 * np_rng.normal(size=300) > 0).astype(int)
+        Xt = np.vstack([X[:50], edge_rows(np_rng, 50, n_features=4)])
+        rf = fit_random_forest(X, y, ForestConfig(n_trees=15, max_depth=6), RngStream(0, "rf"))
+        gb = fit_gradient_boosting(X[:200], y[:200], BoostConfig(n_rounds=30, early_stopping_rounds=30),
+                                   validation=(X[200:], y[200:]), rng=RngStream(0, "gb"))
+        iso = fit_isolation_forest(X, 20, 64, RngStream(0, "if"))
+        plain = [(rf, lambda M: rf.predict_proba(M)[:, 1]), (gb, lambda M: gb.predict_proba(M)[:, 1]),
+                 (iso, lambda M: iforest_score(iso, M))]
+        for model, score in plain:
+            scorer = model.scorer(Xt)
+            for M in changed_matrices(np_rng, Xt):
+                assert scorer(M).tobytes() == score(M).tobytes()
+
+    def test_shape_checks(self, np_rng):
+        rf = RandomForestModel(trees=[random_tree(np_rng, 3)], n_features=3, config=ForestConfig())
+        scorer = rf.scorer(edge_rows(np_rng, 10))
+        with pytest.raises(DataError, match="10 rows"):
+            scorer(edge_rows(np_rng, 11))
+        with pytest.raises(DataError, match="feature width"):
+            scorer(np.zeros((10, 4)))
+
+    def test_scorer_copies_its_matrix(self, np_rng):
+        rf = RandomForestModel(trees=[random_tree(np_rng, 4) for _ in range(3)], n_features=3, config=ForestConfig())
+        X = edge_rows(np_rng, 50)
+        scorer = rf.scorer(X)
+        X[:, 1] = X[::-1, 1]
+        assert scorer(X).tobytes() == rf.predict_proba(X)[:, 1].tobytes()
+
+    def test_permutation_importance_through_the_scorer(self, np_rng):
+        X = np.round(np_rng.normal(size=(400, 5)), 1)
+        y = (X[:, 0] - X[:, 2] + 0.5 * np_rng.normal(size=400) > 0).astype(int)
+        rf = fit_random_forest(X[:300], y[:300], ForestConfig(n_trees=10, max_depth=6), RngStream(0, "rf"))
+        gb = fit_gradient_boosting(X[:200], y[:200], BoostConfig(n_rounds=20), validation=(X[200:300], y[200:300]),
+                                   rng=RngStream(0, "gb"))
+        for model in (rf, gb):
+            via_scorer = permutation_importance(model.scorer(X[300:]), X[300:], y[300:], "auc", 3, RngStream(1, "imp"))
+            plain = permutation_importance(lambda M: model.predict_proba(M)[:, 1], X[300:], y[300:], "auc", 3,
+                                           RngStream(1, "imp"))
+            assert via_scorer.baseline_metric == plain.baseline_metric
+            assert via_scorer.global_importances == plain.global_importances
+            assert via_scorer.global_std == plain.global_std
 
 
 class TestRandomForest:

@@ -1,10 +1,14 @@
 import hashlib
 import os
+import weakref
 
 import pytest
 
 from threatbench import pipeline
 from threatbench.errors import ConfigError, DataError
+from threatbench.evalx import permutation_importance
+from threatbench.forest import _RememberedWalk
+from threatbench.modelio import save_model
 from threatbench.pipeline import (
     LeakageAudit,
     PipelineConfig,
@@ -145,6 +149,28 @@ def test_kernels_called_through_module_globals(domain, expected, monkeypatch):
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
     run_domain(small_config(domain))
     assert calls == expected
+
+
+@pytest.mark.parametrize("domain, scorers", [("phishing", 2), ("intrusion", 1)])
+def test_no_remembered_walk_outlives_its_importance_call(domain, scorers, monkeypatch, tmp_path):
+    """A tree model's scorer is gone by the next model's importance call and
+    before the models are saved."""
+    refs = []
+
+    def importance(score, *args, **kwargs):
+        assert all(ref() is None for ref in refs)
+        if isinstance(score, _RememberedWalk):
+            refs.append(weakref.ref(score))
+        return permutation_importance(score, *args, **kwargs)
+
+    def save(*args, **kwargs):
+        assert all(ref() is None for ref in refs)
+        return save_model(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "permutation_importance", importance)
+    monkeypatch.setattr(pipeline, "save_model", save)
+    run_domain(small_config(domain), out_dir=str(tmp_path))
+    assert len(refs) == scorers
 
 
 class TestLeakage:

@@ -49,6 +49,8 @@ class TestOneHot:
         spec = fit_one_hot(proto_dataset(["TCP", "UDP"]), ["proto"])
         with pytest.raises(DataError, match=r"SCTP.*'proto'|'proto'.*SCTP"):
             apply_one_hot(spec, proto_dataset(["SCTP"]))
+        with pytest.raises(DataError, match=r"^unseen category 'SCTP' in column 'proto' \(row 1\)$"):
+            apply_one_hot(spec, proto_dataset(["TCP", "SCTP", "UDP", "GRE"]))
 
     def test_width_formula_random(self, np_rng):
         for _ in range(10):
@@ -59,6 +61,10 @@ class TestOneHot:
             spec = fit_one_hot(ds, ["proto"])
             out = apply_one_hot(spec, ds)
             assert len(out.column_names) == len(set(values)) - 1
+            for cat in sorted(set(values))[1:]:  # the per-cell loop this replaced, as the oracle
+                want = np.array([1 if v == cat else 0 for v in values], dtype=np.int64)
+                got = out.column(f"proto={cat}")
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert spec.output_width() == len(set(values)) - 1
 
     def test_non_categorical_rejected(self):
@@ -218,7 +224,8 @@ def per_event_sessionize(events, time_steps, group_columns=("user_id", "day"), l
         labels=sess_labels,
         feature_names=feature_names,
         keys=keys,
-        event_row_ids=row_ids,
+        event_row_ids=np.array([i for ids in row_ids for i in ids], dtype=np.int64),
+        event_bounds=np.cumsum([0] + [len(ids) for ids in row_ids]),
     )
 
 
@@ -305,13 +312,11 @@ class TestSessionizeOracle:
     @staticmethod
     def check(events, time_steps):
         got, want = sessionize(events, time_steps), per_event_sessionize(events, time_steps)
-        for name in ("data", "lengths", "labels"):
+        for name in ("data", "lengths", "labels", "event_row_ids", "event_bounds"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert got.feature_names == want.feature_names
         assert repr(got.keys) == repr(want.keys)  # repr tells -0.0 from 0.0
-        assert got.event_row_ids == want.event_row_ids
-        assert {type(i) for ids in got.event_row_ids for i in ids} <= {int}
         return got
 
     def test_default_events(self):
@@ -332,7 +337,18 @@ class TestSessionizeOracle:
                                       [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0, 1, 0, 0, 1, 0])
         t = self.check(interleaved, 2)
         assert t.keys == [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (3.0, 0.0)]
-        assert t.event_row_ids == [[3], [1, 5], [0, 2], [4]]
+        assert t.event_row_ids.tolist() == [3, 1, 5, 0, 2, 4]
+        assert t.event_bounds.tolist() == [0, 1, 3, 5, 6]
+
+    def test_select_keeps_each_sessions_ids(self, np_rng):
+        encoded, _ = encoded_events(users=5, days=4, rate=0.1)
+        t = sessionize(encoded, 10)
+        per_session = [t.event_row_ids[a:b].tolist() for a, b in zip(t.event_bounds[:-1], t.event_bounds[1:])]
+        for idx in ([], [3], [5, 0, 5, 19], np_rng.permutation(t.n_sessions)):
+            s = t.select(idx)
+            assert s.event_row_ids.dtype == np.int64
+            got = [s.event_row_ids[a:b].tolist() for a, b in zip(s.event_bounds[:-1], s.event_bounds[1:])]
+            assert got == [per_session[i] for i in idx]
 
     def test_signed_zero_keys(self):
         ds = session_dataset([0.0, -0.0, 1.0, -0.0, 0.0], [-0.0, 0.0, 0.0, 2.0, 2.0],
