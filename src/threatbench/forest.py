@@ -148,7 +148,7 @@ class _RememberedWalk:
 
     def __init__(self, flat, init, scale, finish, X):
         self.flat, self.scale, self.finish = flat, scale, finish
-        self.X = np.array(X, order="C")  # a copy: the caller may change X
+        self.X = np.ascontiguousarray(X)  # not copied, to keep the memory of one importance call low
         self.init = np.broadcast_to(np.asarray(init, dtype=np.float64), (len(X),))
         self.leaf = np.empty((len(flat.starts), len(X)), flat.offset_type)
         self.out = flat.predict(self.X, self.init, scale, self.leaf)
@@ -178,22 +178,25 @@ class _RememberedWalk:
                 pos = f.walk(flat, np.repeat(f.roots.take(whole), len(rows)), np.tile(rows * d, len(whole)),
                              np.searchsorted(whole, f.walking) * len(rows))
                 leaf[whole] = pos.reshape(len(whole), len(rows)) - f.roots.take(whole)[:, None]
-            group, pairs, pos = max(1, _BLOCK // len(rows)), [], None
+            group, tree, row, pos = max(1, _BLOCK // len(rows)), [whole[:0]], [whole[:0]], None
             for i in range(0, len(some), group):  # at most _BLOCK candidate pairs at a time
                 k = some[i : i + group]
                 kk, rr = np.nonzero(flag.take(f.roots[k, None] + leaf[k]))
-                pairs.append((k.take(kk), rr))
-            tree, row = (np.concatenate(p) for p in zip(*pairs)) if pairs else (whole[:0], whole[:0])
+                tree.append(k.take(kk))
+                row.append(rr)
+            tree, row = np.concatenate(tree), np.concatenate(row)
             if len(tree):
                 pos = f.walk(flat, f.roots.take(tree), (row + r0) * d, np.searchsorted(tree, f.walking))
                 leaf[tree, row] = pos - f.roots.take(tree)
                 touched[row] = True
-            walked, r0, touched = walked + len(whole) * len(rows) + len(tree), r0 + len(rows), np.flatnonzero(touched)
+            walked += len(whole) * len(rows) + len(tree)
             del pos, tree, row  # free the pairs before the sums
+            touched = np.flatnonzero(touched)
             for i in range(0, len(touched), step):
                 r = touched[i : i + step]
                 out[rows[r]] = f.sum(f.roots[:, None] + leaf[:, r], self.init.take(rows[r]), self.scale)
-            span = step * min(4, max(1, round(_BLOCK * r0 / max(walked, 1) / step)))  # about _BLOCK pairs
+            r0 += len(rows)
+            span = step * min(4, max(1, round(_BLOCK * r0 / max(walked, 1) / step)))  # about _BLOCK pairs a span
         return self.finish(out)
 
 
@@ -206,7 +209,8 @@ class TreeEnsemble:
         return finish(flat.predict(_check_width(X, self.n_features), init, scale))
 
     def scorer(self, X) -> _RememberedWalk:
-        """`scores` of matrices shaped like X, for one permutation-importance call."""
+        """`scores` of matrices shaped like X, for one permutation-importance
+        call; X must not change while the scorer is in use."""
         return _RememberedWalk(*self._walk_parts(), _check_width(X, self.n_features))
 
 

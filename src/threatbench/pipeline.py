@@ -640,7 +640,8 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
             model = fitted[m.name]
             if m.name in calibrators:
                 scores = calibrators[m.name].apply(model.predict_margin(test.X))
-            # A tree model's scorer remembers its walk of the test rows, for this model only.
+            # A tree model's scorer remembers its walk of the test rows; it is
+            # dropped once this model's importance is computed.
             score = model.scorer(test.X) if isinstance(model, TreeEnsemble) else partial(m.score, model)
             if m.name not in calibrators:
                 scores = score(test.X)

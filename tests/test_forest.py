@@ -334,13 +334,6 @@ class TestRememberedWalk:
         with pytest.raises(DataError, match="feature width"):
             scorer(np.zeros((10, 4)))
 
-    def test_scorer_copies_its_matrix(self, np_rng):
-        rf = RandomForestModel(trees=[random_tree(np_rng, 4) for _ in range(3)], n_features=3, config=ForestConfig())
-        X = edge_rows(np_rng, 50)
-        scorer = rf.scorer(X)
-        X[:, 1] = X[::-1, 1]
-        assert scorer(X).tobytes() == rf.predict_proba(X)[:, 1].tobytes()
-
     def test_permutation_importance_through_the_scorer(self, np_rng):
         X = np.round(np_rng.normal(size=(400, 5)), 1)
         y = (X[:, 0] - X[:, 2] + 0.5 * np_rng.normal(size=400) > 0).astype(int)
