@@ -529,6 +529,10 @@ def _fit_lstm_ae(mc, rng, rows):
     return lstm
 
 
+def _tree_scores(model, X):
+    return model.predict_proba(X)[:, 1]
+
+
 class ModelSpec(NamedTuple):
     """One model. `fit(mc, rng, *parts)` trains on the partitions named in
     `rows`: "train", "clean" (its label-0 rows), "fit" or "val" (the two sides
@@ -574,8 +578,8 @@ DOMAIN_SPECS = {
     "malware": DomainSpec(
         "label", "malicious", ("file_type",), scale=False, resample="smote", validation=True, sessions=False,
         models=(
-            ModelSpec("random_forest", "fit_random_forest", _fit_forest, TreeEnsemble.scores, ("fit",), "0.5", "rf"),
-            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, TreeEnsemble.scores, ("fit", "val"), "platt", "gb"),
+            ModelSpec("random_forest", "fit_random_forest", _fit_forest, _tree_scores, ("fit",), "0.5", "rf"),
+            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, _tree_scores, ("fit", "val"), "platt", "gb"),
         ),
     ),
     "phishing": DomainSpec(
@@ -583,8 +587,8 @@ DOMAIN_SPECS = {
         models=(
             ModelSpec("logistic_regression", "fit_logistic", _fit_logistic,
                       lambda m, X: logistic_proba(m, X), ("train",), "0.5", "lr"),
-            ModelSpec("random_forest", "fit_random_forest", _fit_forest, TreeEnsemble.scores, ("train",), "0.5", "rf"),
-            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, TreeEnsemble.scores, ("fit", "val"), "platt", "gb"),
+            ModelSpec("random_forest", "fit_random_forest", _fit_forest, _tree_scores, ("train",), "0.5", "rf"),
+            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, _tree_scores, ("fit", "val"), "platt", "gb"),
         ),
     ),
     "ueba": DomainSpec(
