@@ -20,7 +20,6 @@ from .errors import ConfigError, DataError, NumericError
 from .pipeline import (
     DOMAINS,
     PipelineConfig,
-    _merged,
     default_config,
     emit_report,
     generator_config,
@@ -56,6 +55,14 @@ def _apply_override(config_dict: dict, key: str, value) -> None:
     target[parts[-1]] = value
 
 
+def _layered(defaults: dict, given, section: str) -> dict:
+    """`given` laid over `defaults`, sections key by key, values as given."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"config section {section!r} must be an object, got {given!r}")
+    return {**defaults, **{key: _layered(defaults[key], value, f"{section}.{key}")
+                           if isinstance(defaults.get(key), dict) else value for key, value in given.items()}}
+
+
 def _build_config(args) -> PipelineConfig:
     if args.config:
         try:
@@ -74,7 +81,7 @@ def _build_config(args) -> PipelineConfig:
         loaded["domain"] = args.domain
         base = default_config(args.domain).to_dict()
         for section in ("generator", "preprocess", "models"):
-            loaded[section] = _merged(base[section], loaded.get(section, {}), section)
+            loaded[section] = _layered(base[section], loaded.get(section, {}), section)
         loaded.setdefault("seed", base["seed"])
         loaded.setdefault("threshold_percentile", base["threshold_percentile"])
         config = PipelineConfig.from_dict(loaded)

@@ -18,12 +18,12 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial, reduce
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, synthgen
 from .errors import ConfigError, DataError
 from .evalx import classification_report, permutation_importance
 from .forest import (
@@ -95,38 +95,28 @@ _MODEL_DEFAULTS = {
     "importance_repeats": 3,
 }
 
-# Keys a config section may hold that its defaults leave out.
-_OPTIONAL_KEYS = {"models.dense_ae": ("layers",)}
+# The one key a config section may hold that its defaults leave out.
+_OPTIONAL = "models.dense_ae.layers"
 
-# The cast each stage applies to a config value. `PipelineConfig.validate`
-# applies the same casts before any stage runs, so a value of the wrong type
-# is a config error rather than a failure after earlier stages have run.
-_CASTS = {
-    "generator": {"n": int, "anomaly_rate": float},
-    "preprocess": {"smote_k": int, "downsample_ratio": float, "time_steps": int},
-    "models": {
-        "importance_repeats": int,
-        "iforest": {"n_trees": int, "psi": int},
-        "dense_ae": {"l1": float, "epochs": int, "step_size": float, "batch_size": int},
-        "forest": {"n_trees": int, "max_depth": int, "min_samples_split": int},
-        "boosting": {
-            "learning_rate": float,
-            "n_rounds": int,
-            "max_depth": int,
-            "lam": float,
-            "gamma": float,
-            "subsample": float,
-            "early_stopping_rounds": int,
-        },
-        "logistic": {"l2": float, "epochs": int, "step_size": float},
-        "lstm_ae": {"hidden": int, "latent": int, "epochs": int, "step_size": float, "batch_size": int},
-    },
+# The legal range of a config value, as (predicate, text), by dotted key. A
+# predicate sees only a value of its default's type. Below 1 a count or size
+# fits no model, or fails after earlier stages have run; a zero-epoch fit
+# leaves initial weights and a depth-0 boosting tree a single leaf.
+_FRACTION = (lambda v: 0 < v < 1, "a number in (0, 1)")
+_RANGES = {
+    **dict.fromkeys((
+        "models.forest.n_trees", "models.iforest.n_trees", "models.boosting.n_rounds", "models.boosting.max_depth",
+        "models.logistic.epochs", "models.dense_ae.epochs", "models.dense_ae.batch_size", "models.lstm_ae.latent",
+        "models.lstm_ae.epochs", "models.lstm_ae.batch_size", "models.importance_repeats", "preprocess.smote_k",
+        "preprocess.time_steps",
+    ), (lambda v: v >= 1, ">= 1")),
+    "models.iforest.psi": (lambda v: v >= 2, ">= 2"),
+    "models.boosting.subsample": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "preprocess.downsample_ratio": (lambda v: 0 < v < np.inf, "a finite number > 0"),
+    "preprocess.test_fraction": _FRACTION,
+    "preprocess.validation_fraction": _FRACTION,
+    "threshold_percentile": (lambda v: 0 < v < 100, "a number in (0, 100)"),
 }
-
-# Counts and sizes that must be at least 1: at 0 a stage fits no model or
-# fails after earlier stages have run.
-_AT_LEAST_ONE = ("models.forest.n_trees", "models.boosting.n_rounds", "models.dense_ae.batch_size",
-                 "models.lstm_ae.batch_size", "models.importance_repeats", "preprocess.smote_k")
 
 
 @dataclass
@@ -140,39 +130,26 @@ class PipelineConfig:
     models: dict = field(default_factory=dict)
     threshold_percentile: float = 95.0
 
-    def validate(self) -> None:
-        if self.domain not in DOMAINS:
-            raise ConfigError(f"unknown domain {self.domain!r}; choose from {DOMAINS}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        _check_between("threshold_percentile", self.threshold_percentile, 100.0)
-        generator = _merged(_GENERATOR_DEFAULTS[self.domain], self.generator, "generator")
-        _check_known("generator", generator, _GENERATOR_DEFAULTS[self.domain])
-        _check_casts("generator", generator, _CASTS["generator"])
-        params = generator_config(self).params(GENERATOR_PARAMS[self.domain])
-        if "activity_types" in params and not 0 < len(params["activity_types"]) == len(params["activity_mix"]):
-            raise ConfigError("generator.overrides.activity_mix must hold one weight per entry of a non-empty "
-                              f"generator.overrides.activity_types, got {params['activity_mix']!r}")
-        models = _merged(_MODEL_DEFAULTS, self.models, "models")
-        _check_known("models", models, _MODEL_DEFAULTS)
-        _check_casts("models", models, _CASTS["models"])
+    def validate(self) -> tuple[dict, dict, dict]:
+        """The typed (generator, preprocess, models) sections; raises
+        ConfigError on the first value out of type or range."""
+        defaults = default_config(self.domain)
+        _checked("seed", self.seed, defaults.seed)
+        _checked("threshold_percentile", self.threshold_percentile, defaults.threshold_percentile)
+        generator, pp, models = (_checked(s, getattr(self, s), getattr(defaults, s))
+                                 for s in ("generator", "preprocess", "models"))
+        GeneratorConfig(**generator).params(GENERATOR_PARAMS[self.domain])
         layers = models["dense_ae"].get("layers")
         if layers is not None and not (
             isinstance(layers, list) and len(layers) >= 3 and layers == layers[::-1]
-            and all(isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in layers)
+            and all(synthgen.like(s, 1) and s >= 1 for s in layers)
         ):
             raise ConfigError(f"models.dense_ae.layers must be a symmetric list of at least 3 positive ints, got {layers!r}")
-        if not 0.0 < float(models["boosting"]["subsample"]) <= 1.0:
-            raise ConfigError(f"models.boosting.subsample must be in (0, 1], got {models['boosting']['subsample']!r}")
-        pp = _merged(_PREPROCESS_DEFAULTS, self.preprocess, "preprocess")
-        _check_known("preprocess", pp, _PREPROCESS_DEFAULTS)
-        _check_casts("preprocess", pp, _CASTS["preprocess"])
-        for key in ("test_fraction", "validation_fraction"):
-            _check_between(key, pp[key], 1.0)
-        for key in _AT_LEAST_ONE:
-            value = reduce(dict.get, key.split("."), {"models": models, "preprocess": pp})
-            if int(value) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {value!r}")
+        lstm = models["lstm_ae"]
+        if not lstm["latent"] < lstm["hidden"]:
+            raise ConfigError("models.lstm_ae.latent must be below models.lstm_ae.hidden, "
+                              f"got latent {lstm['latent']!r} and hidden {lstm['hidden']!r}")
+        return generator, pp, models
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -200,56 +177,32 @@ def default_config(domain: str, seed: int = 42) -> PipelineConfig:
     )
 
 
-def _check_between(name: str, value, upper: float) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < upper:
-        raise ConfigError(f"{name} must be a number in (0, {upper:g}), got {value!r}")
-
-
-def _check_known(name: str, values: dict, defaults: dict) -> None:
-    """Reject keys of a merged config section that its defaults lack. An empty
-    default (`generator.overrides`) holds keys its own owner checks."""
-    for key, value in values.items():
-        if isinstance(defaults.get(key), dict) and defaults[key]:
-            _check_known(f"{name}.{key}", value, defaults[key])
-        elif key not in defaults and key not in _OPTIONAL_KEYS.get(name, ()):
-            raise ConfigError(f"unknown config key {name}.{key}")
-
-
-def _check_casts(name: str, values: dict, casts: dict) -> None:
-    """Apply a `_CASTS` entry to the merged config section it names."""
-    for key, cast in casts.items():
-        if isinstance(cast, dict):
-            _check_casts(f"{name}.{key}", values[key], cast)
-            continue
-        try:
-            cast(values[key])
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{name}.{key} must be {cast.__name__}-valued, got {values[key]!r}") from None
-
-
-def _merged(defaults: dict, overrides, section: str) -> dict:
-    """Defaults overlaid with overrides; nested dicts merge one level deep. The
-    one config-section merge, for the CLI and the runner alike."""
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"config section {section!r} must be an object, got {overrides!r}")
-    out = copy.deepcopy(defaults)
-    for key, value in overrides.items():
-        if isinstance(out.get(key), dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section '{section}.{key}' must be an object, got {value!r}")
-            out[key] = {**out[key], **value}
-        else:
-            out[key] = value
-    return out
+def _checked(name: str, value, default):
+    """`value` laid over `default`, checked and typed. A section merges key by
+    key, nested sections too, and may hold only its defaults' keys (and
+    `_OPTIONAL`); an empty default (`generator.overrides`) is free-form, left
+    to its owner to check. Every other value must have its default's type
+    (`synthgen.like`) and lie in its `_RANGES` range; an int for a float
+    default becomes a float."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {name!r} must be an object, got {value!r}")
+        unknown = [key for key in value if key not in default and f"{name}.{key}" != _OPTIONAL]
+        if default and unknown:
+            raise ConfigError(f"unknown config key {name}.{unknown[0]}")
+        return {key: _checked(f"{name}.{key}", v, default.get(key)) for key, v in {**default, **value}.items()}
+    if default is None:  # the optional key, checked by `PipelineConfig.validate`
+        return value
+    if not synthgen.like(value, default):
+        raise ConfigError(f"{name} must have the type of {default!r}, got {value!r}")
+    test, text = _RANGES.get(name, (None, None))
+    if test and not test(value):
+        raise ConfigError(f"{name} must be {text}, got {value!r}")
+    return float(value) if isinstance(default, float) else value
 
 
 def generator_config(config: PipelineConfig) -> GeneratorConfig:
-    g = _merged(_GENERATOR_DEFAULTS[config.domain], config.generator, "generator")
-    return GeneratorConfig(
-        **_typed(g, **_CASTS["generator"]),
-        seed=config.seed,
-        overrides=dict(g.get("overrides", {})),
-    )
+    return GeneratorConfig(**config.validate()[0], seed=config.seed)
 
 
 class LeakageAudit:
@@ -434,7 +387,7 @@ def _prepare_tabular(spec, dataset, pp, rng, rec, audit):
             audit.mark_test(test.row_ids)
     if spec.resample == "downsample":
         with rec.stage("downsample_majority"):
-            train = downsample_majority(train, spec.label, float(pp["downsample_ratio"]), rng.child("downsample"))
+            train = downsample_majority(train, spec.label, pp["downsample_ratio"], rng.child("downsample"))
     train, test = _encode(spec, train, [train, test], rec, audit)
 
     features = train.names_of_kind("numeric", "binary")
@@ -452,7 +405,7 @@ def _prepare_tabular(spec, dataset, pp, rng, rec, audit):
             fit = parts["fit"]
             minority = fit.X[fit.y == 1]
             n_synthetic = max(0, int((fit.y == 0).sum()) - minority.shape[0])
-            synthetic = smote_oversample(minority, int(pp["smote_k"]), n_synthetic, rng.child("smote"))
+            synthetic = smote_oversample(minority, pp["smote_k"], n_synthetic, rng.child("smote"))
             if audit:
                 audit.record("smote_oversample", fit.ids[fit.y == 1])
             parts["fit"] = _Rows(
@@ -480,7 +433,7 @@ def _prepare_sessions(spec, events, pp, rng, rec, audit):
 
     (events_s,) = _encode(spec, train_events, [events], rec, audit, exclude=("user_id", "day"))
     with rec.stage("sessionize"):
-        tensor = sessionize(events_s, int(pp["time_steps"]), label_column=spec.label)
+        tensor = sessionize(events_s, pp["time_steps"], label_column=spec.label)
         parts = {"train": _Sessions(tensor.select(train_sessions)), "test": _Sessions(tensor.select(test_sessions))}
     counts = {str(c): int((session_labels == c).sum()) for c in (0, 1)}
     return tensor.feature_names, parts, {"n_sessions": int(tensor.n_sessions), "session_label_counts": counts}
@@ -491,41 +444,34 @@ def _prepare_sessions(spec, events, pp, rng, rec, audit):
 # global here (perfbench/tracer.py does) thus reaches every call of a run.
 
 
-def _typed(section: dict, **casts) -> dict:
-    """The named keys of a config section, each cast as `_CASTS` gives."""
-    return {key: cast(section[key]) for key, cast in casts.items()}
-
-
 def _fit_iforest(mc, rng, rows):
-    kw = _typed(mc["iforest"], **_CASTS["models"]["iforest"])
-    return fit_isolation_forest(rows.X, kw["n_trees"], min(kw["psi"], rows.X.shape[0]), rng.child("iforest"))
+    c = mc["iforest"]
+    return fit_isolation_forest(rows.X, c["n_trees"], min(c["psi"], rows.X.shape[0]), rng.child("iforest"))
 
 
 def _fit_dense_ae(mc, rng, rows):
     d = rows.X.shape[1]
-    layers = mc["dense_ae"].get("layers") or [d, max(8, d // 2), max(4, d // 4), max(8, d // 2), d]
-    kwargs = _typed(mc["dense_ae"], **_CASTS["models"]["dense_ae"])
+    kwargs = dict(mc["dense_ae"])
+    layers = kwargs.pop("layers", None) or [d, max(8, d // 2), max(4, d // 4), max(8, d // 2), d]
     ae, _ = fit_dense_autoencoder(rows.X, layers, rng=rng.child("dense_ae"), **kwargs)
     return ae
 
 
 def _fit_forest(mc, rng, rows):
-    fc = ForestConfig(**_typed(mc["forest"], **_CASTS["models"]["forest"]))
-    return fit_random_forest(rows.X, rows.y, fc, rng.child("forest"))
+    return fit_random_forest(rows.X, rows.y, ForestConfig(**mc["forest"]), rng.child("forest"))
 
 
 def _fit_boosting(mc, rng, rows, val):
-    bc = BoostConfig(**_typed(mc["boosting"], **_CASTS["models"]["boosting"]))
+    bc = BoostConfig(**mc["boosting"])
     return fit_gradient_boosting(rows.X, rows.y, bc, validation=(val.X, val.y), rng=rng.child("boost"))
 
 
 def _fit_logistic(mc, rng, rows):
-    return fit_logistic(rows.X, rows.y, **_typed(mc["logistic"], **_CASTS["models"]["logistic"]))
+    return fit_logistic(rows.X, rows.y, **mc["logistic"])
 
 
 def _fit_lstm_ae(mc, rng, rows):
-    kwargs = _typed(mc["lstm_ae"], **_CASTS["models"]["lstm_ae"])
-    lstm, _ = fit_lstm_autoencoder(rows.X, rng=rng.child("lstm"), **kwargs)
+    lstm, _ = fit_lstm_autoencoder(rows.X, rng=rng.child("lstm"), **mc["lstm_ae"])
     return lstm
 
 
@@ -605,14 +551,12 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
     """Run one domain as its DOMAIN_SPECS entry says: prepare partitions, fit
     each model on its rows, calibrate on training rows only, then score,
     explain and, given out_dir, save the artifacts."""
-    config.validate()
+    generator, pp, mc = config.validate()
     spec = DOMAIN_SPECS[config.domain]
     rec = _StageRecorder()
     rng = RngStream(config.seed, f"pipeline/{config.domain}")
-    pp = _merged(_PREPROCESS_DEFAULTS, config.preprocess, "preprocess")
-    mc = _merged(_MODEL_DEFAULTS, config.models, "models")
     with rec.stage("generate"):
-        dataset = GENERATORS[config.domain](generator_config(config))
+        dataset = GENERATORS[config.domain](GeneratorConfig(**generator, seed=config.seed))
     prepare = _prepare_sessions if spec.sessions else _prepare_tabular
     features, parts, dataset_extra = prepare(spec, dataset, pp, rng, rec, audit)
     parts["clean"] = parts["train"].select(np.flatnonzero(parts["train"].y == 0))
@@ -657,7 +601,7 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
             models[m.name] = classification_report(test.y, predicted, scores=scores, positive_label=spec.threat).to_dict()
             X, score = test.importance_inputs(score)
             importance = permutation_importance(
-                score, X, test.y, "auc", int(mc["importance_repeats"]), rng.child(f"imp/{m.tag}"), features
+                score, X, test.y, "auc", mc["importance_repeats"], rng.child(f"imp/{m.tag}"), features
             )
             del score
             importances[m.name] = [[name, value] for name, value in importance.top(10)]

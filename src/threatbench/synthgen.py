@@ -10,6 +10,8 @@ documented in the README.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -137,6 +139,40 @@ UEBA_DEFAULTS = {
 }
 
 
+def _weights(mix) -> bool:
+    """Whether `mix` can be drawn from: weights >= 0 with a positive finite sum."""
+    w = np.asarray(list(mix), dtype=float)
+    with np.errstate(over="ignore"):
+        return bool((w >= 0).all() and 0 < w.sum() < np.inf)
+
+
+def _probabilities(mix) -> np.ndarray:
+    w = np.asarray(mix, dtype=float)
+    return w / w.sum()
+
+
+# The legal range of a distribution parameter, as (predicate, text), where a
+# sampler needs one. A predicate sees only a value of its default's type.
+PARAM_RANGES = {
+    "protocol_mix": (lambda v: _weights(v.values()), "an object of weights >= 0 with a positive finite sum"),
+    **dict.fromkeys(("bytes_log_sigma", "duration_log_sigma", "packet_std", "entropy_std"),
+                    (lambda v: v < math.inf and math.copysign(1.0, v) > 0, "a finite number >= 0, not -0.0")),
+    **dict.fromkeys(("benign_file_type_mix", "malicious_file_type_mix", "legit_attachment_mix", "phish_attachment_mix",
+                     "activity_mix"), (_weights, "weights >= 0 with a positive finite sum")),
+    **dict.fromkeys(("legit_links_mean", "phish_links_mean", "legit_suspicious_words_mean", "phish_suspicious_words_mean",
+                     "events_per_day_mean"), (lambda v: 0 <= v <= 1e18, "a number in [0, 1e18]")),
+    **dict.fromkeys(("noise_fraction", "anomalous_share_of_session"), (lambda v: 0 <= v <= 1, "a number in [0, 1]")),
+    **dict.fromkeys(("users", "days"), (lambda v: v >= 1, ">= 1")),
+}
+
+# Each list of category names and the mixes that weight it entry by entry.
+MIXES = {
+    "file_types": ("benign_file_type_mix", "malicious_file_type_mix"),
+    "attachment_types": ("legit_attachment_mix", "phish_attachment_mix"),
+    "activity_types": ("activity_mix",),
+}
+
+
 @dataclass
 class GeneratorConfig:
     """Size, imbalance, seed and distribution overrides for one generator.
@@ -160,26 +196,41 @@ class GeneratorConfig:
 
     def params(self, defaults: dict) -> dict:
         """`defaults` with the overrides laid over them; an override must name
-        a default and have its type (see `_like`)."""
+        a default, have its type (see `like`) and lie in its `PARAM_RANGES`
+        range, and a mix must weight each entry of its `MIXES` category list."""
         merged = dict(defaults)
         for key, value in self.overrides.items():
             if key not in merged:
                 raise ConfigError(f"unknown config key generator.overrides.{key}")
-            if not _like(value, merged[key]):
+            if not like(value, merged[key]):
                 raise ConfigError(f"generator.overrides.{key} must have the type of {merged[key]!r}, got {value!r}")
             merged[key] = value
+        for names, mixes in MIXES.items():
+            for mix in mixes if names in merged else ():
+                if not 0 < len(merged[names]) == len(merged[mix]):
+                    raise ConfigError(f"generator.overrides.{mix} must hold one weight per entry of a non-empty "
+                                      f"generator.overrides.{names}, got {merged[mix]!r}")
+        for key, value in merged.items():
+            test, text = PARAM_RANGES.get(key, (None, None))
+            if test and not test(value):
+                raise ConfigError(f"generator.overrides.{key} must be {text}, got {value!r}")
         return merged
 
 
-def _like(value, default) -> bool:
-    """Whether `value` has the type of `default`: any number for a float, an
-    int for an int, a str for a str, and lists and dicts of such values."""
+def like(value, default) -> bool:
+    """Whether `value` has the type of `default`: a bool for a bool, any number
+    a float can hold for a float, an int for an int, a str for a str, and lists
+    and dicts of such values."""
     if isinstance(default, dict):
-        return isinstance(value, dict) and _like(list(value), list(default)) and _like(
+        return isinstance(value, dict) and like(list(value), list(default)) and like(
             list(value.values()), list(default.values()))
     if isinstance(default, list):
-        return isinstance(value, list) and all(_like(v, default[0]) for v in value)
-    return isinstance(value, (int, float) if isinstance(default, float) else type(default)) and not isinstance(value, bool)
+        return isinstance(value, list) and all(like(v, default[0]) for v in value)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, float) and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, type(default))
 
 
 def _exact_positive_count(n: int, rate: float) -> int:
@@ -226,7 +277,6 @@ def generate_network_flows(config: GeneratorConfig) -> Dataset:
 
     r = rng.child("clean")
     protos = list(p["protocol_mix"])
-    weights = np.array([p["protocol_mix"][k] for k in protos], dtype=float)
     clean = {
         "src_port": r.integers(1024, 65536, size=n_clean).astype(float),
         "dst_port": np.where(
@@ -234,7 +284,7 @@ def generate_network_flows(config: GeneratorConfig) -> Dataset:
             r.choice(SERVICE_PORTS, size=n_clean, p=SERVICE_PORT_WEIGHTS / SERVICE_PORT_WEIGHTS.sum()),
             r.integers(1, 65536, size=n_clean),
         ).astype(float),
-        "protocol": r.choice(protos, size=n_clean, p=weights / weights.sum()),
+        "protocol": r.choice(protos, size=n_clean, p=_probabilities(list(p["protocol_mix"].values()))),
         "bytes": np.round(r.lognormal(p["bytes_log_mean"], p["bytes_log_sigma"], size=n_clean)),
         "duration": r.lognormal(p["duration_log_mean"], p["duration_log_sigma"], size=n_clean),
         "packet_count": np.maximum(1, np.round(r.normal(p["packet_mean"], p["packet_std"], size=n_clean))),
@@ -304,7 +354,7 @@ def generate_malware_corpus(config: GeneratorConfig) -> Dataset:
         "section_count": rb.choice([3, 4, 5, 6], size=n_ben, p=[0.30, 0.35, 0.25, 0.10]).astype(float),
         "is_packed": (rb.random(n_ben) < p["benign_packed_rate"]).astype(int),
         "packer_entropy_ratio": rb.lognormal(-1.5, 0.5, size=n_ben),
-        "file_type": rb.choice(p["file_types"], size=n_ben, p=p["benign_file_type_mix"]),
+        "file_type": rb.choice(p["file_types"], size=n_ben, p=_probabilities(p["benign_file_type_mix"])),
         "label": np.zeros(n_ben, dtype=int),
     }
 
@@ -323,7 +373,7 @@ def generate_malware_corpus(config: GeneratorConfig) -> Dataset:
         "section_count": np.maximum(1, 1 + rm.poisson(7.0, size=n_mal)).astype(float),
         "is_packed": (rm.random(n_mal) < p["malicious_packed_rate"]).astype(int),
         "packer_entropy_ratio": rm.lognormal(0.0, 0.5, size=n_mal),
-        "file_type": rm.choice(p["file_types"], size=n_mal, p=p["malicious_file_type_mix"]),
+        "file_type": rm.choice(p["file_types"], size=n_mal, p=_probabilities(p["malicious_file_type_mix"])),
         "label": np.ones(n_mal, dtype=int),
     }
     patterns = [None] * n_ben + ["malicious"] * n_mal
@@ -348,7 +398,7 @@ def _email_block(r: RngStream, n: int, p: dict, phishing: bool) -> dict:
         "num_suspicious_words": r.poisson(p[f"{side}_suspicious_words_mean"], size=n).astype(float),
         "has_login_form": (r.random(n) < p[f"{side}_login_form_rate"]).astype(int),
         "hour_sent": r.integers(0, 24, size=n).astype(float),
-        "attachment_type": r.choice(p["attachment_types"], size=n, p=p[f"{side}_attachment_mix"]),
+        "attachment_type": r.choice(p["attachment_types"], size=n, p=_probabilities(p[f"{side}_attachment_mix"])),
         "label": np.full(n, 1 if phishing else 0, dtype=int),
     }
 
@@ -408,9 +458,7 @@ def generate_user_activity(config: GeneratorConfig) -> Dataset:
     """
     config.validate(min_n=None)
     p = config.params(UEBA_DEFAULTS)
-    users, days = int(p["users"]), int(p["days"])
-    if users < 1 or days < 1:
-        raise ConfigError("users and days must both be >= 1")
+    users, days = p["users"], p["days"]
     rng = RngStream(config.seed, "ueba")
 
     rp = rng.child("profiles")
@@ -424,8 +472,7 @@ def generate_user_activity(config: GeneratorConfig) -> Dataset:
     is_command, is_file, is_privilege = (
         np.array([n == k for n in names]) for k in ("command", "file_access", "privilege_use")
     )
-    activity_mix = np.asarray(p["activity_mix"], dtype=float)
-    activity_mix = activity_mix / activity_mix.sum()
+    activity_mix = _probabilities(p["activity_mix"])
 
     re = rng.child("events")
     blocks = []  # (hour, activity, failed, commands, sensitive, admin) per user-day, user-major

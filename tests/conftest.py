@@ -1,7 +1,19 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from threatbench.tabular import WRITE_BLOCK, Dataset
+
+# Property tests draw the same examples on every run and keep no example
+# database. What else Hypothesis caches on disk (constants read from the source,
+# Unicode tables) goes to the temporary directory rather than to a
+# `.hypothesis/` in the checkout; it is read before the first test runs.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "threatbench-hypothesis"))
 
 
 def relative_deviation(analytic, numeric, floor=1e-6):

@@ -118,6 +118,15 @@ class TestExitCodes:
              "generator.overrides.activity_mix must hold one weight per entry"),
             ("ueba", 'generator.overrides={"activity_types": [], "activity_mix": []}',
              "generator.overrides.activity_mix must hold one weight per entry of a non-empty"),
+            ("intrusion", "models.iforest.psi=1", "models.iforest.psi must be >= 2"),
+            ("ueba", "preprocess.time_steps=0", "preprocess.time_steps must be >= 1"),
+            ("phishing", "preprocess.time_steps=-1", "preprocess.time_steps must be >= 1"),
+            ("ueba", "models.lstm_ae.latent=64", "models.lstm_ae.latent must be below models.lstm_ae.hidden"),
+            ("ueba", "models.lstm_ae.hidden=0", "models.lstm_ae.latent must be below models.lstm_ae.hidden"),
+            ("malware", 'generator.overrides={"file_types": ["exe"]}',
+             "generator.overrides.benign_file_type_mix must hold one weight per entry"),
+            ("phishing", 'generator.overrides={"attachment_types": ["pdf"]}',
+             "generator.overrides.legit_attachment_mix must hold one weight per entry"),
         ):
             capsys.readouterr()
             assert run_cli(["run", domain, "--override", override]) == 2

@@ -19,6 +19,7 @@ from threatbench.pipeline import (
     report_to_json,
     run_domain,
 )
+from threatbench.synthgen import GENERATOR_PARAMS, MIXES, PARAM_RANGES
 
 # Small, fast configs used by every structural test in this module.
 SMALL = {
@@ -320,7 +321,7 @@ class TestErrors:
         [
             ("ueba", {"users": 3, "events_per_day_mean": 12, "activity_types": ["a", "b"], "activity_mix": [1, 0.5]}),
             ("intrusion", {"protocol_mix": {"TCP": 1, "SCTP": 0.5}, "bytes_log_mean": 7.0}),
-            ("malware", {"file_types": ["exe"], "benign_file_type_mix": [1.0]}),
+            ("malware", {"file_types": ["exe"], "benign_file_type_mix": [1.0], "malicious_file_type_mix": [1.0]}),
         ],
     )
     def test_generator_overrides_of_the_default_types_pass(self, domain, overrides):
@@ -360,3 +361,106 @@ class TestErrors:
     def test_unknown_config_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config fields"):
             PipelineConfig.from_dict({"domain": "malware", "extra": 1})
+
+
+def _dotted(d, prefix=""):
+    """Every dotted key of a nested config dict, sections included."""
+    for key, value in d.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _dotted(value, f"{prefix}{key}.")
+
+
+class TestConfigWalk:
+    def test_every_range_names_a_default(self):
+        # A misspelt range key would silently check nothing.
+        keys = set(_dotted(default_config("malware").to_dict()))
+        assert set(pipeline._RANGES) <= keys
+        params = set().union(*GENERATOR_PARAMS.values())
+        assert set(PARAM_RANGES) <= params
+        for domain, defaults in GENERATOR_PARAMS.items():
+            for names, mixes in MIXES.items():
+                assert (names in defaults) == all(mix in defaults for mix in mixes), (domain, names)
+        assert set(MIXES) <= params
+
+    def test_validate_returns_typed_sections(self):
+        cfg = default_config("malware")
+        cfg.models["boosting"]["learning_rate"] = 1
+        cfg.preprocess["downsample_ratio"] = 2
+        _, pp, models = cfg.validate()
+        assert type(models["boosting"]["learning_rate"]) is float and models["boosting"]["learning_rate"] == 1.0
+        assert type(pp["downsample_ratio"]) is float
+        assert type(models["boosting"]["n_rounds"]) is int
+        assert cfg.models["boosting"]["learning_rate"] == 1 and type(cfg.models["boosting"]["learning_rate"]) is int
+
+    def test_int_learning_rate_writes_the_float_model(self, tmp_path):
+        # At an int for a float key the walk passes float(v) on, so the model
+        # file is the one `learning_rate: 1.0` writes, byte for byte.
+        cfg = small_config("malware")
+        cfg.models["boosting"]["learning_rate"] = 1
+        run_domain(cfg, out_dir=str(tmp_path))
+        digest = hashlib.sha256((tmp_path / "models" / "gradient_boosting.json").read_bytes()).hexdigest()
+        assert digest == "a06a1dcbec2643e74624bc0a0e3b888393fbff05dbd6a29ee292854a7c834b04"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("models.forest.n_trees", 5.7, "models.forest.n_trees must have the type of 100, got 5.7"),
+            ("models.forest.n_trees", True, "models.forest.n_trees must have the type of 100, got True"),
+            ("generator.n", "500", "generator.n must have the type of 10000, got '500'"),
+            ("models.calibrate_boosting", 0, "models.calibrate_boosting must have the type of True, got 0"),
+            ("models.boosting.learning_rate", 10**400, "models.boosting.learning_rate must have the type of 0.1"),
+            ("models.logistic.epochs", 0, "models.logistic.epochs must be >= 1, got 0"),
+            ("models.dense_ae.epochs", -5, "models.dense_ae.epochs must be >= 1, got -5"),
+            ("models.lstm_ae.epochs", 0, "models.lstm_ae.epochs must be >= 1, got 0"),
+            ("models.boosting.max_depth", 0, "models.boosting.max_depth must be >= 1, got 0"),
+            ("models.lstm_ae.latent", 0, "models.lstm_ae.latent must be >= 1, got 0"),
+            ("models.iforest.n_trees", 0, "models.iforest.n_trees must be >= 1, got 0"),
+            ("preprocess.downsample_ratio", float("nan"), "preprocess.downsample_ratio must be a finite number > 0, got nan"),
+            ("preprocess.downsample_ratio", float("inf"), "preprocess.downsample_ratio must be a finite number > 0, got inf"),
+            ("preprocess.downsample_ratio", 0, "preprocess.downsample_ratio must be a finite number > 0, got 0"),
+            ("preprocess.test_fraction", float("nan"), "preprocess.test_fraction must be a number in (0, 1), got nan"),
+            ("models.boosting.subsample", 0, "models.boosting.subsample must be in (0, 1], got 0"),
+            ("threshold_percentile", 100, "threshold_percentile must be a number in (0, 100), got 100"),
+            ("seed", True, "seed must have the type of 42, got True"),
+        ],
+    )
+    def test_out_of_type_or_range_rejected(self, key, value, message):
+        cfg = default_config("malware").to_dict()
+        *path, last = key.split(".")
+        section = cfg
+        for part in path:
+            section = section[part]
+        section[last] = value
+        with pytest.raises(ConfigError) as info:
+            PipelineConfig.from_dict(cfg).validate()
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize(
+        "domain, overrides, key",
+        [
+            ("phishing", {"attachment_types": [], "legit_attachment_mix": [], "phish_attachment_mix": []},
+             "legit_attachment_mix"),
+            ("intrusion", {"protocol_mix": {}}, "protocol_mix"),
+            ("intrusion", {"protocol_mix": {"TCP": -1.0, "UDP": 2.0}}, "protocol_mix"),
+            ("ueba", {"activity_mix": [0, 0, 0, 0]}, "activity_mix"),
+            ("ueba", {"activity_mix": [float("nan"), 1, 1, 1]}, "activity_mix"),
+            ("malware", {"malicious_file_type_mix": [float("inf"), 1, 1, 1, 1]}, "malicious_file_type_mix"),
+            ("phishing", {"phish_attachment_mix": [1e308, 1e308, 1, 1, 1]}, "phish_attachment_mix"),
+            ("intrusion", {"bytes_log_sigma": -1.0}, "bytes_log_sigma"),
+            ("intrusion", {"duration_log_sigma": -0.0}, "duration_log_sigma"),
+            ("intrusion", {"packet_std": float("nan")}, "packet_std"),
+            ("malware", {"entropy_std": -0.0}, "entropy_std"),
+            ("phishing", {"legit_links_mean": -1}, "legit_links_mean"),
+            ("phishing", {"phish_suspicious_words_mean": float("inf")}, "phish_suspicious_words_mean"),
+            ("ueba", {"events_per_day_mean": float("nan")}, "events_per_day_mean"),
+            ("phishing", {"noise_fraction": 1.5}, "noise_fraction"),
+            ("ueba", {"anomalous_share_of_session": float("-inf")}, "anomalous_share_of_session"),
+            ("ueba", {"days": 0}, "days"),
+        ],
+    )
+    def test_generator_overrides_that_crash_a_sampler_rejected(self, domain, overrides, key):
+        cfg = default_config(domain)
+        cfg.generator["overrides"] = overrides
+        with pytest.raises(ConfigError, match=f"^generator.overrides.{key} must "):
+            cfg.validate()

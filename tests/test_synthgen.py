@@ -357,7 +357,7 @@ class TestUserActivity:
             assert path.read_bytes() == "".join(ref).encode("utf-8")
 
     def test_zero_users_rejected(self):
-        with pytest.raises(ConfigError, match="users and days"):
+        with pytest.raises(ConfigError, match="^generator.overrides.users must be >= 1, got 0$"):
             generate_user_activity(GeneratorConfig(anomaly_rate=0.02, overrides={"users": 0, "days": 3}))
 
     def test_extreme_rate_still_exact(self):
