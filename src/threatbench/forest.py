@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DataError, NumericError
+from .linear import sigmoid
 from .tabular import RngStream
 
 
@@ -369,10 +370,6 @@ class BoostConfig:
     early_stopping_rounds: int = 10
 
 
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
 def _logloss(y, p):
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
@@ -443,14 +440,14 @@ class GradientBoostingModel(TreeEnsemble):
     def _walk_parts(self):
         if self._flat is None or len(self._flat.starts) != self.best_iteration:
             self._flat = _FlatForest(self.trees[: self.best_iteration], _boost_leaf)
-        return self._flat, self.base_score, self.config.learning_rate, _sigmoid
+        return self._flat, self.base_score, self.config.learning_rate, sigmoid
 
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         flat, init, scale, _ = self._walk_parts()
         return flat.predict(_check_width(X, self.n_features), init, scale)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p1 = _sigmoid(self.predict_margin(X))
+        p1 = sigmoid(self.predict_margin(X))
         return np.column_stack([1.0 - p1, p1])
 
 
@@ -491,7 +488,7 @@ def fit_gradient_boosting(X, y, config: BoostConfig | None = None, validation=No
     n_sub = max(1, int(math.floor(n * config.subsample + 0.5)))
     Xc, codes = _column_codes(X)
     for t in range(config.n_rounds):
-        p = _sigmoid(margins)
+        p = sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
         rows = (
@@ -504,7 +501,7 @@ def fit_gradient_boosting(X, y, config: BoostConfig | None = None, validation=No
         step = _FlatForest([tree], _boost_leaf)
         margins = step.predict(X, margins, config.learning_rate)
         val_margins = step.predict(X_val, val_margins, config.learning_rate)
-        loss = _logloss(y_val, _sigmoid(val_margins))
+        loss = _logloss(y_val, sigmoid(val_margins))
         if not math.isfinite(loss):
             raise NumericError(f"non-finite validation loss at round {t + 1}")
         val_losses.append(loss)

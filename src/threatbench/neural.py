@@ -5,6 +5,11 @@ fully determine the final weights. Analytic gradients are exact; the test suite
 holds them to central finite differences on every parameter. Padded session
 steps are masked out of the LSTM loss entirely, so values in the padding can
 never affect training or scores.
+
+Each autoencoder has one forward pass: `DenseAutoencoder.activations`, and for
+the LSTM one masked step (`_LstmState.step`) in one block forward
+(`_lstm_forward`), which training runs with every step's gates kept for the
+backward pass and scoring runs per row block with none kept.
 """
 
 from __future__ import annotations
@@ -17,10 +22,6 @@ import numpy as np
 from .errors import DataError, NumericError
 from .preprocess import SessionTensor
 from .tabular import RngStream
-
-
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 @dataclass
@@ -142,14 +143,19 @@ class DenseAutoencoder:
     def n_layers(self) -> int:
         return len(self.layer_sizes) - 1
 
+    def activations(self, X: np.ndarray) -> list:
+        """The input and every layer's output; the last is the reconstruction."""
+        out = [X]
+        for l in range(self.n_layers):
+            z = out[-1] @ self.params[f"W{l}"] + self.params[f"b{l}"]
+            out.append(z if l == self.n_layers - 1 else np.tanh(z))
+        return out
+
     def reconstruct(self, X: np.ndarray) -> np.ndarray:
         a = np.asarray(X, dtype=np.float64)
         if a.ndim != 2 or a.shape[1] != self.input_dim:
             raise DataError(f"input width does not match autoencoder width {self.input_dim}")
-        for l in range(self.n_layers):
-            z = a @ self.params[f"W{l}"] + self.params[f"b{l}"]
-            a = z if l == self.n_layers - 1 else np.tanh(z)
-        return a
+        return self.activations(a)[-1]
 
 
 def init_dense_autoencoder(layer_sizes, l1: float, rng: RngStream) -> DenseAutoencoder:
@@ -170,14 +176,8 @@ def dense_loss_and_grads(model: DenseAutoencoder, X: np.ndarray):
     """Mean squared reconstruction error + l1 * sum|W|, with exact gradients."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    activations = [X]
-    a = X
     L = model.n_layers
-    for l in range(L):
-        z = a @ model.params[f"W{l}"] + model.params[f"b{l}"]
-        a = z if l == L - 1 else np.tanh(z)
-        activations.append(a)
-    recon = activations[-1]
+    *activations, recon = model.activations(X)
     mse = float(np.mean((recon - X) ** 2))
     l1_term = sum(float(np.abs(model.params[f"W{l}"]).sum()) for l in range(L))
     loss = mse + model.l1 * l1_term
@@ -223,8 +223,7 @@ def fit_dense_autoencoder(
 def reconstruction_errors(model: DenseAutoencoder, X) -> np.ndarray:
     """Per-row mean over features of squared reconstruction difference."""
     X = np.asarray(X, dtype=np.float64)
-    recon = model.reconstruct(X)
-    return np.mean((recon - X) ** 2, axis=1)
+    return np.mean((model.reconstruct(X) - X) ** 2, axis=1)
 
 
 # -- LSTM autoencoder ---------------------------------------------------------------
@@ -267,28 +266,86 @@ def init_lstm_autoencoder(input_dim: int, hidden: int, latent: int, rng: RngStre
     return LstmAutoencoder(input_dim=input_dim, hidden=hidden, latent=latent, params=params)
 
 
-def _lstm_cell_forward(x, xw, h_prev, c_prev, m, Wh, b, hidden):
-    """One masked step on the input projection xw = x @ Wx. Rows with mask 0
-    carry h/c through unchanged."""
-    pre = xw + h_prev @ Wh + b
-    i = _sigmoid(pre[:, :hidden])
-    f = _sigmoid(pre[:, hidden : 2 * hidden])
-    g = np.tanh(pre[:, 2 * hidden : 3 * hidden])
-    o = _sigmoid(pre[:, 3 * hidden :])
-    c_new = f * c_prev + i * g
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
-    mm = m[:, None]
-    h = mm * h_new + (1.0 - mm) * h_prev
-    c = mm * c_new + (1.0 - mm) * c_prev
-    cache = (x, h_prev, c_prev, i, f, g, o, c_new, tanh_c, mm)
-    return h, c, cache
+def _step_mask(lengths, T: int) -> np.ndarray:
+    """(B, steps, 1) float mask, 1 on real steps and 0 on padding, cut after
+    the longest session: past it every step is masked."""
+    mask = np.arange(T)[None, :] < lengths[:, None]
+    return mask[:, : int(mask.any(axis=0).sum()), None].astype(np.float64)
 
 
-def _lstm_cell_backward(dh, dc, cache, Wh, grads, prefix):
-    """Backward through one masked step; returns (dh_prev, dc_prev, dpre), where
-    dpre @ Wx.T is the gradient of the step input."""
-    x, h_prev, c_prev, i, f, g, o, c_new, tanh_c, mm = cache
+class _LstmState:
+    """Buffers of one LSTM over `rows` sessions.
+
+    With `steps` > 0 (training) every step is kept for the backward pass:
+    step t reads h[t] and c[t], writes h[t + 1] and c[t + 1], and caches the
+    gates i, f, g, o and tanh(c_new), each a contiguous (rows, H) array, in
+    cache[t]. With steps=0 (scoring) every array has one slot, which each
+    step reads and overwrites in place. Slot k of an array with n slots is k % n.
+    """
+
+    def __init__(self, rows: int, hidden: int, steps: int = 0):
+        self.h, self.c = np.zeros((2, steps + 1, rows, hidden))
+        self.cache = np.empty((max(steps, 1), 5, rows, hidden))  # i, f, g, o, tanh(c_new)
+        self.pre = np.empty((rows, 4 * hidden))
+        self.c_new = np.empty((rows, hidden))
+        self.tmp = np.empty((rows, hidden))
+
+    def step(self, t, xw, m, keep, Wh, b) -> np.ndarray:
+        """Masked step t on the input projection xw, written through `out=`;
+        returns the new h. Rows with mask 0 carry h and c through unchanged."""
+        n = len(self.h)
+        h, c, h_out, c_out = self.h[t % n], self.c[t % n], self.h[(t + 1) % n], self.c[(t + 1) % n]
+        cache = self.cache[t % len(self.cache)]
+        gates, (i, f, g, o, tanh_c) = cache[:4], cache
+        pre, c_new, tmp = self.pre, self.c_new, self.tmp
+        np.matmul(h, Wh, out=pre)
+        np.add(xw, pre, out=pre)
+        np.add(pre, b, out=pre)
+        pre = pre.reshape(len(pre), 4, -1).swapaxes(0, 1)
+        np.multiply(pre, 0.5, out=gates)  # linear.sigmoid on all four gates, then tanh on g
+        np.tanh(gates, out=gates)
+        np.add(gates, 1.0, out=gates)
+        np.multiply(gates, 0.5, out=gates)
+        np.tanh(pre[2], out=g)
+        np.multiply(f, c, out=c_new)
+        np.multiply(i, g, out=tmp)
+        np.add(c_new, tmp, out=c_new)
+        np.tanh(c_new, out=tanh_c)
+        np.multiply(c_new, m, out=tmp)  # c = m * c_new + (1 - m) * c
+        np.multiply(c, keep, out=c_out)
+        np.add(tmp, c_out, out=c_out)
+        np.multiply(o, tanh_c, out=tmp)  # h = m * o * tanh(c_new) + (1 - m) * h
+        np.multiply(tmp, m, out=tmp)
+        np.multiply(h, keep, out=h_out)
+        return np.add(tmp, h_out, out=h_out)
+
+
+def _lstm_forward(p: dict, x, mk, enc: _LstmState, dec: _LstmState, out) -> np.ndarray:
+    """Forward pass over a block of sessions x (rows, steps, d) with step mask
+    mk (rows, steps, 1). Writes (recon - x) * mk into `out` and returns the
+    latent z; the states keep what the backward pass reads."""
+    steps = x.shape[1]
+    keep = 1.0 - mk
+    xw = np.empty(enc.pre.shape)
+    for t in range(steps):
+        np.matmul(x[:, t], p["enc_Wx"], out=xw)
+        enc.step(t, xw, mk[:, t], keep[:, t], p["enc_Wh"], p["enc_b"])
+    z = enc.h[-1] @ p["lat_W"] + p["lat_b"]
+    zx = z @ p["dec_Wx"]  # the decoder input is z at every step
+    for t in range(steps):
+        h = dec.step(t, zx, mk[:, t], keep[:, t], p["dec_Wh"], p["dec_b"])
+        r = out[:, t]
+        np.matmul(h, p["out_W"], out=r)
+        np.add(r, p["out_b"], out=r)
+        np.subtract(r, x[:, t], out=r)
+        np.multiply(r, mk[:, t], out=r)
+    return z
+
+
+def _lstm_cell_backward(dh, dc, x, s: _LstmState, t, mm, Wh, grads, prefix):
+    """Backward through masked step t of state s; returns (dh_prev, dc_prev,
+    dpre), where dpre @ Wx.T is the gradient of the step input x."""
+    h_prev, c_prev, (i, f, g, o, tanh_c) = s.h[t], s.c[t], s.cache[t]
     dh_new = mm * dh
     dh_prev_pass = (1.0 - mm) * dh
     dc_new = mm * dc + dh_new * o * (1.0 - tanh_c**2)
@@ -299,10 +356,7 @@ def _lstm_cell_backward(dh, dc, cache, Wh, grads, prefix):
     di = dc_new * g
     dg = dc_new * i
 
-    dpre = np.concatenate(
-        [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g**2), do * o * (1.0 - o)],
-        axis=1,
-    )
+    dpre = np.concatenate([di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g**2), do * o * (1.0 - o)], axis=1)
     grads[f"{prefix}_Wx"] += x.T @ dpre
     grads[f"{prefix}_Wh"] += h_prev.T @ dpre
     grads[f"{prefix}_b"] += dpre.sum(axis=0)
@@ -310,37 +364,6 @@ def _lstm_cell_backward(dh, dc, cache, Wh, grads, prefix):
     dh_prev = dpre @ Wh.T + dh_prev_pass
     dc_prev = dc_new * f + dc_prev_pass
     return dh_prev, dc_prev, dpre
-
-
-def _lstm_forward(model: LstmAutoencoder, data, lengths):
-    """Training forward pass over the whole batch, keeping per-step caches."""
-    B, T, d = data.shape
-    H = model.hidden
-    p = model.params
-    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
-
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    enc_caches = []
-    for t in range(T):
-        x = data[:, t, :]
-        h, c, cache = _lstm_cell_forward(x, x @ p["enc_Wx"], h, c, mask[:, t], p["enc_Wh"], p["enc_b"], H)
-        enc_caches.append(cache)
-    h_final = h
-    z = h_final @ p["lat_W"] + p["lat_b"]
-    zx = z @ p["dec_Wx"]  # the decoder input is z at every step
-
-    hd = np.zeros((B, H))
-    cd = np.zeros((B, H))
-    dec_caches = []
-    dec_h = []
-    recon = np.zeros_like(data)
-    for t in range(T):
-        hd, cd, cache = _lstm_cell_forward(z, zx, hd, cd, mask[:, t], p["dec_Wh"], p["dec_b"], H)
-        dec_caches.append(cache)
-        dec_h.append(hd)
-        recon[:, t, :] = hd @ p["out_W"] + p["out_b"]
-    return recon, mask, enc_caches, dec_caches, dec_h, h_final, z
 
 
 _SCAN_CHUNK = 128
@@ -367,81 +390,23 @@ def _scan_blocks(lengths) -> list:
     return blocks
 
 
-def _scan_step(xw, h, c, m, keep, Wh, b, bufs):
-    """`_lstm_cell_forward` without caches, in place on h and c; the same
-    elementwise operations in the same order, written through `out=`.
-    Training keeps `_lstm_cell_forward`: its separate gate arrays keep the
-    backward pass on contiguous arrays, which made the batch-64 step faster."""
-    pre, gates, c_new, tmp = bufs
-    H = h.shape[1]
-    np.matmul(h, Wh, out=pre)
-    np.add(xw, pre, out=pre)
-    np.add(pre, b, out=pre)
-    np.multiply(pre, 0.5, out=gates)  # sigmoid on all four gates, then tanh on g
-    np.tanh(gates, out=gates)
-    np.add(gates, 1.0, out=gates)
-    np.multiply(gates, 0.5, out=gates)
-    i, f, g, o = gates[:, :H], gates[:, H : 2 * H], gates[:, 2 * H : 3 * H], gates[:, 3 * H :]
-    np.tanh(pre[:, 2 * H : 3 * H], out=g)
-    np.multiply(f, c, out=c_new)
-    np.multiply(i, g, out=tmp)
-    np.add(c_new, tmp, out=c_new)
-    np.multiply(c_new, m, out=tmp)  # c = m * c_new + (1 - m) * c
-    np.multiply(c, keep, out=c)
-    np.add(tmp, c, out=c)
-    np.tanh(c_new, out=c_new)  # h_new = o * tanh(c_new)
-    np.multiply(o, c_new, out=c_new)
-    np.multiply(c_new, m, out=c_new)
-    np.multiply(h, keep, out=h)
-    np.add(c_new, h, out=h)
-
-
 def _masked_sq_errors(model: LstmAutoencoder, data, lengths) -> np.ndarray:
-    """The forward pass without caches: (recon - data)**2 * mask, shape (B, T, d).
+    """(recon - data)**2 * mask, shape (B, T, d), with no caches kept.
 
-    Rows of the recurrence are independent, so sessions are scanned in blocks
-    of about `_SCAN_CHUNK` rows (see `_scan_blocks`), each stopping after its
-    longest session, with buffers allocated once. Every real step gets the
-    value the whole-batch `_lstm_forward` gives it; padded steps are 0.
+    Rows of the recurrence are independent, so `_lstm_forward` runs once per
+    block of about `_SCAN_CHUNK` rows (see `_scan_blocks`), each stopping after
+    its longest session. Every real step gets the value a whole-batch forward
+    gives it; padded steps are 0.
     """
     B, T, d = data.shape
-    H = model.hidden
-    p = model.params
-    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
     err = np.zeros_like(data)
-    n = min(_SCAN_CHUNK + 1, B)
-    xw_all, zx_all = np.empty((n, 4 * H)), np.empty((n, 4 * H))
-    bufs_all = (np.empty((n, 4 * H)), np.empty((n, 4 * H)), np.empty((n, H)), np.empty((n, H)))
-    h_all, c_all, z_all = np.empty((n, H)), np.empty((n, H)), np.empty((n, model.latent))
-    recon_all = np.empty((n, d))
     for rows in _scan_blocks(lengths):
-        m = len(rows)
-        steps = max(0, min(T, int(lengths[rows].max())))
-        x = data[rows, :steps]
-        mk = mask[rows, :steps, None]
-        keep = 1.0 - mk
-        e = np.empty((m, steps, d))
-        bufs = tuple(buf[:m] for buf in bufs_all)
-        xw, zx, z, recon = xw_all[:m], zx_all[:m], z_all[:m], recon_all[:m]
-        h, c = h_all[:m], c_all[:m]
-        h.fill(0.0)
-        c.fill(0.0)
-        for t in range(steps):
-            np.matmul(x[:, t], p["enc_Wx"], out=xw)
-            _scan_step(xw, h, c, mk[:, t], keep[:, t], p["enc_Wh"], p["enc_b"], bufs)
-        np.matmul(h, p["lat_W"], out=z)
-        np.add(z, p["lat_b"], out=z)
-        np.matmul(z, p["dec_Wx"], out=zx)
-        h.fill(0.0)
-        c.fill(0.0)
-        for t in range(steps):
-            _scan_step(zx, h, c, mk[:, t], keep[:, t], p["dec_Wh"], p["dec_b"], bufs)
-            np.matmul(h, p["out_W"], out=recon)
-            np.add(recon, p["out_b"], out=recon)
-            np.subtract(recon, x[:, t], out=recon)
-            np.square(recon, out=recon)
-            np.multiply(recon, mk[:, t], out=e[:, t])
-        err[rows, :steps] = e
+        mk = _step_mask(lengths[rows], T)
+        steps = mk.shape[1]
+        e = np.empty((len(rows), steps, d))
+        states = _LstmState(len(rows), model.hidden), _LstmState(len(rows), model.hidden)
+        _lstm_forward(model.params, data[rows, :steps], mk, *states, e)
+        err[rows, :steps] = np.square(e, out=e)
     return err
 
 
@@ -455,34 +420,38 @@ def lstm_loss(model: LstmAutoencoder, data, lengths) -> float:
 
 
 def lstm_loss_and_grads(model: LstmAutoencoder, data, lengths):
+    """`lstm_loss` with exact gradients. The forward stops at the longest
+    session: past it every gradient term is an exact zero."""
     data = np.asarray(data, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
     B, T, d = data.shape
     H = model.hidden
     p = model.params
-    recon, mask, enc_caches, dec_caches, dec_h, h_final, z = _lstm_forward(model, data, lengths)
-    denom = float(mask.sum()) * d
-    diff = (recon - data) * mask[:, :, None]
+    mk = _step_mask(lengths, T)
+    steps = mk.shape[1]
+    enc, dec = _LstmState(B, H, steps), _LstmState(B, H, steps)
+    diff = np.zeros_like(data)  # zero past `steps`, so the loss sums what the full (B, T, d) array sums
+    z = _lstm_forward(p, data[:, :steps], mk, enc, dec, diff[:, :steps])
+    denom = float(mk.sum()) * d
     loss = float((diff**2).sum() / denom)
 
     grads = {k: np.zeros_like(v) for k, v in p.items()}
     dz = np.zeros_like(z)
-    dh = np.zeros((B, H))
-    dc = np.zeros((B, H))
-    for t in range(T - 1, -1, -1):
+    dh, dc = np.zeros((2, B, H))
+    for t in range(steps - 1, -1, -1):
         dy = 2.0 * diff[:, t, :] / denom
-        grads["out_W"] += dec_h[t].T @ dy
+        grads["out_W"] += dec.h[t + 1].T @ dy
         grads["out_b"] += dy.sum(axis=0)
         dh = dh + dy @ p["out_W"].T
-        dh, dc, dpre = _lstm_cell_backward(dh, dc, dec_caches[t], p["dec_Wh"], grads, "dec")
+        dh, dc, dpre = _lstm_cell_backward(dh, dc, z, dec, t, mk[:, t], p["dec_Wh"], grads, "dec")
         dz += dpre @ p["dec_Wx"].T
 
-    grads["lat_W"] = h_final.T @ dz
+    grads["lat_W"] = enc.h[-1].T @ dz
     grads["lat_b"] = dz.sum(axis=0)
     dh = dz @ p["lat_W"].T
     dc = np.zeros((B, H))
-    for t in range(T - 1, -1, -1):
-        dh, dc, _ = _lstm_cell_backward(dh, dc, enc_caches[t], p["enc_Wh"], grads, "enc")
+    for t in range(steps - 1, -1, -1):
+        dh, dc, _ = _lstm_cell_backward(dh, dc, data[:, t], enc, t, mk[:, t], p["enc_Wh"], grads, "enc")
     return loss, grads
 
 

@@ -55,7 +55,7 @@ from .preprocess import (
     sessionize,
     smote_oversample,
 )
-from .synthgen import GENERATOR_PARAMS, GENERATORS, GeneratorConfig, save_events_jsonl
+from .synthgen import GENERATOR_MIN_N, GENERATOR_PARAMS, GENERATORS, GeneratorConfig, save_events_jsonl
 from .tabular import Dataset, RngStream, save_dataset, stratified_indices, stratified_split
 
 DOMAINS = ("intrusion", "malware", "phishing", "ueba")
@@ -101,18 +101,22 @@ _OPTIONAL = "models.dense_ae.layers"
 # The legal range of a config value, as (predicate, text), by dotted key. A
 # predicate sees only a value of its default's type. Below 1 a count or size
 # fits no model, or fails after earlier stages have run; a zero-epoch fit
-# leaves initial weights and a depth-0 boosting tree a single leaf.
+# leaves initial weights, a depth-0 tree is a single leaf, a split needs two
+# rows and a step size must move the weights forward.
 _FRACTION = (lambda v: 0 < v < 1, "a number in (0, 1)")
 _RANGES = {
     **dict.fromkeys((
-        "models.forest.n_trees", "models.iforest.n_trees", "models.boosting.n_rounds", "models.boosting.max_depth",
-        "models.logistic.epochs", "models.dense_ae.epochs", "models.dense_ae.batch_size", "models.lstm_ae.latent",
-        "models.lstm_ae.epochs", "models.lstm_ae.batch_size", "models.importance_repeats", "preprocess.smote_k",
-        "preprocess.time_steps",
+        "models.forest.n_trees", "models.forest.max_depth", "models.iforest.n_trees", "models.boosting.n_rounds",
+        "models.boosting.max_depth", "models.boosting.early_stopping_rounds", "models.logistic.epochs",
+        "models.dense_ae.epochs", "models.dense_ae.batch_size", "models.lstm_ae.latent", "models.lstm_ae.epochs",
+        "models.lstm_ae.batch_size", "models.importance_repeats", "preprocess.smote_k", "preprocess.time_steps",
     ), (lambda v: v >= 1, ">= 1")),
-    "models.iforest.psi": (lambda v: v >= 2, ">= 2"),
+    **dict.fromkeys(("models.iforest.psi", "models.forest.min_samples_split"), (lambda v: v >= 2, ">= 2")),
+    **dict.fromkeys((
+        "models.logistic.step_size", "models.dense_ae.step_size", "models.lstm_ae.step_size",
+        "preprocess.downsample_ratio",
+    ), (lambda v: 0 < v < np.inf, "a finite number > 0")),
     "models.boosting.subsample": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "preprocess.downsample_ratio": (lambda v: 0 < v < np.inf, "a finite number > 0"),
     "preprocess.test_fraction": _FRACTION,
     "preprocess.validation_fraction": _FRACTION,
     "threshold_percentile": (lambda v: 0 < v < 100, "a number in (0, 100)"),
@@ -138,7 +142,9 @@ class PipelineConfig:
         _checked("threshold_percentile", self.threshold_percentile, defaults.threshold_percentile)
         generator, pp, models = (_checked(s, getattr(self, s), getattr(defaults, s))
                                  for s in ("generator", "preprocess", "models"))
-        GeneratorConfig(**generator).params(GENERATOR_PARAMS[self.domain])
+        gen = GeneratorConfig(**generator)
+        gen.validate(GENERATOR_MIN_N[self.domain])
+        gen.params(GENERATOR_PARAMS[self.domain])
         layers = models["dense_ae"].get("layers")
         if layers is not None and not (
             isinstance(layers, list) and len(layers) >= 3 and layers == layers[::-1]

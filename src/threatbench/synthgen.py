@@ -190,9 +190,9 @@ class GeneratorConfig:
 
     def validate(self, min_n: int | None = 100) -> None:
         if min_n is not None and self.n < min_n:
-            raise ConfigError(f"n must be >= {min_n}, got {self.n}")
+            raise ConfigError(f"generator.n must be >= {min_n}, got {self.n}")
         if not 0.0 < self.anomaly_rate < 0.5:
-            raise ConfigError(f"anomaly_rate must be in (0, 0.5), got {self.anomaly_rate}")
+            raise ConfigError(f"generator.anomaly_rate must be in (0, 0.5), got {self.anomaly_rate}")
 
     def params(self, defaults: dict) -> dict:
         """`defaults` with the overrides laid over them; an override must name
@@ -269,7 +269,7 @@ def generate_network_flows(config: GeneratorConfig) -> Dataset:
     (near-zero duration, <=2 packets) and traffic bursts (bytes and packets far
     beyond the clean tails).
     """
-    config.validate(min_n=100)
+    config.validate(GENERATOR_MIN_N["intrusion"])
     p = config.params(NETWORK_DEFAULTS)
     rng = RngStream(config.seed, "network")
     n_anom = _exact_positive_count(config.n, config.anomaly_rate)
@@ -336,7 +336,7 @@ def generate_network_flows(config: GeneratorConfig) -> Dataset:
 
 def generate_malware_corpus(config: GeneratorConfig) -> Dataset:
     """File metadata table: benign majority, packed/high-entropy malicious minority."""
-    config.validate(min_n=100)
+    config.validate(GENERATOR_MIN_N["malware"])
     p = config.params(MALWARE_DEFAULTS)
     rng = RngStream(config.seed, "malware")
     n_mal = _exact_positive_count(config.n, config.anomaly_rate)
@@ -412,7 +412,7 @@ def generate_email_corpus(config: GeneratorConfig) -> Dataset:
     sender_reputation_score stays class-faithful (legit > 0.5 > phish), keeping
     the classes separable by construction at any noise level.
     """
-    config.validate(min_n=100)
+    config.validate(GENERATOR_MIN_N["phishing"])
     p = config.params(EMAIL_DEFAULTS)
     rng = RngStream(config.seed, "email")
     n_phish = _exact_positive_count(config.n, config.anomaly_rate)
@@ -456,7 +456,7 @@ def generate_user_activity(config: GeneratorConfig) -> Dataset:
     activities are codes into one name table that also holds the names the
     injections write.
     """
-    config.validate(min_n=None)
+    config.validate(GENERATOR_MIN_N["ueba"])
     p = config.params(UEBA_DEFAULTS)
     users, days = p["users"], p["days"]
     rng = RngStream(config.seed, "ueba")
@@ -584,7 +584,9 @@ def save_events_jsonl(dataset: Dataset, path) -> None:
         raise DataError(f"cannot write events to {path}: {exc}") from exc
 
 
-# Each domain's generator and the defaults its overrides are checked against.
+# Each domain's generator, the defaults its overrides are checked against and
+# the smallest `n` it accepts (ueba draws users x days of events, ignoring `n`).
+GENERATOR_MIN_N = {"intrusion": 100, "malware": 100, "phishing": 100, "ueba": None}
 GENERATOR_PARAMS = {
     "intrusion": NETWORK_DEFAULTS, "malware": MALWARE_DEFAULTS, "phishing": EMAIL_DEFAULTS, "ueba": UEBA_DEFAULTS,
 }

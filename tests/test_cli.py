@@ -127,6 +127,14 @@ class TestExitCodes:
              "generator.overrides.benign_file_type_mix must hold one weight per entry"),
             ("phishing", 'generator.overrides={"attachment_types": ["pdf"]}',
              "generator.overrides.legit_attachment_mix must hold one weight per entry"),
+            ("intrusion", "generator.anomaly_rate=0.9", "generator.anomaly_rate must be in (0, 0.5), got 0.9"),
+            ("intrusion", "generator.n=50", "generator.n must be >= 100, got 50"),
+            ("malware", "models.forest.max_depth=0", "models.forest.max_depth must be >= 1"),
+            ("malware", "models.forest.min_samples_split=1", "models.forest.min_samples_split must be >= 2"),
+            ("malware", "models.boosting.early_stopping_rounds=0", "models.boosting.early_stopping_rounds must be >= 1"),
+            ("phishing", "models.logistic.step_size=0", "models.logistic.step_size must be a finite number > 0"),
+            ("intrusion", "models.dense_ae.step_size=-1", "models.dense_ae.step_size must be a finite number > 0"),
+            ("ueba", "models.lstm_ae.step_size=1e999", "models.lstm_ae.step_size must be a finite number > 0"),
         ):
             capsys.readouterr()
             assert run_cli(["run", domain, "--override", override]) == 2

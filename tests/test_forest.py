@@ -17,7 +17,6 @@ from threatbench.forest import (
     _column_codes,
     _gini_best_split,
     _logloss,
-    _sigmoid,
     average_path_length,
     fit_gradient_boosting,
     fit_isolation_forest,
@@ -25,6 +24,7 @@ from threatbench.forest import (
     harmonic,
     iforest_score,
 )
+from threatbench.linear import sigmoid
 from threatbench.tabular import RngStream
 
 
@@ -288,7 +288,7 @@ class TestRememberedWalk:
             gb = GradientBoostingModel(base_score=-0.7, trees=trees, best_iteration=k, n_features=d,
                                        config=BoostConfig(learning_rate=0.3))
             cases.append((gb, lambda M, gb=gb: gb.predict_proba(M)[:, 1]))
-            cases.append((gb, lambda M, gb=gb: _sigmoid(gb.predict_margin(M))))
+            cases.append((gb, lambda M, gb=gb: sigmoid(gb.predict_margin(M))))
         matrices = changed_matrices(rng, X)
         for model, plain in cases:
             scorer = model.scorer(X)
@@ -499,7 +499,7 @@ class TestGradientBoosting:
         losses = []
         for k in range(1, len(model.trees) + 1):
             model.best_iteration = k
-            losses.append(_logloss(y, _sigmoid(model.predict_margin(X))))
+            losses.append(_logloss(y, sigmoid(model.predict_margin(X))))
         for prev, nxt in zip(losses[:-1], losses[1:]):
             assert nxt <= prev + 1e-12
 
@@ -510,7 +510,7 @@ class TestGradientBoosting:
         model = fit_gradient_boosting(X, y, cfg, validation=(X, y), rng=RngStream(0, "gb"))
         model.best_iteration = 0
         p = model.predict_proba(X)[:, 1]
-        assert np.allclose(p, _sigmoid(model.base_score))
+        assert np.allclose(p, sigmoid(model.base_score))
 
     def test_missing_validation_rejected(self, np_rng):
         X = np_rng.normal(size=(20, 2))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from threatbench.neural import (
     reconstruction_errors,
     score_sessions,
 )
-from threatbench.neural import _lstm_forward, _masked_sq_errors
+from threatbench.neural import _LstmState, _lstm_forward, _masked_sq_errors
 from threatbench.preprocess import SessionTensor
 from threatbench.tabular import RngStream
 
@@ -287,8 +288,8 @@ class TestLstmAutoencoder:
 
 
 class TestBufferedScan:
-    """The cache-free scan that `lstm_loss` and `score_sessions` run must give
-    every entry exactly what the whole-batch training forward gives."""
+    """The cache-free block scan that `lstm_loss` and `score_sessions` run must
+    give every entry exactly what one whole-batch forward over all T steps gives."""
 
     # one block; whole blocks only; a lone last row; tails of 2, 44 and 4 rows
     @pytest.mark.parametrize("n_sessions", [1, 5, 128, 129, 130, 300, 388])
@@ -298,8 +299,11 @@ class TestBufferedScan:
         lengths = np_rng.integers(0, T + 1, size=n_sessions)
         lengths[::5] = 0  # zero-length sessions
         model = init_lstm_autoencoder(d, 5, 2, RngStream(n_sessions, "scan"))
-        recon, mask, *_ = _lstm_forward(model, data, lengths)
-        expected = (recon - data) ** 2 * mask[:, :, None]
+        mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
+        diff = np.empty_like(data)
+        states = _LstmState(n_sessions, 5, T), _LstmState(n_sessions, 5, T)
+        _lstm_forward(model.params, data, mask[:, :, None], *states, diff)  # whole batch, every step kept
+        expected = diff**2
         assert np.array_equal(_masked_sq_errors(model, data, lengths), expected)
         if lengths.sum():
             assert lstm_loss(model, data, lengths) == float(expected.sum() / (float(mask.sum()) * d))
@@ -315,3 +319,28 @@ class TestBufferedScan:
             clean[s, n:] = 0.0
             data[s, n:] = 1e6
         assert np.array_equal(_masked_sq_errors(model, data, lengths), _masked_sq_errors(model, clean, lengths))
+
+
+class TestPinnedLstmBytes:
+    """sha256 of the loss, every gradient and the session scores on one seeded
+    batch, taken from the implementation that ran training and scoring as two
+    separate recurrences. The batch has zero-length sessions, a longest
+    session shorter than T, and 150 rows, so scoring has a 22-row tail block."""
+
+    def test_loss_grads_and_scores_are_pinned(self):
+        rng = np.random.default_rng(2024)
+        B, T, d = 150, 9, 4
+        data = rng.normal(size=(B, T, d))
+        lengths = rng.integers(0, T, size=B)
+        lengths[::6] = 0
+        assert lengths.max() < T
+        model = init_lstm_autoencoder(d, 6, 3, RngStream(10, "pinned"))
+        loss, grads = lstm_loss_and_grads(model, data, lengths)
+        digest = hashlib.sha256(np.float64(loss).tobytes())
+        for key in sorted(grads):
+            digest.update(grads[key].tobytes())
+        assert digest.hexdigest() == "99c0759f5154cd50442bed0eb52d577eeeaf7894fb1cf8603ca26ecf9cfc6888"
+        scores = score_sessions(model, session_tensor(data, lengths))
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == (
+            "f18f4f59c2ffea31ee1d00da37e3143778d1f721bb7908f677508dfc00c29915"
+        )
