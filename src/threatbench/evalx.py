@@ -221,16 +221,6 @@ def linear_contributions(model: LogisticModel, x, feature_names=None) -> Attribu
     )
 
 
-def _tree_path_deltas(root, x, contributions):
-    """Walk x down one tree, attributing mean changes to split features."""
-    node = root
-    while not node.is_leaf:
-        child = node.left if x[node.feature] <= node.threshold else node.right
-        contributions[node.feature] += child.mean - node.mean
-        node = child
-    return node.mean
-
-
 def tree_path_attribution(model, x, feature_names=None) -> AttributionReport:
     """Per-instance path-delta attribution for forest or boosted models.
 
@@ -254,18 +244,20 @@ def tree_path_attribution(model, x, feature_names=None) -> AttributionReport:
         raise DataError(f"feature width {len(x)} does not match model width {model.n_features}")
     names = list(feature_names) if feature_names is not None else [f"f{j}" for j in range(len(x))]
     for tree in trees:
-        if tree.n_samples == 0:
+        if tree.n[0] == 0:
             raise DataError("tree lacks node statistics; cannot attribute")
 
-    raw = np.zeros(len(x))
-    baseline = base_offset
-    output = base_offset
+    raw, baseline, output = np.zeros(len(x)), base_offset, base_offset
     for tree in trees:
-        path = np.zeros(len(x))
-        leaf_mean = _tree_path_deltas(tree, x, path)
-        baseline += scale * tree.mean
-        output += scale * leaf_mean
-        raw += scale * path
+        i, nodes = 0, [0]  # x's path; see forest.Tree for the node layout
+        while tree.feature[i] >= 0:
+            i = i + 1 if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+            nodes.append(i)
+        deltas = np.zeros(len(x))
+        np.add.at(deltas, tree.feature[nodes[:-1]], np.diff(tree.mean[nodes]))  # child mean - parent mean
+        baseline += scale * tree.mean[0]
+        output += scale * tree.mean[nodes[-1]]
+        raw += scale * deltas
     return AttributionReport(
         feature_names=names,
         contributions={names[j]: float(raw[j]) for j in range(len(x))},

@@ -1,11 +1,11 @@
 """Tree ensembles built from scratch: random forest, second-order gradient
 boosting, and isolation forest.
 
-All trees share one node type. Classification nodes carry class counts,
-boosted-tree leaves carry Newton-step weights, isolation leaves carry training
-sample counts. Every node also stores its training-mean prediction so path
-attributions telescope exactly (see evalx.tree_path_attribution). Prediction
-runs over one flat node table per ensemble (`_FlatForest`) with one walk: a
+Every tree is a `Tree` of pre-order node arrays, grown depth first by
+`grow_tree` from one split rule per family. Each node keeps its training row
+count and training-mean prediction, so path attributions telescope exactly
+(see evalx.tree_path_attribution). Prediction runs over one flat node table
+per ensemble (`_FlatForest`), the trees' arrays end to end, with one walk: a
 branch-free walk, one vectorized level at a time, over a list of (tree, row)
 pairs. `predict` walks all pairs; a model's `scorer(X)`, made for permutation
 importance, re-walks only the pairs a change to X can move (`_RememberedWalk`).
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,22 +25,53 @@ from .linear import sigmoid
 from .tabular import RngStream
 
 
-@dataclass
-class TreeNode:
-    """Internal (feature, threshold: go left iff value <= threshold) or leaf."""
+class Tree(NamedTuple):
+    """One tree's nodes in pre-order, root first. Internal node i goes left iff
+    `x[feature[i]] <= threshold[i]`; its left child is node i + 1 and its right
+    child node `right[i]`. A leaf has feature and right -1."""
 
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0  # leaf payload: class-1 share / boosted weight
-    counts: np.ndarray | None = None  # classification trees: class counts
-    n_samples: int = 0
-    mean: float = 0.0  # training-mean prediction at this node
+    feature: np.ndarray  # int64
+    threshold: np.ndarray
+    right: np.ndarray  # int64
+    value: np.ndarray  # leaf payload: class-1 share / boosted weight; 0 at internal nodes
+    n: np.ndarray  # int64 training rows at the node
+    mean: np.ndarray  # training-mean prediction at the node
+    counts: np.ndarray | None  # classification trees: (nodes, 2) class counts
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+
+def grow_tree(root, node) -> Tree:
+    """Builds one tree depth first, left subtree before right, from `root`.
+
+    `node(item, depth)` gives one node as (n, value, mean, counts, split):
+    split is None at a leaf, else (feature, threshold, left item, right item).
+    Items are a node's training rows when a tree is fitted and its document
+    when one is loaded. A mean of None is filled from the children's as
+    `(nl * mean_l + nr * mean_r) / (nl + nr)`."""
+    nodes, stack = [], [(root, 0, -1)]  # stack: item, depth, the node whose right child it is
+    while stack:
+        item, depth, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent][2] = len(nodes)
+        n, value, mean, counts, split = node(item, depth)
+        if split is None:
+            nodes.append([-1, 0.0, -1, value, n, mean, counts])  # Tree's fields, in order
+        else:
+            feature, threshold, left, right = split
+            nodes.append([feature, threshold, -1, 0.0, n, mean, counts])
+            stack += [(right, depth + 1, len(nodes) - 1), (left, depth + 1, -1)]
+    for i in reversed(range(len(nodes))):  # children come after their parent
+        if nodes[i][5] is None:
+            (nl, ml), (nr, mr) = nodes[i + 1][4:6], nodes[nodes[i][2]][4:6]
+            nodes[i][5] = (nl * ml + nr * mr) / (nl + nr)
+    columns = zip(zip(*nodes), (np.int64, np.float64, np.int64, np.float64, np.int64, np.float64))
+    return Tree(*(np.array(c, dtype=t) for c, t in columns),
+                None if nodes[0][6] is None else np.array([row[6] for row in nodes], dtype=np.float64))
+
+
+def _partition(column, idx, f, thr):
+    """A split that sends the rows `idx` with `column <= thr` left."""
+    mask = column <= thr
+    return int(f), thr, idx[mask], idx[~mask]
 
 
 # Pairs of (tree, row) walked together in one block. Larger blocks fall out of
@@ -47,55 +79,48 @@ class TreeNode:
 _BLOCK = 1 << 14
 
 
-class _FlatForest:
-    """One node table holding every tree of an ensemble, for batch prediction.
+def _concat(trees, name, dtype):
+    return np.concatenate([np.empty(0, dtype)] + [getattr(t, name) for t in trees])
 
-    Node i tests `x[feature[i]] <= threshold[i]`; its right child is
-    `children[2i]` and its left child `children[2i + 1]`. A leaf points both
-    slots at itself, so a walk needs no leaf test: one level is
+
+class _FlatForest:
+    """One node table holding every tree of an ensemble, for batch prediction:
+    the trees' arrays end to end, tree t from node `starts[t]`. Node i tests
+    `x[feature[i]] <= threshold[i]`; its right child is `children[2i]` and its
+    left child `children[2i + 1]`. A leaf tests feature 0 and points both slots
+    at itself, so a walk needs no leaf test: one level is
     `pos = children[2 pos + (x[feature[pos]] <= threshold[pos])]` for all
     (tree, row) pairs at once, and NaN goes right because `NaN <= t` is false.
-    Trees are numbered in walk order, deepest first, and pairs come in that
-    order, so the pairs still walking at a level are a prefix. Leaf values are
-    then summed per row in tree order, the order of a loop of
-    `total += tree value` over the trees.
-    """
+    `leaf_value(tree, depth)` gives a tree's leaf values from its arrays and
+    node depths. Trees are numbered in walk order, deepest first, and pairs
+    come in that order, so the pairs still walking at a level are a prefix.
+    Leaf values are then summed per row in tree order, the order of a loop of
+    `total += tree value` over the trees."""
 
     def __init__(self, trees, leaf_value):
-        feature, threshold, value, children = [], [], [], []
-        starts, depths = [], []
-
-        def walk(node, depth):
-            i = len(feature)
-            feature.append(0)
-            threshold.append(0.0)
-            value.append(0.0)
-            children.extend((i, i))
-            if node.is_leaf:
-                value[i] = leaf_value(node, depth)
-                return depth
-            feature[i] = node.feature
-            threshold[i] = node.threshold
-            children[2 * i + 1] = i + 1
-            below = walk(node.left, depth + 1)
-            children[2 * i] = len(feature)
-            return max(below, walk(node.right, depth + 1))
-
-        for root in trees:
-            starts.append(len(feature))
-            depths.append(walk(root, 0))
-        self.feature = np.array(feature, dtype=np.int64)
-        self.threshold = np.array(threshold, dtype=np.float64)
-        self.value = np.array(value, dtype=np.float64)
-        self.children = np.array(children, dtype=np.int64)
-        self.starts = np.array(starts, dtype=np.int64)
-        self.depths = np.array(depths, dtype=np.int64)
+        sizes = np.array([len(t.feature) for t in trees], dtype=np.int64)
+        self.starts = np.cumsum(sizes) - sizes
+        feature = _concat(trees, "feature", np.int64)
+        node, leaf = np.arange(len(feature)), feature < 0
+        right = _concat(trees, "right", np.int64) + np.repeat(self.starts, sizes)
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = _concat(trees, "threshold", np.float64)
+        self.children = np.column_stack([np.where(leaf, node, right), np.where(leaf, node, node + 1)]).ravel()
+        depth, level = np.zeros(len(node), dtype=np.int64), self.starts
+        while len(level):
+            level = level[~leaf.take(level)]
+            kids = self.children.reshape(-1, 2)[level]
+            depth[kids] = depth[level, None] + 1
+            level = kids.ravel()
+        values = [leaf_value(t, depth[s : s + len(t.feature)]) for t, s in zip(trees, self.starts)]
+        self.value = np.concatenate([np.empty(0)] + values)
+        self.depths = np.maximum.reduceat(depth, self.starts)
         self.order = np.argsort(-self.depths, kind="stable")  # walk order: deepest first
         self.roots = self.starts[self.order]
         # walking[k]: trees in walk order still above their deepest leaf at level k
         self.walking = (self.depths[:, None] > np.arange(self.depths.max(initial=0))).sum(axis=0)
         # the smallest unsigned type that holds a leaf's offset within its tree
-        self.offset_type = np.min_scalar_type(int(np.diff(self.starts, append=len(feature)).max(initial=1)) - 1)
+        self.offset_type = np.min_scalar_type(int(sizes.max(initial=1)) - 1)
 
     def walk(self, flat, pos, offset, walking) -> np.ndarray:
         """Walks (tree, row) pairs in place from their roots `pos` to their
@@ -293,23 +318,18 @@ def _gini_best_split(Xc, codes, y, idx, feature_indices):
     return best
 
 
-def _grow_classification_tree(Xc, codes, y, idx, depth, config, m, rng):
-    counts = np.array([float((y[idx] == 0).sum()), float((y[idx] == 1).sum())])
-    node = TreeNode(counts=counts, n_samples=len(idx), mean=counts[1] / len(idx), value=counts[1] / len(idx))
-    pure = counts[0] == 0 or counts[1] == 0
-    if pure or depth >= config.max_depth or len(idx) < config.min_samples_split:
-        return node
-    feats = rng.choice(len(codes), size=m, replace=False)
-    best = _gini_best_split(Xc, codes, y, idx, feats)
-    if best is None:
-        return node
-    f, thr, _ = best
-    mask = Xc[f].take(idx) <= thr
-    node.feature = int(f)
-    node.threshold = thr
-    node.left = _grow_classification_tree(Xc, codes, y, idx[mask], depth + 1, config, m, rng)
-    node.right = _grow_classification_tree(Xc, codes, y, idx[~mask], depth + 1, config, m, rng)
-    return node
+def _gini_node(Xc, codes, y, config, m, choice, idx, depth):
+    """A random-forest node: class counts, and a Gini split over `m` features
+    drawn by `choice` unless the node is pure, at max_depth or below
+    min_samples_split rows."""
+    yi = y[idx]
+    counts = np.array([float((yi == 0).sum()), float((yi == 1).sum())])
+    share, split = counts[1] / len(idx), None
+    if counts[0] and counts[1] and depth < config.max_depth and len(idx) >= config.min_samples_split:
+        best = _gini_best_split(Xc, codes, y, idx, choice(len(codes), size=m, replace=False))
+        if best is not None:
+            split = _partition(Xc[best[0]].take(idx), idx, *best[:2])
+    return len(idx), share, share, counts, split
 
 
 @dataclass
@@ -322,7 +342,7 @@ class RandomForestModel(TreeEnsemble):
 
     def _walk_parts(self):
         if self._flat is None:
-            self._flat = _FlatForest(self.trees, lambda node, depth: node.counts[1] / node.counts.sum())
+            self._flat = _FlatForest(self.trees, lambda tree, depth: tree.counts[:, 1] / tree.counts.sum(axis=1))
         return self._flat, 0.0, 1.0, lambda total: total / len(self.trees)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -345,14 +365,13 @@ def fit_random_forest(X, y, config: ForestConfig | None = None, rng: RngStream |
         raise DataError(f"need at least 2 rows, got {n}")
     if len(np.unique(y)) < 2:
         raise DataError("labels contain a single class; cannot fit a classifier")
-    m = config.max_features or math.ceil(math.sqrt(d))
-    m = min(m, d)
+    m = min(config.max_features or math.ceil(math.sqrt(d)), d)
     Xc, codes = _column_codes(X)
     trees = []
     for t in range(config.n_trees):
         tr = rng.child(f"tree/{t}")
         boot = tr.integers(0, n, size=n)
-        trees.append(_grow_classification_tree(Xc, codes, y, boot, 0, config, m, tr))
+        trees.append(grow_tree(boot, partial(_gini_node, Xc, codes, y, config, m, tr.gen.choice)))
     return RandomForestModel(trees=trees, n_features=d, config=config)
 
 
@@ -404,27 +423,20 @@ def _boost_best_split(Xc, codes, g, h, idx, lam, gamma):
     return best
 
 
-def _boost_leaf(node, depth):
-    return node.value
+def _boost_leaf(tree, depth):
+    return tree.value
 
 
-def _grow_boost_tree(Xc, codes, g, h, idx, depth, config):
-    node = TreeNode(n_samples=len(idx))
+def _newton_node(Xc, codes, g, h, config, idx, depth):
+    """A boosted-tree node: the best second-order split above max_depth, else
+    a leaf with Newton weight -G/(H+lam). An internal node's mean is filled
+    from its children."""
     if depth < config.max_depth and len(idx) >= 2:
         best = _boost_best_split(Xc, codes, g, h, idx, config.lam, config.gamma)
         if best is not None:
-            f, thr, _ = best
-            mask = Xc[f].take(idx) <= thr
-            node.feature = int(f)
-            node.threshold = thr
-            node.left = _grow_boost_tree(Xc, codes, g, h, idx[mask], depth + 1, config)
-            node.right = _grow_boost_tree(Xc, codes, g, h, idx[~mask], depth + 1, config)
-            nl, nr = node.left.n_samples, node.right.n_samples
-            node.mean = (nl * node.left.mean + nr * node.right.mean) / (nl + nr)
-            return node
-    node.value = float(-g[idx].sum() / (h[idx].sum() + config.lam))
-    node.mean = node.value
-    return node
+            return len(idx), 0.0, None, None, _partition(Xc[best[0]].take(idx), idx, *best[:2])
+    value = float(-g[idx].sum() / (h[idx].sum() + config.lam))
+    return len(idx), value, value, None, None
 
 
 @dataclass
@@ -481,22 +493,15 @@ def fit_gradient_boosting(X, y, config: BoostConfig | None = None, validation=No
     margins = np.full(n, base)
     val_margins = np.full(X_val.shape[0], base)
 
-    trees = []
-    val_losses = []
-    best_loss = math.inf
-    best_round = 0
+    trees, val_losses, best_loss, best_round = [], [], math.inf, 0
     n_sub = max(1, int(math.floor(n * config.subsample + 0.5)))
     Xc, codes = _column_codes(X)
     for t in range(config.n_rounds):
         p = sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
-        rows = (
-            np.arange(n)
-            if config.subsample >= 1.0
-            else rng.child(f"round/{t}").choice(n, size=n_sub, replace=False)
-        )
-        tree = _grow_boost_tree(Xc, codes, g, h, rows, 0, config)
+        rows = np.arange(n) if config.subsample >= 1.0 else rng.child(f"round/{t}").choice(n, size=n_sub, replace=False)
+        tree = grow_tree(rows, partial(_newton_node, Xc, codes, g, h, config))
         trees.append(tree)
         step = _FlatForest([tree], _boost_leaf)
         margins = step.predict(X, margins, config.learning_rate)
@@ -506,18 +511,11 @@ def fit_gradient_boosting(X, y, config: BoostConfig | None = None, validation=No
             raise NumericError(f"non-finite validation loss at round {t + 1}")
         val_losses.append(loss)
         if loss < best_loss:
-            best_loss = loss
-            best_round = t + 1
+            best_loss, best_round = loss, t + 1
         elif (t + 1) - best_round >= config.early_stopping_rounds:
             break
-    return GradientBoostingModel(
-        base_score=base,
-        trees=trees,
-        best_iteration=best_round,
-        n_features=X.shape[1],
-        config=config,
-        val_losses=val_losses,
-    )
+    return GradientBoostingModel(base_score=base, trees=trees, best_iteration=best_round, n_features=X.shape[1],
+                                 config=config, val_losses=val_losses)
 
 
 # -- isolation forest --------------------------------------------------------------
@@ -536,23 +534,24 @@ def average_path_length(m: int) -> float:
     return 2.0 * harmonic(m - 1) - 2.0 * (m - 1) / m
 
 
-def _grow_isolation_tree(X, idx, depth, limit, rng):
-    node = TreeNode(n_samples=len(idx))
-    if depth >= limit or len(idx) <= 1:
-        return node
-    lo = X[idx].min(axis=0)
-    hi = X[idx].max(axis=0)
-    candidates = np.flatnonzero(hi > lo)
-    if len(candidates) == 0:
-        return node
-    f = int(candidates[rng.integers(0, len(candidates))])
-    thr = float(rng.uniform(lo[f], hi[f]))
-    mask = X[idx, f] <= thr
-    node.feature = f
-    node.threshold = thr
-    node.left = _grow_isolation_tree(X, idx[mask], depth + 1, limit, rng)
-    node.right = _grow_isolation_tree(X, idx[~mask], depth + 1, limit, rng)
-    return node
+def _isolation_node(X, limit, integers, uniform, idx, depth):
+    """An isolation-tree node: below `limit` depth, a split of 2 or more rows
+    on a feature drawn by `integers` among those that vary, at a threshold
+    drawn by `uniform` between its extremes."""
+    split = None
+    if depth < limit and len(idx) > 1:
+        rows = X[idx]
+        lo, hi = rows.min(axis=0), rows.max(axis=0)
+        candidates = np.flatnonzero(hi > lo)
+        if len(candidates):
+            f = int(candidates[integers(0, len(candidates))])
+            split = _partition(rows[:, f], idx, f, float(uniform(lo[f], hi[f])))
+    return len(idx), 0.0, 0.0, None, split
+
+
+def _isolation_leaf(tree, depth):
+    """A leaf's path length: its depth plus c(n) for the rows it holds."""
+    return depth + np.array([average_path_length(k) for k in tree.n.tolist()])
 
 
 @dataclass
@@ -568,7 +567,7 @@ class IsolationForestModel(TreeEnsemble):
 
     def _walk_parts(self):
         if self._flat is None:
-            self._flat = _FlatForest(self.trees, lambda node, depth: depth + average_path_length(node.n_samples))
+            self._flat = _FlatForest(self.trees, _isolation_leaf)
         return self._flat, 0.0, 1.0, lambda total: np.power(2.0, -(total / len(self.trees)) / self.c_psi)
 
 
@@ -586,7 +585,7 @@ def fit_isolation_forest(X, n_trees: int = 100, psi: int = 256, rng: RngStream |
     for t in range(n_trees):
         tr = rng.child(f"tree/{t}")
         idx = tr.choice(n, size=psi, replace=False)
-        trees.append(_grow_isolation_tree(X, idx, 0, limit, tr))
+        trees.append(grow_tree(idx, partial(_isolation_node, X, limit, tr.gen.integers, tr.gen.uniform)))
     return IsolationForestModel(trees=trees, psi=psi, n_features=X.shape[1])
 
 

@@ -18,7 +18,9 @@ from .forest import (
     GradientBoostingModel,
     IsolationForestModel,
     RandomForestModel,
-    TreeNode,
+    Tree,
+    TreeEnsemble,
+    grow_tree,
 )
 from .linear import CalibratorSpec, LogisticModel
 from .neural import AnomalyThreshold, DenseAutoencoder, LstmAutoencoder
@@ -27,34 +29,40 @@ FORMAT = "threatbench-model"
 VERSION = 1
 
 
-def _node_to_doc(node: TreeNode) -> dict:
-    doc = {"n": node.n_samples, "mean": node.mean}
-    if node.counts is not None:
-        doc["counts"] = [float(c) for c in node.counts]
-    if node.is_leaf:
-        doc["value"] = node.value
-    else:
-        doc["feature"] = node.feature
-        doc["threshold"] = node.threshold
-        doc["left"] = _node_to_doc(node.left)
-        doc["right"] = _node_to_doc(node.right)
-    return doc
+def _tree_to_doc(tree: Tree) -> dict:
+    """A tree's nested node document, built from its last node back, so that
+    each node's children are built before it."""
+    feature, threshold, right, value, n, mean = (column.tolist() for column in tree[:6])
+    counts = None if tree.counts is None else tree.counts.tolist()
+    docs = [None] * len(feature)
+    for i in reversed(range(len(docs))):
+        doc = docs[i] = {"n": n[i], "mean": mean[i]}
+        if counts is not None:
+            doc["counts"] = counts[i]
+        if feature[i] < 0:
+            doc["value"] = value[i]
+        else:
+            doc.update(feature=feature[i], threshold=threshold[i], left=docs[i + 1], right=docs[right[i]])
+    return docs[0]
 
 
-def _node_from_doc(doc: dict) -> TreeNode:
-    node = TreeNode(
-        n_samples=int(doc["n"]),
-        mean=float(doc["mean"]),
-        counts=np.asarray(doc["counts"], dtype=np.float64) if "counts" in doc else None,
-    )
+def _doc_node(doc: dict, depth: int):
+    """One node of a nested document, as `grow_tree` reads a node."""
+    split = None
     if "feature" in doc:
-        node.feature = int(doc["feature"])
-        node.threshold = float(doc["threshold"])
-        node.left = _node_from_doc(doc["left"])
-        node.right = _node_from_doc(doc["right"])
-    else:
-        node.value = float(doc["value"])
-    return node
+        split = (int(doc["feature"]), float(doc["threshold"]), doc["left"], doc["right"])
+    value = 0.0 if split else float(doc["value"])
+    return int(doc["n"]), value, float(doc["mean"]), doc.get("counts"), split
+
+
+def _check_trees(model) -> None:
+    """DataError unless each internal node tests a feature in [0, n_features)
+    and has its right child in its tree after its left, and leaves right -1."""
+    for t, tree in enumerate(model.trees):
+        i, internal = np.arange(len(tree.feature)), tree.feature >= 0
+        inside = (tree.feature < model.n_features) & (tree.right > i + 1) & (tree.right < len(i))
+        if not np.where(internal, inside, tree.right == -1).all():
+            raise DataError(f"tree {t} has a feature or child index out of range")
 
 
 def _same(value):
@@ -69,8 +77,8 @@ _INT = (_same, int)
 _FLOAT = (_same, float)
 _LIST = (list, list)
 _TREES = (
-    lambda trees: [_node_to_doc(t) for t in trees],
-    lambda docs: [_node_from_doc(d) for d in docs],
+    lambda trees: [_tree_to_doc(t) for t in trees],
+    lambda docs: [grow_tree(d, _doc_node) for d in docs],
 )
 _ARRAYS = (
     lambda arrays: {k: v.tolist() for k, v in arrays.items()},
@@ -142,12 +150,14 @@ def load_model(path):
     if doc.get("kind") not in KINDS:
         raise DataError(f"unknown model kind {doc.get('kind')!r} in {path}")
     cls, fields = KINDS[doc["kind"]]
-    model = cls(**{name: decode(doc["payload"][name]) for name, (_, decode) in fields.items()})
-
-    threshold = None
-    if "threshold" in doc:
-        t = doc["threshold"]
-        threshold = AnomalyThreshold(
-            value=float(t["value"]), percentile=float(t["percentile"]), sample_size=int(t["sample_size"])
-        )
+    try:
+        model = cls(**{name: decode(doc["payload"][name]) for name, (_, decode) in fields.items()})
+        threshold = None
+        if "threshold" in doc:
+            t = doc["threshold"]
+            threshold = AnomalyThreshold(float(t["value"]), float(t["percentile"]), int(t["sample_size"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {doc['kind']} document {path}: {type(exc).__name__} {exc}") from exc
+    if isinstance(model, TreeEnsemble):
+        _check_trees(model)
     return model, threshold

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .preprocess import SessionTensor
-from .tabular import RngStream
+from .tabular import RngStream, nearest_rank
 
 
 @dataclass
@@ -113,8 +113,7 @@ def calibrate_threshold(errors, percentile: float) -> AnomalyThreshold:
         raise DataError("cannot calibrate a threshold on an empty error sample")
     if not 0.0 < percentile < 100.0:
         raise DataError(f"percentile must be in (0, 100), got {percentile}")
-    k = max(1, math.ceil(percentile / 100.0 * errors.size))
-    value = float(np.sort(errors)[k - 1])
+    value = nearest_rank(np.sort(errors), percentile / 100.0)
     return AnomalyThreshold(value=value, percentile=float(percentile), sample_size=int(errors.size))
 
 
@@ -410,12 +409,19 @@ def _masked_sq_errors(model: LstmAutoencoder, data, lengths) -> np.ndarray:
     return err
 
 
+def _real_entries(mask, d: int) -> float:
+    """The count of real (step, feature) entries: the loss's denominator."""
+    count = float(mask.sum()) * d
+    if count == 0:
+        raise DataError("no real session steps: all session lengths are zero")
+    return count
+
+
 def lstm_loss(model: LstmAutoencoder, data, lengths) -> float:
     """Masked mean squared error over every real (step, feature) entry."""
     data = np.asarray(data, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    B, T, d = data.shape
-    denom = float(np.clip(lengths, 0, T).sum()) * d
+    denom = _real_entries(_step_mask(lengths, data.shape[1]), data.shape[2])
     return float(_masked_sq_errors(model, data, lengths).sum() / denom)
 
 
@@ -431,8 +437,8 @@ def lstm_loss_and_grads(model: LstmAutoencoder, data, lengths):
     steps = mk.shape[1]
     enc, dec = _LstmState(B, H, steps), _LstmState(B, H, steps)
     diff = np.zeros_like(data)  # zero past `steps`, so the loss sums what the full (B, T, d) array sums
+    denom = _real_entries(mk, d)
     z = _lstm_forward(p, data[:, :steps], mk, enc, dec, diff[:, :steps])
-    denom = float(mk.sum()) * d
     loss = float((diff**2).sum() / denom)
 
     grads = {k: np.zeros_like(v) for k, v in p.items()}

@@ -481,27 +481,25 @@ def _fit_lstm_ae(mc, rng, rows):
     return lstm
 
 
-def _tree_scores(model, X):
-    return model.predict_proba(X)[:, 1]
-
-
 class ModelSpec(NamedTuple):
     """One model. `fit(mc, rng, *parts)` trains on the partitions named in
     `rows`: "train", "clean" (its label-0 rows), "fit" or "val" (the two sides
-    of the validation slice). `score(model, X)` gives threat scores, which
-    `threshold` turns into predictions: "percentile" flags scores above the
-    threshold_percentile-th percentile of the scores on the first `rows`
-    partition; "0.5" predicts a threat at score >= 0.5; "platt" does so on
-    margins Platt-scaled on "val" right after the fit, if
-    models.calibrate_boosting is set. `tag` names the importance stream."""
+    of the validation slice). `threshold` turns threat scores into
+    predictions: "percentile" flags scores above the threshold_percentile-th
+    percentile of the scores on the first `rows` partition; "0.5" predicts a
+    threat at score >= 0.5; "platt" does so on margins Platt-scaled on "val"
+    right after the fit, if models.calibrate_boosting is set. `tag` names the
+    importance stream. `score(model, X)` gives the threat scores of a model
+    that is not a tree ensemble, and those a "percentile" threshold is
+    calibrated on; tree ensembles are scored through `model.scorer`."""
 
     name: str
     stage: str
     fit: Callable
-    score: Callable
     rows: tuple
     threshold: str
     tag: str
+    score: Callable | None = None
 
 
 class DomainSpec(NamedTuple):
@@ -521,33 +519,33 @@ DOMAIN_SPECS = {
     "intrusion": DomainSpec(
         "anomaly_label", "anomaly", ("protocol",), scale=True, resample=None, validation=False, sessions=False,
         models=(
-            ModelSpec("isolation_forest", "fit_isolation_forest", _fit_iforest,
-                      lambda m, X: iforest_score(m, X), ("train",), "percentile", "if"),
-            ModelSpec("dense_autoencoder", "fit_dense_autoencoder", _fit_dense_ae,
-                      lambda m, X: reconstruction_errors(m, X), ("clean",), "percentile", "ae"),
+            ModelSpec("isolation_forest", "fit_isolation_forest", _fit_iforest, ("train",), "percentile", "if",
+                      lambda m, X: iforest_score(m, X)),
+            ModelSpec("dense_autoencoder", "fit_dense_autoencoder", _fit_dense_ae, ("clean",), "percentile", "ae",
+                      lambda m, X: reconstruction_errors(m, X)),
         ),
     ),
     "malware": DomainSpec(
         "label", "malicious", ("file_type",), scale=False, resample="smote", validation=True, sessions=False,
         models=(
-            ModelSpec("random_forest", "fit_random_forest", _fit_forest, _tree_scores, ("fit",), "0.5", "rf"),
-            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, _tree_scores, ("fit", "val"), "platt", "gb"),
+            ModelSpec("random_forest", "fit_random_forest", _fit_forest, ("fit",), "0.5", "rf"),
+            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, ("fit", "val"), "platt", "gb"),
         ),
     ),
     "phishing": DomainSpec(
         "label", "phishing", ("attachment_type",), scale=True, resample="downsample", validation=True, sessions=False,
         models=(
-            ModelSpec("logistic_regression", "fit_logistic", _fit_logistic,
-                      lambda m, X: logistic_proba(m, X), ("train",), "0.5", "lr"),
-            ModelSpec("random_forest", "fit_random_forest", _fit_forest, _tree_scores, ("train",), "0.5", "rf"),
-            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, _tree_scores, ("fit", "val"), "platt", "gb"),
+            ModelSpec("logistic_regression", "fit_logistic", _fit_logistic, ("train",), "0.5", "lr",
+                      lambda m, X: logistic_proba(m, X)),
+            ModelSpec("random_forest", "fit_random_forest", _fit_forest, ("train",), "0.5", "rf"),
+            ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, ("fit", "val"), "platt", "gb"),
         ),
     ),
     "ueba": DomainSpec(
         "anomaly_label", "threat_session", ("activity_type",), scale=True, resample=None, validation=False, sessions=True,
         models=(
-            ModelSpec("lstm_autoencoder", "fit_lstm_autoencoder", _fit_lstm_ae,
-                      lambda m, X: score_sessions(m, X), ("clean",), "percentile", "lstm"),
+            ModelSpec("lstm_autoencoder", "fit_lstm_autoencoder", _fit_lstm_ae, ("clean",), "percentile", "lstm",
+                      lambda m, X: score_sessions(m, X)),
         ),
     ),
 }

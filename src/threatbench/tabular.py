@@ -1,4 +1,4 @@
-"""Typed column tables, seeded randomness, CSV I/O, summaries and stratified splits.
+"""Typed column tables, seeded randomness, CSV I/O, nearest-rank quantiles and stratified splits.
 
 Everything downstream (generators, preprocessing, models, pipelines) moves data
 around as a `Dataset`: an immutable-by-convention table whose columns carry one
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -263,23 +262,7 @@ def load_dataset(path, schema) -> Dataset:
     return Dataset(schema, data)
 
 
-# -- summaries ---------------------------------------------------------------
-
-
-@dataclass
-class ColumnSummary:
-    """Per-column statistics: numeric moments/quantiles or value counts."""
-
-    name: str
-    kind: str
-    mean: float | None = None
-    std: float | None = None
-    min: float | None = None
-    q25: float | None = None
-    median: float | None = None
-    q75: float | None = None
-    max: float | None = None
-    counts: dict = field(default_factory=dict)
+# -- quantiles ---------------------------------------------------------------
 
 
 def nearest_rank(sorted_values: np.ndarray, q: float) -> float:
@@ -287,35 +270,6 @@ def nearest_rank(sorted_values: np.ndarray, q: float) -> float:
     n = len(sorted_values)
     k = max(1, math.ceil(q * n))
     return float(sorted_values[k - 1])
-
-
-def summarize_columns(dataset: Dataset) -> list[ColumnSummary]:
-    if dataset.n == 0:
-        raise DataError("cannot summarize an empty dataset")
-    out = []
-    for name, kind in dataset.columns:
-        vals = dataset.column(name)
-        if kind == "numeric":
-            arr = np.sort(np.asarray(vals, dtype=np.float64))
-            out.append(
-                ColumnSummary(
-                    name=name,
-                    kind=kind,
-                    mean=float(arr.mean()),
-                    std=float(arr.std()),  # population
-                    min=float(arr[0]),
-                    q25=nearest_rank(arr, 0.25),
-                    median=nearest_rank(arr, 0.50),
-                    q75=nearest_rank(arr, 0.75),
-                    max=float(arr[-1]),
-                )
-            )
-        else:
-            counts = {}
-            for v in (vals.tolist() if isinstance(vals, np.ndarray) else vals):
-                counts[v] = counts.get(v, 0) + 1
-            out.append(ColumnSummary(name=name, kind=kind, counts=counts))
-    return out
 
 
 # -- splitting ----------------------------------------------------------------

@@ -283,11 +283,11 @@ class TestTreePathAttribution:
         y = np.array([0, 0, 1, 1])
         model = fit_random_forest(X, y, ForestConfig(n_trees=1, max_depth=1), RngStream(3, "rf"))
         tree = model.trees[0]
-        assert not tree.is_leaf
+        assert tree.feature.tolist() == [0, -1, -1]
         rep = tree_path_attribution(model, np.array([5.0]))
-        leaf = tree.right  # 5.0 goes right
-        assert abs(rep.contributions["f0"] - (leaf.mean - tree.mean)) <= 1e-12
-        assert abs(rep.baseline - tree.mean) <= 1e-12
+        leaf = tree.right[0]  # 5.0 goes right
+        assert abs(rep.contributions["f0"] - (tree.mean[leaf] - tree.mean[0])) <= 1e-12
+        assert abs(rep.baseline - tree.mean[0]) <= 1e-12
 
     def test_forest_additivity(self, np_rng):
         model, X = self.fitted_forest(np_rng)

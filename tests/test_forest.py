@@ -11,7 +11,7 @@ from threatbench.forest import (
     GradientBoostingModel,
     IsolationForestModel,
     RandomForestModel,
-    TreeNode,
+    Tree,
     _BLOCK,
     _boost_best_split,
     _column_codes,
@@ -150,18 +150,27 @@ class TestSplitSearchOracle:
 
 def random_tree(rng, depth, n_features=3):
     """A tree of at most `depth` levels (a single leaf at depth 0) that splits
-    on grid values, so rows land exactly on thresholds. Leaves carry class
-    counts, a boosted weight and a sample count."""
-    if depth == 0 or rng.random() < 0.3:
-        counts = rng.integers(0, 9, size=2).astype(float)
-        counts[rng.integers(0, 2)] += 1.0
-        return TreeNode(counts=counts, value=float(rng.normal()), n_samples=int(rng.integers(1, 40)))
-    return TreeNode(
-        feature=int(rng.integers(0, n_features)),
-        threshold=float(rng.integers(-4, 5)) / 2.0,
-        left=random_tree(rng, depth - 1, n_features),
-        right=random_tree(rng, depth - 1, n_features),
-    )
+    on grid values, so rows land exactly on thresholds, as pre-order arrays:
+    node i's left child is i + 1. Leaves carry class counts, a boosted weight
+    and a sample count; internal nodes the sums of their children's counts."""
+    nodes = []  # per node: feature, threshold, right, value, n, mean, counts
+
+    def grow(depth):
+        i = len(nodes)
+        if depth == 0 or rng.random() < 0.3:
+            counts = rng.integers(0, 9, size=2).astype(float)
+            counts[rng.integers(0, 2)] += 1.0
+            nodes.append([-1, 0.0, -1, float(rng.normal()), int(rng.integers(1, 40)), 0.0, counts])
+            return
+        nodes.append([int(rng.integers(0, n_features)), float(rng.integers(-4, 5)) / 2.0, -1, 0.0, 0, 0.0, None])
+        grow(depth - 1)
+        nodes[i][2] = right = len(nodes)
+        grow(depth - 1)
+        nodes[i][4] = nodes[i + 1][4] + nodes[right][4]
+        nodes[i][6] = nodes[i + 1][6] + nodes[right][6]
+
+    grow(depth)
+    return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
 def edge_rows(rng, n, n_features=3):
@@ -171,13 +180,14 @@ def edge_rows(rng, n, n_features=3):
     return X
 
 
-def scalar_leaf(root, x):
-    """Walks one row down one tree: left iff x <= threshold."""
-    node, depth = root, 0
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
+def scalar_leaf(tree, x):
+    """Walks one row down one tree: to node i + 1 iff x <= threshold, else to
+    node right[i]. Gives the leaf and its depth."""
+    i, depth = 0, 0
+    while tree.feature[i] >= 0:
+        i = i + 1 if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
         depth += 1
-    return node, depth
+    return i, depth
 
 
 def reference_sum(trees, leaf_value, X, init=0.0, scale=1.0):
@@ -186,22 +196,33 @@ def reference_sum(trees, leaf_value, X, init=0.0, scale=1.0):
     for i, x in enumerate(X):
         total = np.float64(init)
         for tree in trees:
-            total = total + scale * leaf_value(*scalar_leaf(tree, x))
+            total = total + scale * leaf_value(tree, *scalar_leaf(tree, x))
         out[i] = total
     return out
 
 
-def rf_leaf(node, depth):
-    return node.counts[1] / node.counts.sum()
+def rf_leaf(tree, i, depth):
+    return tree.counts[i][1] / tree.counts[i].sum()
 
 
-def iforest_leaf(node, depth):
-    return depth + average_path_length(node.n_samples)
+def boost_leaf(tree, i, depth):
+    return tree.value[i]
+
+
+def iforest_leaf(tree, i, depth):
+    return depth + average_path_length(int(tree.n[i]))
+
+
+def assert_same_trees(a, b):
+    assert len(a) == len(b)
+    for s, t in zip(a, b):
+        for name in Tree._fields:
+            assert np.array_equal(getattr(s, name), getattr(t, name)), name
 
 
 class TestFlatForestOracle:
-    """The node-table walk gives the bytes of a scalar per-row TreeNode walk
-    whose leaf values are summed in tree order."""
+    """The node-table walk gives the bytes of a scalar per-row walk of each
+    tree's arrays whose leaf values are summed in tree order."""
 
     def check_all(self, trees, X, n_features=3):
         rf = RandomForestModel(trees=trees, n_features=n_features, config=ForestConfig())
@@ -212,7 +233,7 @@ class TestFlatForestOracle:
         gb = GradientBoostingModel(base_score=-0.7, trees=trees, best_iteration=0, n_features=n_features, config=cfg)
         for k in sorted({0, 1, max(0, len(trees) - 2), len(trees)}):
             gb.best_iteration = k
-            want = reference_sum(trees[:k], lambda node, depth: node.value, X, -0.7, 0.3)
+            want = reference_sum(trees[:k], boost_leaf, X, -0.7, 0.3)
             assert gb.predict_margin(X).tobytes() == want.tobytes()
 
         iso = IsolationForestModel(trees=trees, psi=64, n_features=n_features)
@@ -246,7 +267,7 @@ class TestFlatForestOracle:
         assert rf.predict_proba(Xt).tobytes() == np.column_stack([1.0 - p1, p1]).tobytes()
         cfg = BoostConfig(n_rounds=30, early_stopping_rounds=30)
         gb = fit_gradient_boosting(X[:200], y[:200], cfg, validation=(X[200:], y[200:]), rng=RngStream(0, "gb"))
-        want = reference_sum(gb.trees[: gb.best_iteration], lambda node, depth: node.value, Xt, gb.base_score, 0.1)
+        want = reference_sum(gb.trees[: gb.best_iteration], boost_leaf, Xt, gb.base_score, 0.1)
         assert gb.predict_margin(Xt).tobytes() == want.tobytes()
         iso = fit_isolation_forest(X, 20, 64, RngStream(0, "if"))
         mean_h = reference_sum(iso.trees, iforest_leaf, Xt) / len(iso.trees)
@@ -367,13 +388,7 @@ class TestRandomForest:
         a = fit_random_forest(X, y, ForestConfig(n_trees=10), RngStream(4, "rf"))
         b = fit_random_forest(X, y, ForestConfig(n_trees=10), RngStream(4, "rf"))
         assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
-
-        def structure(node):
-            if node.is_leaf:
-                return ("leaf", tuple(node.counts))
-            return (node.feature, node.threshold, structure(node.left), structure(node.right))
-
-        assert [structure(t) for t in a.trees] == [structure(t) for t in b.trees]
+        assert_same_trees(a.trees, b.trees)
 
     def test_per_tree_streams_derived_by_index(self, np_rng):
         # growing a larger forest must reproduce the smaller forest's trees
@@ -381,14 +396,7 @@ class TestRandomForest:
         y = (X[:, 2] > 0.2).astype(int)
         small = fit_random_forest(X, y, ForestConfig(n_trees=3), RngStream(8, "rf"))
         large = fit_random_forest(X, y, ForestConfig(n_trees=6), RngStream(8, "rf"))
-
-        def structure(node):
-            if node.is_leaf:
-                return ("leaf", tuple(node.counts))
-            return (node.feature, node.threshold, structure(node.left), structure(node.right))
-
-        for t_small, t_large in zip(small.trees, large.trees):
-            assert structure(t_small) == structure(t_large)
+        assert_same_trees(small.trees, large.trees[:3])
 
     def test_gini_oracle_small_datasets(self, np_rng):
         for _ in range(25):
@@ -443,7 +451,7 @@ class TestGradientBoosting:
         cfg = BoostConfig(n_rounds=1, max_depth=0, lam=0.0, subsample=1.0, early_stopping_rounds=5)
         model = fit_gradient_boosting(X, y, cfg, validation=(X, y), rng=RngStream(0, "gb"))
         assert model.base_score == 0.0
-        assert model.trees[0].is_leaf and model.trees[0].value == 0.0
+        assert model.trees[0].feature.tolist() == [-1] and model.trees[0].value[0] == 0.0
         assert np.allclose(model.predict_margin(X), 0.0)
 
     def test_leaf_weights_closed_form(self):
@@ -455,9 +463,9 @@ class TestGradientBoosting:
         tree = model.trees[0]
         # prior 0.5 -> p=0.5 everywhere: g = +-0.5, h = 0.25
         # left leaf: G = 1.0, H = 0.5 -> w = -1/1.5; right: G = -1.0 -> w = +1/1.5
-        assert tree.feature == 0
-        assert math.isclose(tree.left.value, -1.0 / 1.5, rel_tol=0, abs_tol=1e-12)
-        assert math.isclose(tree.right.value, 1.0 / 1.5, rel_tol=0, abs_tol=1e-12)
+        assert tree.feature.tolist() == [0, -1, -1] and tree.right[0] == 2
+        assert math.isclose(tree.value[1], -1.0 / 1.5, rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(tree.value[2], 1.0 / 1.5, rel_tol=0, abs_tol=1e-12)
 
     def test_gain_refused_when_nonpositive(self, np_rng):
         # pure-noise labels with a huge gamma: every split refused, trees are stumps
@@ -467,7 +475,7 @@ class TestGradientBoosting:
             y[0] = 1 - y[0]
         cfg = BoostConfig(n_rounds=3, gamma=1e9, subsample=1.0)
         model = fit_gradient_boosting(X, y, cfg, validation=(X, y), rng=RngStream(1, "gb"))
-        assert all(t.is_leaf for t in model.trees)
+        assert all(t.feature.tolist() == [-1] for t in model.trees)
 
     def test_early_stopping_records_best_round(self, np_rng):
         # inverted validation labels: validation loss rises from round 1,

@@ -25,6 +25,15 @@ from threatbench.preprocess import SessionTensor
 from threatbench.tabular import RngStream
 
 
+def assert_resaves_identically(model, path, tmp_path, threshold=None):
+    """save -> load -> save gives the same bytes, every node field included."""
+    loaded, thr = load_model(path)
+    again = tmp_path / "again.json"
+    save_model(loaded, again, threshold=thr)
+    assert again.read_bytes() == path.read_bytes()
+    assert thr == threshold
+
+
 @pytest.fixture
 def xy(np_rng):
     X = np_rng.normal(size=(80, 3))
@@ -40,6 +49,7 @@ def test_random_forest_bit_exact(tmp_path, xy):
     loaded, thr = load_model(path)
     assert thr is None
     assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
+    assert_resaves_identically(model, path, tmp_path)
 
 
 def test_gradient_boosting_bit_exact(tmp_path, xy):
@@ -50,6 +60,7 @@ def test_gradient_boosting_bit_exact(tmp_path, xy):
     loaded, _ = load_model(path)
     assert np.array_equal(loaded.predict_margin(X), model.predict_margin(X))
     assert loaded.best_iteration == model.best_iteration
+    assert_resaves_identically(model, path, tmp_path)
 
 
 def test_isolation_forest_bit_exact_with_threshold(tmp_path, xy):
@@ -61,6 +72,47 @@ def test_isolation_forest_bit_exact_with_threshold(tmp_path, xy):
     loaded, thr2 = load_model(path)
     assert thr2 == thr
     assert np.array_equal(iforest_score(loaded, X), iforest_score(model, X))
+    assert_resaves_identically(model, path, tmp_path, thr)
+
+
+class TestMalformedTreeDocuments:
+    """A broken tree document fails to load with DataError, never with a
+    KeyError, an IndexError or a silent read of another row's cell."""
+
+    @pytest.fixture
+    def saved(self, tmp_path, xy):
+        X, _ = xy
+        path = tmp_path / "if.json"
+        save_model(fit_isolation_forest(X, 3, 64, RngStream(3, "if")), path)
+        return path, json.loads(path.read_text())
+
+    def check(self, path, doc, match):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=match):
+            load_model(path)
+
+    def test_node_without_n(self, saved):
+        path, doc = saved
+        del doc["payload"]["trees"][1]["left"]["n"]
+        self.check(path, doc, "malformed isolation_forest")
+
+    def test_payload_without_psi(self, saved):
+        path, doc = saved
+        del doc["payload"]["psi"]
+        self.check(path, doc, "malformed isolation_forest")
+
+    def test_feature_out_of_range(self, saved):
+        path, doc = saved
+        n_features = doc["payload"]["n_features"]
+        for tree, feature in ((0, n_features), (2, n_features + 5), (1, -1)):
+            bad = json.loads(json.dumps(doc))
+            bad["payload"]["trees"][tree]["feature"] = feature
+            self.check(path, bad, "out of range")
+
+    def test_node_that_is_not_an_object(self, saved):
+        path, doc = saved
+        doc["payload"]["trees"][0]["right"] = 5
+        self.check(path, doc, "malformed isolation_forest")
 
 
 def test_logistic_bit_exact(tmp_path, xy):

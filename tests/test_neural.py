@@ -280,6 +280,10 @@ class TestLstmAutoencoder:
         tensor = session_tensor(np.zeros((2, 3, 2)), [0, 0])
         with pytest.raises(DataError, match="lengths"):
             fit_lstm_autoencoder(tensor, hidden=4, latent=2, epochs=1, rng=RngStream(0, "l"))
+        model = init_lstm_autoencoder(2, 4, 2, RngStream(0, "l"))
+        for loss in (lstm_loss, lstm_loss_and_grads):
+            with pytest.raises(DataError, match="lengths"):
+                loss(model, tensor.data, tensor.lengths)
 
     def test_width_mismatch_on_scoring(self):
         model = init_lstm_autoencoder(2, 4, 2, RngStream(0, "l"))

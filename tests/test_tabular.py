@@ -8,14 +8,13 @@ import pytest
 
 from conftest import edge_dataset
 from threatbench.errors import DataError
-from threatbench.synthgen import GeneratorConfig, generate_network_flows
 from threatbench.tabular import (
     Dataset,
     RngStream,
     load_dataset,
+    nearest_rank,
     save_dataset,
     stratified_split,
-    summarize_columns,
 )
 
 SCHEMA = [("bytes", "numeric"), ("proto", "categorical"), ("flag", "binary"), ("y", "label")]
@@ -167,36 +166,14 @@ class TestDatasetInvariants:
             Dataset([("a", "numeric"), ("b", "numeric")], {"a": [1.0, 2.0], "b": [1.0]})
 
 
-class TestSummaries:
-    def test_constant_numeric_column(self):
-        ds = Dataset([("x", "numeric")], {"x": [4.0] * 9})
-        s = summarize_columns(ds)[0]
-        assert s.std == 0.0 and s.min == s.max == 4.0
-
-    def test_binary_counts(self):
-        ds = Dataset([("b", "binary")], {"b": [1] * 7 + [0] * 3})
-        s = summarize_columns(ds)[0]
-        assert s.counts == {1: 7, 0: 3}
-
+class TestNearestRank:
     def test_quantiles_nearest_rank_oracle(self, np_rng):
         for _ in range(20):
             vals = np_rng.normal(size=int(np_rng.integers(1, 50)))
-            ds = Dataset([("x", "numeric")], {"x": vals})
-            s = summarize_columns(ds)[0]
             sorted_vals = np.sort(vals)
-            for q, got in ((0.25, s.q25), (0.5, s.median), (0.75, s.q75)):
+            for q in (0.25, 0.5, 0.75):
                 k = max(1, int(np.ceil(q * len(vals))))
-                assert got == sorted_vals[k - 1]
-
-    def test_default_network_protocol_ordering(self):
-        ds = generate_network_flows(GeneratorConfig(n=4000, anomaly_rate=0.05, seed=42))
-        counts = {s.name: s.counts for s in summarize_columns(ds)}["protocol"]
-        assert counts["TCP"] > counts["UDP"] > counts["ICMP"]
-
-    def test_empty_dataset_rejected(self):
-        ds = Dataset([("x", "numeric")], {"x": []})
-        with pytest.raises(DataError):
-            summarize_columns(ds)
+                assert nearest_rank(sorted_vals, q) == sorted_vals[k - 1]
 
 
 class TestStratifiedSplit:
