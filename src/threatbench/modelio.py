@@ -95,7 +95,7 @@ KINDS = {
     "random_forest": (RandomForestModel, {"n_features": _INT, "config": _config(ForestConfig), "trees": _TREES}),
     "gradient_boosting": (GradientBoostingModel, {
         "base_score": _FLOAT,
-        "best_iteration": _INT,
+        "best_iteration": (_same, _same),  # checked by load_model
         "n_features": _INT,
         "config": _config(BoostConfig),
         "val_losses": _LIST,
@@ -160,4 +160,10 @@ def load_model(path):
         raise DataError(f"malformed {doc['kind']} document {path}: {type(exc).__name__} {exc}") from exc
     if isinstance(model, TreeEnsemble):
         _check_trees(model)
+    if isinstance(model, GradientBoostingModel):
+        # Prediction walks trees[:best_iteration]: any other value would drop
+        # trees from the end, or rebuild the node table on every walk.
+        best = model.best_iteration
+        if type(best) is not int or not 0 <= best <= len(model.trees):
+            raise DataError(f"best_iteration must be an int in [0, {len(model.trees)}], got {best!r} in {path}")
     return model, threshold

@@ -369,8 +369,10 @@ _SCAN_CHUNK = 128
 
 
 def _scan_blocks(lengths) -> list:
-    """Row blocks for `_masked_sq_errors`: full blocks of `_SCAN_CHUNK` rows in
-    length order, then the last B % _SCAN_CHUNK rows in place.
+    """Row blocks for `_sq_error_blocks`, the one scan behind `lstm_loss` and
+    `score_sessions`: full blocks of `_SCAN_CHUNK` rows in length order, then
+    the last B % _SCAN_CHUNK rows in place. A block is also the unit of memory:
+    scoring reduces each block's errors to per-session sums before the next.
 
     A BLAS product may compute its last M mod 2^k rows through another kernel
     path than the rows before them. Keeping the tail of the whole set as the
@@ -389,24 +391,49 @@ def _scan_blocks(lengths) -> list:
     return blocks
 
 
-def _masked_sq_errors(model: LstmAutoencoder, data, lengths) -> np.ndarray:
-    """(recon - data)**2 * mask, shape (B, T, d), with no caches kept.
+def _sq_error_blocks(model: LstmAutoencoder, data, lengths):
+    """Yields (rows, err) per `_scan_blocks` block, err being the rows'
+    (recon - data)**2 * mask in a zero-padded (len(rows), T, d) array, with no
+    caches kept.
 
     Rows of the recurrence are independent, so `_lstm_forward` runs once per
-    block of about `_SCAN_CHUNK` rows (see `_scan_blocks`), each stopping after
-    its longest session. Every real step gets the value a whole-batch forward
-    gives it; padded steps are 0.
+    block, each stopping after its longest session. Every real step gets the
+    value a whole-batch forward gives it; padded steps are 0. Only one block's
+    errors are alive at a time.
     """
-    B, T, d = data.shape
-    err = np.zeros_like(data)
+    T, d = data.shape[1:]
     for rows in _scan_blocks(lengths):
         mk = _step_mask(lengths[rows], T)
         steps = mk.shape[1]
-        e = np.empty((len(rows), steps, d))
+        err = np.zeros((len(rows), T, d))
         states = _LstmState(len(rows), model.hidden), _LstmState(len(rows), model.hidden)
+        e = err[:, :steps]
         _lstm_forward(model.params, data[rows, :steps], mk, *states, e)
-        err[rows, :steps] = np.square(e, out=e)
-    return err
+        np.square(e, out=e)
+        yield rows, err
+
+
+def _masked_sq_errors(model: LstmAutoencoder, data, lengths) -> np.ndarray:
+    """The blocks of `_sq_error_blocks` stacked into one (B, T, d) array."""
+    out = np.empty_like(data)
+    for rows, err in _sq_error_blocks(model, data, lengths):
+        out[rows] = err
+    return out
+
+
+def _session_arrays(data, lengths):
+    """`data` as a float64 (B, T, d) array and `lengths` as an int64 vector,
+    after checking that `lengths` holds one integer in [0, T] per session."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 3:
+        raise DataError(f"session tensor must be 3-D, got shape {data.shape}")
+    B, T = data.shape[:2]
+    lengths = np.asarray(lengths)
+    if lengths.shape != (B,) or lengths.dtype.kind not in "iu":
+        raise DataError(f"session lengths must be {B} integers, got {lengths.dtype} of shape {lengths.shape}")
+    if B and not (lengths.min() >= 0 and lengths.max() <= T):
+        raise DataError(f"session lengths must lie in [0, {T}], got [{lengths.min()}, {lengths.max()}]")
+    return data, lengths.astype(np.int64, copy=False)
 
 
 def _real_entries(mask, d: int) -> float:
@@ -419,8 +446,7 @@ def _real_entries(mask, d: int) -> float:
 
 def lstm_loss(model: LstmAutoencoder, data, lengths) -> float:
     """Masked mean squared error over every real (step, feature) entry."""
-    data = np.asarray(data, dtype=np.float64)
-    lengths = np.asarray(lengths, dtype=np.int64)
+    data, lengths = _session_arrays(data, lengths)
     denom = _real_entries(_step_mask(lengths, data.shape[1]), data.shape[2])
     return float(_masked_sq_errors(model, data, lengths).sum() / denom)
 
@@ -428,8 +454,7 @@ def lstm_loss(model: LstmAutoencoder, data, lengths) -> float:
 def lstm_loss_and_grads(model: LstmAutoencoder, data, lengths):
     """`lstm_loss` with exact gradients. The forward stops at the longest
     session: past it every gradient term is an exact zero."""
-    data = np.asarray(data, dtype=np.float64)
-    lengths = np.asarray(lengths, dtype=np.int64)
+    data, lengths = _session_arrays(data, lengths)
     B, T, d = data.shape
     H = model.hidden
     p = model.params
@@ -476,10 +501,9 @@ def fit_lstm_autoencoder(
     A mini-batch whose sessions all have length 0 is skipped.
     """
     rng = rng or RngStream(0, "lstm-ae")
-    data = np.asarray(sessions.data, dtype=np.float64)
-    lengths = np.asarray(sessions.lengths, dtype=np.int64)
-    if data.ndim != 3 or data.shape[0] == 0:
-        raise DataError("session tensor must be non-empty and 3-D")
+    data, lengths = _session_arrays(sessions.data, sessions.lengths)
+    if data.shape[0] == 0:
+        raise DataError("session tensor must be non-empty")
     has_steps = lengths > 0
     if not has_steps.any():
         raise DataError("all session lengths are zero")
@@ -495,11 +519,16 @@ def fit_lstm_autoencoder(
 
 
 def score_sessions(model: LstmAutoencoder, sessions: SessionTensor) -> np.ndarray:
-    """Per-session masked mean squared reconstruction error."""
-    data = np.asarray(sessions.data, dtype=np.float64)
-    lengths = np.asarray(sessions.lengths, dtype=np.int64)
-    if data.ndim != 3 or data.shape[2] != model.input_dim:
+    """Per-session masked mean squared reconstruction error.
+
+    The scan keeps one block's errors at a time and only each session's sum
+    of them, so scoring never holds a second array the size of the tensor.
+    """
+    data, lengths = _session_arrays(sessions.data, sessions.lengths)
+    if data.shape[2] != model.input_dim:
         raise DataError(f"session features do not match model width {model.input_dim}")
-    sq = _masked_sq_errors(model, data, lengths).sum(axis=(1, 2))
+    sq = np.empty(len(lengths))
+    for rows, err in _sq_error_blocks(model, data, lengths):
+        sq[rows] = err.sum(axis=(1, 2))
     denom = np.maximum(lengths, 1) * data.shape[2]
     return sq / denom

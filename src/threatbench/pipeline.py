@@ -423,26 +423,37 @@ def _prepare_tabular(spec, dataset, pp, rng, rec, audit):
 
 
 def _prepare_sessions(spec, events, pp, rng, rec, audit):
-    """Session-level split -> encode/scale on train-session events ->
-    sessionize. Returns the same triple as `_prepare_tabular`."""
+    """Session-level split -> encode/scale on train-session events -> one
+    `sessionize` per partition. Returns the same triple as `_prepare_tabular`.
+
+    Sessions are numbered in sorted (user, day) order, as sessionize numbers
+    them, and the split keeps that order, so each partition's tensor is the
+    whole set's tensor at that partition's session indices. The whole set is
+    never sessionized, and each event copy is dropped once used.
+    """
     with rec.stage("session_split"):
-        # Sessions are numbered in sorted (user, day) order, as sessionize numbers them.
         keys = np.column_stack([events.column("user_id"), events.column("day")]).astype(np.float64)
         session_keys, event_session = np.unique(keys, axis=0, return_inverse=True)
+        del keys
         event_session = event_session.ravel()
         session_labels = np.zeros(len(session_keys), dtype=np.int64)
         np.maximum.at(session_labels, event_session, np.asarray(events.column(spec.label), dtype=np.int64))
-        train_sessions, test_sessions = stratified_indices(session_labels, pp["test_fraction"], rng.child("split"))
-        train_events = events.select_rows(np.flatnonzero(np.isin(event_session, train_sessions)))
+        train_sessions, _ = stratified_indices(session_labels, pp["test_fraction"], rng.child("split"))
+        in_train = np.isin(event_session, train_sessions)
+        train_events = events.select_rows(np.flatnonzero(in_train))
+        test_events = events.select_rows(np.flatnonzero(~in_train))
+        del event_session, in_train
         if audit:
-            audit.mark_test(events.row_ids[np.isin(event_session, test_sessions)])
+            audit.mark_test(test_events.row_ids)
 
-    (events_s,) = _encode(spec, train_events, [events], rec, audit, exclude=("user_id", "day"))
+    encoded = _encode(spec, train_events, [train_events, test_events], rec, audit, exclude=("user_id", "day"))
+    del train_events, test_events
     with rec.stage("sessionize"):
-        tensor = sessionize(events_s, pp["time_steps"], label_column=spec.label)
-        parts = {"train": _Sessions(tensor.select(train_sessions)), "test": _Sessions(tensor.select(test_sessions))}
+        parts = {name: _Sessions(sessionize(encoded.pop(0), pp["time_steps"], label_column=spec.label))
+                 for name in ("train", "test")}
     counts = {str(c): int((session_labels == c).sum()) for c in (0, 1)}
-    return tensor.feature_names, parts, {"n_sessions": int(tensor.n_sessions), "session_label_counts": counts}
+    extra = {"n_sessions": len(session_labels), "session_label_counts": counts}
+    return parts["train"].X.feature_names, parts, extra
 
 
 # The fits and scorers below reach every kernel through this module's globals
@@ -563,7 +574,13 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
         dataset = GENERATORS[config.domain](GeneratorConfig(**generator, seed=config.seed))
     prepare = _prepare_sessions if spec.sessions else _prepare_tabular
     features, parts, dataset_extra = prepare(spec, dataset, pp, rng, rec, audit)
-    parts["clean"] = parts["train"].select(np.flatnonzero(parts["train"].y == 0))
+    # A partition no model trains on is freed before the first fit (ueba's
+    # train tensor, malware's whole train matrix); "test" is kept to evaluate.
+    read = {name for m in spec.models for name in m.rows}
+    if "clean" in read:
+        parts["clean"] = parts["train"].select(np.flatnonzero(parts["train"].y == 0))
+    for name in set(parts) - read - {"test"}:
+        del parts[name]
 
     fitted, calibrators, thresholds = {}, {}, {}
     for m in spec.models:

@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,18 @@ def finite_difference_check(loss_fn, params, grads, eps=1e-5, floor=1e-6):
             worst = max(worst, relative_deviation(float(grad[ix]), numeric, floor))
             it.iternext()
     return worst
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes `tracemalloc` traces during one call of `fn`, after a
+    first untraced call, which keeps lazy imports and caches out of the trace."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def segment_offsets(rows, X, slack=1e-12):

@@ -114,6 +114,30 @@ class TestMalformedTreeDocuments:
         doc["payload"]["trees"][0]["right"] = 5
         self.check(path, doc, "malformed isolation_forest")
 
+    @pytest.fixture
+    def boosted(self, tmp_path, xy):
+        X, y = xy
+        model = fit_gradient_boosting(X, y, BoostConfig(n_rounds=5, subsample=1.0), validation=(X, y), rng=RngStream(2, "gb"))
+        assert len(model.trees) == 5
+        path = tmp_path / "gb.json"
+        save_model(model, path)
+        return path, json.loads(path.read_text())
+
+    # past the last tree (rebuilt node table on every walk); negative (drops
+    # trees from the end); and values that are not JSON ints
+    @pytest.mark.parametrize("best", [99, 6, -2, -1, 2.5, "3", True, None])
+    def test_best_iteration_outside_the_trees(self, boosted, best):
+        path, doc = boosted
+        doc["payload"]["best_iteration"] = best
+        self.check(path, doc, "best_iteration must be an int in \\[0, 5\\], got")
+
+    @pytest.mark.parametrize("best", [0, 5])
+    def test_best_iteration_at_the_ends_loads(self, boosted, best):
+        path, doc = boosted
+        doc["payload"]["best_iteration"] = best
+        path.write_text(json.dumps(doc))
+        assert load_model(path)[0].best_iteration == best
+
 
 def test_logistic_bit_exact(tmp_path, xy):
     X, y = xy

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import finite_difference_check
+from conftest import finite_difference_check, traced_peak
 from threatbench.errors import DataError, NumericError
 from threatbench.neural import (
     Adam,
@@ -290,6 +290,32 @@ class TestLstmAutoencoder:
         with pytest.raises(DataError, match="width|features"):
             score_sessions(model, session_tensor(np.zeros((2, 3, 5)), [3, 3]))
 
+    # Unchecked, a length past T divides a T-step error sum by more steps
+    # than exist, a negative length scores 0.0, and a wrong count fails in
+    # numpy broadcasting.
+    @pytest.mark.parametrize("lengths", [
+        [5, 9, 2, 3],  # longer than T
+        [5, -2, 2, 3],  # negative
+        [5, 2, 3],  # one length short
+        [5, 2, 3, 4, 1],  # one length too many
+        [5.0, 2.0, 2.0, 3.0],  # not integers
+        [[5, 2, 2, 3]],  # not a vector
+    ])
+    @pytest.mark.parametrize("call", ["fit", "loss", "loss_and_grads", "score"])
+    def test_lengths_must_be_one_integer_in_0_to_T_per_session(self, np_rng, lengths, call):
+        data = np_rng.normal(size=(4, 5, 3))
+        tensor = SessionTensor(data=data, lengths=np.asarray(lengths), labels=np.zeros(4, dtype=np.int64),
+                               feature_names=["a", "b", "c"])
+        model = init_lstm_autoencoder(3, 4, 2, RngStream(0, "l"))
+        calls = {
+            "fit": lambda: fit_lstm_autoencoder(tensor, hidden=4, latent=2, epochs=1, rng=RngStream(0, "l")),
+            "loss": lambda: lstm_loss(model, data, tensor.lengths),
+            "loss_and_grads": lambda: lstm_loss_and_grads(model, data, tensor.lengths),
+            "score": lambda: score_sessions(model, tensor),
+        }
+        with pytest.raises(DataError, match="session lengths must"):
+            calls[call]()
+
 
 class TestBufferedScan:
     """The cache-free block scan that `lstm_loss` and `score_sessions` run must
@@ -313,6 +339,14 @@ class TestBufferedScan:
             assert lstm_loss(model, data, lengths) == float(expected.sum() / (float(mask.sum()) * d))
         scores = score_sessions(model, session_tensor(data, lengths))
         assert np.array_equal(scores, expected.sum(axis=(1, 2)) / (np.maximum(lengths, 1) * d))
+
+    def test_scoring_never_holds_an_error_array_the_size_of_the_tensor(self, np_rng):
+        B, T, d = 2000, 20, 5
+        data = np_rng.normal(size=(B, T, d))
+        lengths = np_rng.integers(1, T + 1, size=B)
+        tensor = session_tensor(data * (np.arange(T)[None, :, None] < lengths[:, None, None]), lengths)
+        model = init_lstm_autoencoder(d, 4, 2, RngStream(3, "scan"))
+        assert traced_peak(lambda: score_sessions(model, tensor)) < tensor.data.nbytes
 
     def test_padding_values_cannot_reach_the_scan(self, np_rng):
         data = np_rng.normal(size=(9, 5, 2))

@@ -9,6 +9,7 @@ from threatbench.errors import ConfigError, DataError
 from threatbench.evalx import permutation_importance
 from threatbench.forest import _RememberedWalk
 from threatbench.modelio import save_model
+from threatbench.neural import fit_lstm_autoencoder
 from threatbench.pipeline import (
     LeakageAudit,
     PipelineConfig,
@@ -19,6 +20,7 @@ from threatbench.pipeline import (
     report_to_json,
     run_domain,
 )
+from threatbench.preprocess import sessionize
 from threatbench.synthgen import GENERATOR_PARAMS, MIXES, PARAM_RANGES
 
 # Small, fast configs used by every structural test in this module.
@@ -172,6 +174,45 @@ def test_no_remembered_walk_outlives_its_importance_call(domain, scorers, monkey
     monkeypatch.setattr(pipeline, "save_model", save)
     run_domain(small_config(domain), out_dir=str(tmp_path))
     assert len(refs) == scorers
+
+
+def test_ueba_sessionizes_each_partition_on_its_own(monkeypatch):
+    """Each `sessionize` call sees the events of train sessions only or of test
+    sessions only; together the calls see every event once."""
+    seen = []
+
+    def spy(events, *args, **kwargs):
+        seen.append(events.row_ids.tolist())
+        return sessionize(events, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sessionize", spy)
+    audit = LeakageAudit()
+    run_domain(small_config("ueba"), audit=audit)
+    assert [bool(audit.test_rows.intersection(ids)) for ids in seen] == [False, True]
+    assert audit.test_rows.issuperset(seen[1])
+    ids = seen[0] + seen[1]
+    assert sorted(ids) == list(range(len(ids)))
+
+
+def test_ueba_train_tensor_is_gone_before_the_lstm_fit(monkeypatch):
+    """The LSTM trains on the clean partition; the train partition's tensor,
+    which only the clean one is carved from, is freed before the fit starts."""
+    refs = []
+
+    def prepare(*args, **kwargs):
+        features, parts, extra = prepare_sessions(*args, **kwargs)
+        refs.append(weakref.ref(parts["train"].X))
+        return features, parts, extra
+
+    def fit(*args, **kwargs):
+        assert refs[0]() is None
+        return fit_lstm_autoencoder(*args, **kwargs)
+
+    prepare_sessions = pipeline._prepare_sessions
+    monkeypatch.setattr(pipeline, "_prepare_sessions", prepare)
+    monkeypatch.setattr(pipeline, "fit_lstm_autoencoder", fit)
+    run_domain(small_config("ueba"))
+    assert len(refs) == 1
 
 
 class TestLeakage:

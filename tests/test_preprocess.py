@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import segment_offsets
+from conftest import segment_offsets, traced_peak
 from threatbench import preprocess
 from threatbench.errors import DataError
 from threatbench.preprocess import (
@@ -372,13 +370,8 @@ def test_generate_and_sessionize_memory_is_bounded():
         events = generate_user_activity(config)
         return events, sessionize(events, 50)
 
-    run(1, 1)  # lazy imports and caches stay out of the trace
-    tracemalloc.start()
-    try:
-        events, tensor = run(20, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: run(20, 10))
+    events, tensor = run(20, 10)
     arrays = [events.column(name) for name, kind in events.columns if kind != "categorical"]
     arrays += [tensor.data, tensor.lengths, tensor.labels]
     assert peak <= 3 * sum(a.nbytes for a in arrays)
