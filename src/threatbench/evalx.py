@@ -164,7 +164,8 @@ _METRICS = {
 }
 
 
-def permutation_importance(predict_fn, X, y, metric: str = "auc", repeats: int = 5, rng: RngStream | None = None, feature_names=None) -> AttributionReport:
+def permutation_importance(predict_fn, X, y, metric: str = "auc", repeats: int = 5, rng: RngStream | None = None,
+                           feature_names=None, baseline_scores=None) -> AttributionReport:
     """Metric drop when one feature column is permuted, averaged over repeats.
 
     `predict_fn` maps X to positive-class scores. X may be 2-D (rows x
@@ -174,6 +175,7 @@ def permutation_importance(predict_fn, X, y, metric: str = "auc", repeats: int =
     `predict_fn` gets a matrix that differs from X in at most one feature, so
     a tree model's `scorer(X)` (forest._RememberedWalk) serves as `predict_fn`
     and re-walks only the (tree, row) pairs that feature can move.
+    `baseline_scores`, if given, must be `predict_fn(X)`; it spares that scan.
     """
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")
@@ -185,7 +187,9 @@ def permutation_importance(predict_fn, X, y, metric: str = "auc", repeats: int =
     d = X.shape[-1]
     names = list(feature_names) if feature_names is not None else [f"f{j}" for j in range(d)]
     score = _METRICS[metric]
-    baseline = score(y, np.asarray(predict_fn(X), dtype=np.float64))
+    if baseline_scores is None:
+        baseline_scores = predict_fn(X)
+    baseline = score(y, np.asarray(baseline_scores, dtype=np.float64))
 
     drops = np.zeros((repeats, d))
     Xp = X.copy()  # one working copy; each feature's column is restored after scoring

@@ -384,11 +384,16 @@ def _encode(spec, train: Dataset, targets, rec, audit, exclude=()):
     return targets
 
 
-def _prepare_tabular(spec, dataset, pp, rng, rec, audit):
+def _prepare_tabular(spec, held, pp, rng, rec, audit):
     """Split -> downsample train -> encode/scale on train -> carve validation
-    -> SMOTE on the fit rows. Returns (features, partitions, dataset extras)."""
+    -> SMOTE on the fit rows. Returns (features, partitions, dataset extras).
+
+    `held` is a one-item list holding the generated table; it is popped, so
+    the table is freed once split."""
+    dataset = held.pop()
     with rec.stage("split"):
         train, test = stratified_split(dataset, spec.label, pp["test_fraction"], rng.child("split"))
+        del dataset
         if audit:
             audit.mark_test(test.row_ids)
     if spec.resample == "downsample":
@@ -422,15 +427,18 @@ def _prepare_tabular(spec, dataset, pp, rng, rec, audit):
     return features, parts, {}
 
 
-def _prepare_sessions(spec, events, pp, rng, rec, audit):
+def _prepare_sessions(spec, held, pp, rng, rec, audit):
     """Session-level split -> encode/scale on train-session events -> one
-    `sessionize` per partition. Returns the same triple as `_prepare_tabular`.
+    `sessionize` per partition. Takes `held` and returns the same triple as
+    `_prepare_tabular`.
 
     Sessions are numbered in sorted (user, day) order, as sessionize numbers
     them, and the split keeps that order, so each partition's tensor is the
     whole set's tensor at that partition's session indices. The whole set is
-    never sessionized, and each event copy is dropped once used.
+    never sessionized, and the event log and each event copy are dropped once
+    used.
     """
+    events = held.pop()
     with rec.stage("session_split"):
         keys = np.column_stack([events.column("user_id"), events.column("day")]).astype(np.float64)
         session_keys, event_session = np.unique(keys, axis=0, return_inverse=True)
@@ -442,7 +450,7 @@ def _prepare_sessions(spec, events, pp, rng, rec, audit):
         in_train = np.isin(event_session, train_sessions)
         train_events = events.select_rows(np.flatnonzero(in_train))
         test_events = events.select_rows(np.flatnonzero(~in_train))
-        del event_session, in_train
+        del events, event_session, in_train
         if audit:
             audit.mark_test(test_events.row_ids)
 
@@ -563,17 +571,27 @@ DOMAIN_SPECS = {
 
 
 def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None = None) -> RunReport:
-    """Run one domain as its DOMAIN_SPECS entry says: prepare partitions, fit
+    """Run one domain as its DOMAIN_SPECS entry says: generate the table and,
+    given out_dir, write it to `data/` before any fit; prepare partitions, fit
     each model on its rows, calibrate on training rows only, then score,
-    explain and, given out_dir, save the artifacts."""
+    explain and, given out_dir, save the models.
+
+    What the report needs of the generated table (its dataset block and
+    histograms) is taken right after `generate`, and the table is handed to
+    the domain's `_prepare_*` function, which frees it once it is split. A run
+    that fails in a later stage thus leaves `data/` but no models or report."""
     generator, pp, mc = config.validate()
     spec = DOMAIN_SPECS[config.domain]
     rec = _StageRecorder()
     rng = RngStream(config.seed, f"pipeline/{config.domain}")
     with rec.stage("generate"):
         dataset = GENERATORS[config.domain](GeneratorConfig(**generator, seed=config.seed))
+    paths = write_dataset(dataset, config.domain, os.path.join(out_dir, "data")) if out_dir else {}
+    described, histograms = _dataset_block(dataset), _histograms(dataset)
+    held = [dataset]  # `prepare` pops the table and drops it once it is split
+    del dataset
     prepare = _prepare_sessions if spec.sessions else _prepare_tabular
-    features, parts, dataset_extra = prepare(spec, dataset, pp, rng, rec, audit)
+    features, parts, dataset_extra = prepare(spec, held, pp, rng, rec, audit)
     # A partition no model trains on is freed before the first fit (ueba's
     # train tensor, malware's whole train matrix); "test" is kept to evaluate.
     read = {name for m in spec.models for name in m.rows}
@@ -621,15 +639,16 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
                 predicted = (scores >= 0.5).astype(int)
             models[m.name] = classification_report(test.y, predicted, scores=scores, positive_label=spec.threat).to_dict()
             X, score = test.importance_inputs(score)
+            # Uncalibrated `scores` came from `score`: the importance baseline.
             importance = permutation_importance(
-                score, X, test.y, "auc", mc["importance_repeats"], rng.child(f"imp/{m.tag}"), features
+                score, X, test.y, "auc", mc["importance_repeats"], rng.child(f"imp/{m.tag}"), features,
+                baseline_scores=None if m.name in calibrators else scores,
             )
             del score
             importances[m.name] = [[name, value] for name, value in importance.top(10)]
 
     artifacts = {}
     if out_dir:
-        paths = write_dataset(dataset, config.domain, os.path.join(out_dir, "data"))
         os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
         saved = {m.name: (fitted[m.name], thresholds.get(m.name)) for m in spec.models}
         for calibrator in calibrators.values():
@@ -642,13 +661,13 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
         domain=config.domain,
         config=config.to_dict(),
         toolkit_version=__version__,
-        dataset={**_dataset_block(dataset), **dataset_extra},
+        dataset={**described, **dataset_extra},
         stages=rec.stages,
         models=models,
         thresholds={name: asdict(t) for name, t in thresholds.items()},
         importances=importances,
         flags=flags,
-        histograms=_histograms(dataset),
+        histograms=histograms,
         artifacts=artifacts,
     )
 

@@ -444,6 +444,12 @@ def generate_email_corpus(config: GeneratorConfig) -> Dataset:
 # -- user activity ----------------------------------------------------------------
 
 
+def _event_capacity(users: int, days: int, events_per_day_mean: float) -> int:
+    """The expected event count of users x days blocks of max(1, Poisson(mean))
+    events, capped at 2**24: the size the event columns start at."""
+    return min(int(users * days * (events_per_day_mean + math.exp(-events_per_day_mean))), 1 << 24)
+
+
 def generate_user_activity(config: GeneratorConfig) -> Dataset:
     """Per-user event log over a fixed horizon with baseline-violating anomalies.
 
@@ -452,9 +458,13 @@ def generate_user_activity(config: GeneratorConfig) -> Dataset:
     in three patterns (off-hour access, failed-login spikes >= 5, sensitive-file
     touches) until exactly round(total * rate) events carry
     label 1. Rows are ordered by (user_id, day, hour, tiebreak counter).
-    Events are drawn one user-day block at a time and held as whole columns;
-    activities are codes into one name table that also holds the names the
-    injections write.
+
+    Events are drawn one user-day block at a time, each block's draws written
+    straight into six preallocated event columns (sized by `_event_capacity`,
+    grown by a quarter when a block overflows them); activities are codes into
+    one name table that also holds the names the injections write. The emitted
+    columns are then built one at a time, each event column dropped once its
+    emitted column is built, so the peak stays near the returned table's size.
     """
     config.validate(GENERATOR_MIN_N["ueba"])
     p = config.params(UEBA_DEFAULTS)
@@ -475,28 +485,39 @@ def generate_user_activity(config: GeneratorConfig) -> Dataset:
     activity_mix = _probabilities(p["activity_mix"])
 
     re = rng.child("events")
-    blocks = []  # (hour, activity, failed, commands, sensitive, admin) per user-day, user-major
+    # Hours lie in [0, 23] and codes below len(names); counts keep the draws' int64.
+    dtypes = (np.int8, np.min_scalar_type(len(names) - 1), np.int64, np.int64, bool, bool)
+    cap = _event_capacity(users, days, p["events_per_day_mean"])
+    hour, act, failed, cmds, sens, admin = (np.empty(cap, dtype) for dtype in dtypes)
+    sizes = np.empty(users * days, dtype=np.int64)  # events per user-day, user-major
+    n = 0
     for u in range(users):
         lo, hi = int(work_start[u]), int(work_start[u] + work_len[u] - 1)
         center, spread = (lo + hi) / 2.0, max(1.0, (hi - lo) / 3.0)
-        for _ in range(days):
+        for d in range(days):
             m = max(1, int(re.poisson(p["events_per_day_mean"])))
-            hours = np.clip(np.round(re.normal(center, spread, size=m)), lo, hi).astype(np.int64)
-            acts = re.choice(n_types, size=m, p=activity_mix)
-            failed = re.poisson(0.1, size=m)
-            cmds = np.where(is_command[acts], re.poisson(cmd_rate[u], size=m), re.poisson(1.0, size=m))
-            sens = is_file[acts] & (re.random(m) < p["sensitive_file_rate"])
-            admin = np.where(is_privilege[acts], re.random(m) < 0.5, re.random(m) < p["admin_action_rate"])
-            blocks.append((hours, acts, failed, cmds, sens, admin))
-    sizes = np.array([len(b[0]) for b in blocks])
+            if n + m > len(hour):
+                cap = max(n + m, len(hour) + len(hour) // 4)
+                hour, act, failed, cmds, sens, admin = (
+                    np.concatenate([c[:n], np.empty(cap - n, c.dtype)]) for c in (hour, act, failed, cmds, sens, admin)
+                )
+            s = slice(n, n + m)
+            hour[s] = np.clip(np.round(re.normal(center, spread, size=m)), lo, hi)
+            act[s] = re.choice(n_types, size=m, p=activity_mix)
+            acts = act[s]
+            failed[s] = re.poisson(0.1, size=m)
+            cmds[s] = np.where(is_command[acts], re.poisson(cmd_rate[u], size=m), re.poisson(1.0, size=m))
+            sens[s] = is_file[acts] & (re.random(m) < p["sensitive_file_rate"])
+            admin[s] = np.where(is_privilege[acts], re.random(m) < 0.5, re.random(m) < p["admin_action_rate"])
+            sizes[u * days + d] = m
+            n += m
+    hour, act, failed, cmds, sens, admin = (c[:n] for c in (hour, act, failed, cmds, sens, admin))
     starts = np.cumsum(sizes) - sizes
-    hour, act, failed, cmds, sens, admin = (np.concatenate(col) for col in zip(*blocks))
-    del blocks
 
-    target = _exact_positive_count(len(hour), config.anomaly_rate)
+    target = _exact_positive_count(n, config.anomaly_rate)
     ri = rng.child("inject")
     order = ri.permutation(len(sizes))
-    tag = np.zeros(len(hour), dtype=np.int8)  # 1 + pattern index on injected events
+    tag = np.zeros(n, dtype=np.int8)  # 1 + pattern index on injected events
 
     def candidates():
         # A share of each block in `order`, drawn only once the previous
@@ -524,22 +545,21 @@ def generate_user_activity(config: GeneratorConfig) -> Dataset:
 
     # Emit ordered by (user, day, hour, original position): a stable sort
     # that only moves events within their block.
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    emit = np.lexsort((hour, block))
-    day = (block % days + 1).astype(float)
+    block = np.arange(len(sizes))
+    emit = np.lexsort((hour, np.repeat(block, sizes)))
+    sources = {"hour": hour, "failed_login_attempts": failed, "command_count": cmds,
+               "accessed_sensitive_file": sens, "is_admin_action": admin}
+    del hour, failed, cmds, sens, admin
+    cols = {name: sources.pop(name)[emit].astype(np.float64 if kind == "numeric" else np.int64)
+            for name, kind in USER_EVENT_SCHEMA if name in sources}
     tag = tag[emit]
-    cols = {
-        "user_id": (block // days + 1).astype(float),
-        "day": day,
-        "hour": hour[emit].astype(float),
-        "weekday": (day - 1) % 7,
-        "activity_type": [names[c] for c in act[emit].tolist()],
-        "failed_login_attempts": failed[emit].astype(float),
-        "command_count": cmds[emit].astype(float),
-        "accessed_sensitive_file": sens[emit].astype(np.int64),
-        "is_admin_action": admin[emit].astype(np.int64),
-        "anomaly_label": (tag > 0).astype(np.int64),
-    }
+    cols["anomaly_label"] = (tag > 0).astype(np.int64)
+    # Dataset builds the name list from this iterator over the emitted codes.
+    cols["activity_type"] = map(names.__getitem__, act[emit])
+    del act, emit
+    cols["user_id"] = np.repeat((block // days + 1).astype(float), sizes)
+    cols["day"] = day = np.repeat((block % days + 1).astype(float), sizes)
+    cols["weekday"] = (day - 1) % 7
     patterns = ("off_hour", "failed_spike", "sensitive_file")
     injected = np.flatnonzero(tag)
     meta = {"injection_pattern": dict(zip(injected.tolist(), [patterns[t - 1] for t in tag[injected].tolist()]))}

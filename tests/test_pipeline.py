@@ -9,7 +9,7 @@ from threatbench.errors import ConfigError, DataError
 from threatbench.evalx import permutation_importance
 from threatbench.forest import _RememberedWalk
 from threatbench.modelio import save_model
-from threatbench.neural import fit_lstm_autoencoder
+from threatbench.neural import fit_lstm_autoencoder, score_sessions
 from threatbench.pipeline import (
     LeakageAudit,
     PipelineConfig,
@@ -213,6 +213,45 @@ def test_ueba_train_tensor_is_gone_before_the_lstm_fit(monkeypatch):
     monkeypatch.setattr(pipeline, "fit_lstm_autoencoder", fit)
     run_domain(small_config("ueba"))
     assert len(refs) == 1
+
+
+@pytest.mark.parametrize("domain, kernel", [("ueba", "sessionize"), ("malware", "fit_random_forest")])
+def test_generated_table_is_gone_once_split(domain, kernel, monkeypatch, tmp_path):
+    """`data/`, the dataset block and the histograms are taken from the
+    generated table before it is split; the table is freed by the time the
+    first partition is sessionized (ueba) or the first model fits (malware)."""
+    refs, freed = [], []
+
+    def generate(*args, **kwargs):
+        table = generators[domain](*args, **kwargs)
+        refs.append(weakref.ref(table))
+        return table
+
+    def spy(*args, **kwargs):
+        freed.append(refs[0]() is None)
+        return call(*args, **kwargs)
+
+    generators, call = dict(pipeline.GENERATORS), getattr(pipeline, kernel)
+    monkeypatch.setitem(pipeline.GENERATORS, domain, generate)
+    monkeypatch.setattr(pipeline, kernel, spy)
+    run_domain(small_config(domain), out_dir=str(tmp_path))
+    assert freed[0] is True and (tmp_path / "data" / f"{domain}.csv").exists()
+
+
+def test_ueba_scores_the_test_tensor_once_outside_importance(monkeypatch):
+    """`score_sessions` runs once on the clean partition (the threshold), once
+    on the test tensor, and once per permuted feature and repeat: the test
+    scores are the importance baseline, not a second scan."""
+    widths = []  # the feature width of each scored tensor
+
+    def spy(model, tensor):
+        widths.append(tensor.data.shape[-1])
+        return score_sessions(model, tensor)
+
+    monkeypatch.setattr(pipeline, "score_sessions", spy)
+    config = small_config("ueba")
+    run_domain(config)
+    assert len(widths) == 2 + config.models["importance_repeats"] * widths[0]
 
 
 class TestLeakage:

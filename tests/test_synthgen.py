@@ -1,10 +1,11 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import edge_dataset
+from conftest import edge_dataset, traced_peak
 from threatbench.errors import ConfigError
 from threatbench.linear import fit_logistic, predict_proba
 from threatbench.synthgen import (
@@ -12,6 +13,7 @@ from threatbench.synthgen import (
     UEBA_DEFAULTS,
     USER_EVENT_SCHEMA,
     GeneratorConfig,
+    _event_capacity,
     _exact_positive_count,
     generate_email_corpus,
     generate_malware_corpus,
@@ -394,6 +396,41 @@ class TestUserActivity:
         assert np.array_equal(got.row_ids, want.row_ids)
         hours = np.asarray(got.column("hour"))
         assert (hours[1:] == hours[:-1]).any()  # ties in hour keep their draw order
+
+    @pytest.mark.parametrize(
+        "config, grows, digests",
+        [
+            (GeneratorConfig(anomaly_rate=0.05, seed=42, overrides={"users": 3, "days": 4}), False,
+             ["9e30bb02ca75697a7d946350e772c881bdd494d2a99af47abea5af004906b91f",
+              "68645f13733a56156ea798c151a27e4f656d8aa51add5a5a0888f1b819e76cb8"]),
+            (GeneratorConfig(anomaly_rate=0.1, seed=3, overrides={"users": 5, "days": 7, "events_per_day_mean": 2.0}), True,
+             ["76ce933f788a6b08a55daebc59b9ba2ce07657bae8c378a94678aaddf16cfe9e",
+              "cda11520657e3465d13c911293fc47a83b625421a5a85645cd44e92e027275f2"]),
+        ],
+        ids=["fits", "grows"],
+    )
+    def test_saved_bytes_pinned(self, config, grows, digests, tmp_path):
+        """The sha256 of the saved CSV and JSONL, taken from the generator that
+        concatenated per-block arrays. The second config draws more events than
+        `_event_capacity` starts the event columns at, so they grow."""
+        ds = generate_user_activity(config)
+        p = config.params(UEBA_DEFAULTS)
+        assert (ds.n > _event_capacity(p["users"], p["days"], p["events_per_day_mean"])) == grows
+        save_dataset(ds, tmp_path / "ueba.csv")
+        save_events_jsonl(ds, tmp_path / "events.jsonl")
+        got = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("ueba.csv", "events.jsonl")]
+        assert got == digests
+
+    def test_peak_memory_near_the_returned_columns(self):
+        """The traced peak stays below 1.75x the bytes of the returned columns
+        (the activity names are shared strings, so that list counts its own
+        size). Holding every block's draws beside their concatenation read 2.0x."""
+        config = GeneratorConfig(anomaly_rate=0.02, seed=42, overrides={"users": 20, "days": 30})
+        ds = generate_user_activity(config)
+        columns = [ds.column(name) for name in ds.column_names]
+        size = sum(c.nbytes if isinstance(c, np.ndarray) else sys.getsizeof(c) for c in columns)
+        del ds, columns
+        assert traced_peak(lambda: generate_user_activity(config)) < 1.75 * size
 
     def test_injected_activity_names_are_not_truncated(self):
         p = {"users": 3, "days": 2, "activity_types": ["ab", "cd"], "activity_mix": [0.5, 0.5]}
