@@ -14,13 +14,13 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from importlib import resources
 
 from .errors import ConfigError, DataError, NumericError
 from .pipeline import (
     DOMAINS,
     PipelineConfig,
-    default_config,
     emit_report,
     generator_config,
     parse_report,
@@ -43,57 +43,43 @@ def _parse_override(text: str):
 
 
 def _apply_override(config_dict: dict, key: str, value) -> None:
+    """Set the dotted `key` in `config_dict`, creating each missing section on
+    its path; a path through a value that is not a section is a ConfigError."""
     parts = key.split(".")
-    if parts[0] not in config_dict:
-        raise ConfigError(f"unknown config field {parts[0]!r} in override {key!r}")
     target = config_dict
     for part in parts[:-1]:
-        nxt = target.get(part)
-        if not isinstance(nxt, dict):
+        target = target.setdefault(part, {})
+        if not isinstance(target, dict):
             raise ConfigError(f"override {key!r} does not address a config section at {part!r}")
-        target = nxt
     target[parts[-1]] = value
 
 
-def _layered(defaults: dict, given, section: str) -> dict:
-    """`given` laid over `defaults`, sections key by key, values as given."""
-    if not isinstance(given, dict):
-        raise ConfigError(f"config section {section!r} must be an object, got {given!r}")
-    return {**defaults, **{key: _layered(defaults[key], value, f"{section}.{key}")
-                           if isinstance(defaults.get(key), dict) else value for key, value in given.items()}}
+def _json_object(path, what: str) -> dict:
+    """The JSON object in the `what` file at `path`, else a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} file {path} must hold a JSON object, got {doc!r:.80}")
+    return doc
 
 
 def _build_config(args) -> PipelineConfig:
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object, got {loaded!r:.80}")
-        if "domain" in loaded and loaded["domain"] != args.domain:
-            raise ConfigError(
-                f"config file domain {loaded['domain']!r} conflicts with requested domain {args.domain!r}"
-            )
-        loaded["domain"] = args.domain
-        base = default_config(args.domain).to_dict()
-        for section in ("generator", "preprocess", "models"):
-            loaded[section] = _layered(base[section], loaded.get(section, {}), section)
-        loaded.setdefault("seed", base["seed"])
-        loaded.setdefault("threshold_percentile", base["threshold_percentile"])
-        config = PipelineConfig.from_dict(loaded)
-    else:
-        config = default_config(args.domain)
+    """The config the user gave: the config file, then --seed, then each
+    --override in turn. `PipelineConfig.validate` lays it over the defaults."""
+    given = _json_object(args.config, "config") if args.config else {}
+    if given.get("domain", args.domain) != args.domain:
+        raise ConfigError(f"config file domain {given['domain']!r} conflicts with requested domain {args.domain!r}")
+    given["domain"] = args.domain
     if args.seed is not None:
-        config.seed = args.seed
-    cd = config.to_dict()
+        given["seed"] = args.seed
     for item in args.override or []:
-        key, value = _parse_override(item)
-        _apply_override(cd, key, value)
-    config = PipelineConfig.from_dict(cd)
+        _apply_override(given, *_parse_override(item))
+    config = PipelineConfig.from_dict(given)
     config.validate()
     return config
 
@@ -118,21 +104,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _load_expectations(path):
-    if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"expectations file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"expectations file {path} is not valid JSON: {exc}") from exc
-    with resources.files("threatbench").joinpath("data").joinpath("expectations.json").open(
-        encoding="utf-8"
-    ) as fh:
-        return json.load(fh)
-
-
 _BAND_METRICS = {
     "min_accuracy": ("accuracy", lambda m: m["accuracy"]),
     "min_auc": ("ROC-AUC", lambda m: m["roc_auc"]),
@@ -140,6 +111,32 @@ _BAND_METRICS = {
     "min_threat_recall": ("threat-class recall", lambda m: m["per_class"]["1"]["recall"]),
     "min_macro_f1": ("macro-F1", lambda m: m["macro_f1"]),
 }
+
+
+def _load_expectations(path):
+    """The bands document at `path`, or the packaged one: an object mapping
+    each domain key to model -> `_BAND_METRICS` key -> number. Keys that name
+    no domain (its schema_version and description) are not read."""
+    path = path or resources.files("threatbench") / "data" / "expectations.json"
+    doc = _json_object(path, "expectations")
+    for domain in DOMAINS:
+        models = doc.get(domain, {})
+        if not isinstance(models, dict) or not all(isinstance(bands, dict) and all(
+                key in _BAND_METRICS and type(bound) in (int, float) for key, bound in bands.items())
+                for bands in models.values()):
+            raise ConfigError(f"expectations file {path} must map {domain!r} to model -> band -> number, "
+                              f"with bands from {sorted(_BAND_METRICS)}; got {models!r:.80}")
+    return doc
+
+
+@contextmanager
+def _reading(path):
+    """A report document at `path` that lacks a field the block reads, or
+    holds one of the wrong type, is a DataError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed report document {path}: {exc!r}") from exc
 
 
 def evaluate_report(report, expectations) -> list:
@@ -152,8 +149,6 @@ def evaluate_report(report, expectations) -> list:
             results.append((f"{report.domain}/{model_name}: model present", None, None, False))
             continue
         for band_key, bound in sorted(bands.items()):
-            if band_key not in _BAND_METRICS:
-                raise ConfigError(f"unknown expectation key {band_key!r}")
             label, getter = _BAND_METRICS[band_key]
             value = getter(metrics)
             passed = value is not None and value >= bound
@@ -164,7 +159,8 @@ def evaluate_report(report, expectations) -> list:
 def _cmd_evaluate(args) -> int:
     report = parse_report(args.report)
     expectations = _load_expectations(args.expectations)
-    results = evaluate_report(report, expectations)
+    with _reading(args.report):
+        results = evaluate_report(report, expectations)
     if not results:
         print(f"no expectations defined for domain {report.domain!r}")
         return 0
@@ -179,7 +175,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_report(args) -> int:
     report = parse_report(args.report)
-    summary = render_summary(report)
+    with _reading(args.report):
+        summary = render_summary(report)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "report.txt")

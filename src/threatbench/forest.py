@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .linear import sigmoid
-from .tabular import RngStream
+from .tabular import RngStream, check_finite
 
 
 class Tree(NamedTuple):
@@ -240,12 +240,6 @@ class TreeEnsemble:
         return _RememberedWalk(*self._walk_parts(), _check_width(X, self.n_features))
 
 
-def _check_finite(X: np.ndarray, name: str = "X") -> np.ndarray:
-    if not np.isfinite(X).all():
-        raise DataError(f"{name} contains NaN or infinite values; cannot fit on non-finite features")
-    return X
-
-
 def _check_width(X: np.ndarray, expected: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != expected:
@@ -358,7 +352,7 @@ def fit_random_forest(X, y, config: ForestConfig | None = None, rng: RngStream |
     """
     config = config or ForestConfig()
     rng = rng or RngStream(0, "forest")
-    X = _check_finite(np.asarray(X, dtype=np.float64))
+    X = check_finite(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
     if n < 2:
@@ -473,7 +467,7 @@ def fit_gradient_boosting(X, y, config: BoostConfig | None = None, validation=No
     """
     config = config or BoostConfig()
     rng = rng or RngStream(0, "boost")
-    X = _check_finite(np.asarray(X, dtype=np.float64))
+    X = check_finite(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
     if len(np.unique(y)) < 2:
@@ -481,7 +475,7 @@ def fit_gradient_boosting(X, y, config: BoostConfig | None = None, validation=No
     if validation is None:
         raise DataError("gradient boosting requires a validation split for early stopping")
     X_val, y_val = validation
-    X_val = _check_finite(np.asarray(X_val, dtype=np.float64), "X_val")
+    X_val = check_finite(np.asarray(X_val, dtype=np.float64), "X_val")
     y_val = np.asarray(y_val, dtype=np.float64)
     if X_val.shape[0] == 0:
         raise DataError("validation split is empty")
@@ -574,7 +568,7 @@ class IsolationForestModel(TreeEnsemble):
 def fit_isolation_forest(X, n_trees: int = 100, psi: int = 256, rng: RngStream | None = None) -> IsolationForestModel:
     """Random-split trees on psi-subsamples, height-limited to ceil(log2 psi)."""
     rng = rng or RngStream(0, "iforest")
-    X = _check_finite(np.asarray(X, dtype=np.float64))
+    X = check_finite(np.asarray(X, dtype=np.float64))
     n = X.shape[0]
     if psi < 2:
         raise DataError(f"psi must be >= 2, got {psi}")

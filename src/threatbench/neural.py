@@ -3,8 +3,9 @@
 Both train with mini-batch Adam on seeded batch orders, so (seed, data, config)
 fully determine the final weights. Analytic gradients are exact; the test suite
 holds them to central finite differences on every parameter. Padded session
-steps are masked out of the LSTM loss entirely, so values in the padding can
-never affect training or scores.
+steps are masked out of the LSTM loss entirely, so finite padding values can
+never affect training or scores; both fits reject input holding a NaN or an
+infinity anywhere, padding included, since 0 * NaN is NaN.
 
 Each autoencoder has one forward pass: `DenseAutoencoder.activations`, and for
 the LSTM one masked step (`_LstmState.step`) in one block forward
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .preprocess import SessionTensor
-from .tabular import RngStream, nearest_rank
+from .tabular import RngStream, check_finite, nearest_rank
 
 
 @dataclass
@@ -210,6 +211,7 @@ def fit_dense_autoencoder(
     X = np.asarray(X_clean, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DataError("training input must be a non-empty 2-D matrix")
+    check_finite(X)
     model = init_dense_autoencoder(layer_sizes, l1, rng)
     if model.input_dim != X.shape[1]:
         raise DataError(f"layer sizes start at {model.input_dim}, data has {X.shape[1]} features")
@@ -507,6 +509,7 @@ def fit_lstm_autoencoder(
     has_steps = lengths > 0
     if not has_steps.any():
         raise DataError("all session lengths are zero")
+    check_finite(data, "session tensor")
     model = init_lstm_autoencoder(data.shape[2], hidden, latent, rng)
 
     def batch(rows):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -55,7 +56,7 @@ from .preprocess import (
     sessionize,
     smote_oversample,
 )
-from .synthgen import GENERATOR_MIN_N, GENERATOR_PARAMS, GENERATORS, GeneratorConfig, save_events_jsonl
+from .synthgen import GENERATORS, GeneratorConfig, save_events_jsonl
 from .tabular import Dataset, RngStream, save_dataset, stratified_indices, stratified_split
 
 DOMAINS = ("intrusion", "malware", "phishing", "ueba")
@@ -134,28 +135,24 @@ class PipelineConfig:
     models: dict = field(default_factory=dict)
     threshold_percentile: float = 95.0
 
-    def validate(self) -> tuple[dict, dict, dict]:
-        """The typed (generator, preprocess, models) sections; raises
-        ConfigError on the first value out of type or range."""
-        defaults = default_config(self.domain)
-        _checked("seed", self.seed, defaults.seed)
-        _checked("threshold_percentile", self.threshold_percentile, defaults.threshold_percentile)
-        generator, pp, models = (_checked(s, getattr(self, s), getattr(defaults, s))
-                                 for s in ("generator", "preprocess", "models"))
-        gen = GeneratorConfig(**generator)
-        gen.validate(GENERATOR_MIN_N[self.domain])
-        gen.params(GENERATOR_PARAMS[self.domain])
-        layers = models["dense_ae"].get("layers")
+    def validate(self) -> dict:
+        """The whole config, checked and typed: each field laid over its
+        `default_config` value (see `_checked`). Raises ConfigError on the first
+        value out of type or range."""
+        defaults = default_config(self.domain).to_dict()
+        checked = {name: _checked(name, value, defaults[name]) for name, value in self.to_dict().items()}
+        GeneratorConfig(**checked["generator"]).params(self.domain)
+        layers = checked["models"]["dense_ae"].get("layers")
         if layers is not None and not (
             isinstance(layers, list) and len(layers) >= 3 and layers == layers[::-1]
             and all(synthgen.like(s, 1) and s >= 1 for s in layers)
         ):
             raise ConfigError(f"models.dense_ae.layers must be a symmetric list of at least 3 positive ints, got {layers!r}")
-        lstm = models["lstm_ae"]
+        lstm = checked["models"]["lstm_ae"]
         if not lstm["latent"] < lstm["hidden"]:
             raise ConfigError("models.lstm_ae.latent must be below models.lstm_ae.hidden, "
                               f"got latent {lstm['latent']!r} and hidden {lstm['hidden']!r}")
-        return generator, pp, models
+        return checked
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -208,7 +205,8 @@ def _checked(name: str, value, default):
 
 
 def generator_config(config: PipelineConfig) -> GeneratorConfig:
-    return GeneratorConfig(**config.validate()[0], seed=config.seed)
+    checked = config.validate()
+    return GeneratorConfig(**checked["generator"], seed=checked["seed"])
 
 
 class LeakageAudit:
@@ -287,12 +285,12 @@ def _histograms(dataset: Dataset, bins: int = 20) -> dict:
             arr = np.asarray(values, dtype=np.float64)
             counts, edges = np.histogram(arr, bins=bins)
             out[name] = {"kind": "numeric", "edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
+        elif isinstance(values, np.ndarray) and values.dtype.kind in "biu":
+            uniq, counts = np.unique(values, return_counts=True)
+            out[name] = {"kind": kind, "values": dict(sorted(zip(map(str, uniq.tolist()), counts.tolist())))}
         else:
-            counts = {}
-            for v in (values.tolist() if isinstance(values, np.ndarray) else values):
-                key = str(v)
-                counts[key] = counts.get(key, 0) + 1
-            out[name] = {"kind": kind, "values": {k: counts[k] for k in sorted(counts)}}
+            counts = Counter(map(str, values.tolist() if isinstance(values, np.ndarray) else values))
+            out[name] = {"kind": kind, "values": dict(sorted(counts.items()))}
     return out
 
 
@@ -580,13 +578,14 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
     histograms) is taken right after `generate`, and the table is handed to
     the domain's `_prepare_*` function, which frees it once it is split. A run
     that fails in a later stage thus leaves `data/` but no models or report."""
-    generator, pp, mc = config.validate()
-    spec = DOMAIN_SPECS[config.domain]
+    checked = config.validate()
+    domain, seed, pp, mc = checked["domain"], checked["seed"], checked["preprocess"], checked["models"]
+    spec = DOMAIN_SPECS[domain]
     rec = _StageRecorder()
-    rng = RngStream(config.seed, f"pipeline/{config.domain}")
+    rng = RngStream(seed, f"pipeline/{domain}")
     with rec.stage("generate"):
-        dataset = GENERATORS[config.domain](GeneratorConfig(**generator, seed=config.seed))
-    paths = write_dataset(dataset, config.domain, os.path.join(out_dir, "data")) if out_dir else {}
+        dataset = GENERATORS[domain](GeneratorConfig(**checked["generator"], seed=seed))
+    paths = write_dataset(dataset, domain, os.path.join(out_dir, "data")) if out_dir else {}
     described, histograms = _dataset_block(dataset), _histograms(dataset)
     held = [dataset]  # `prepare` pops the table and drops it once it is split
     del dataset
@@ -617,7 +616,7 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
         with rec.stage(stage):
             for m in by_percentile:
                 rows = parts[m.rows[0]]
-                thresholds[m.name] = calibrate_threshold(m.score(fitted[m.name], rows.X), config.threshold_percentile)
+                thresholds[m.name] = calibrate_threshold(m.score(fitted[m.name], rows.X), checked["threshold_percentile"])
                 _record(audit, stage, rows)
 
     test = parts["test"]
@@ -658,8 +657,8 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
             save_model(model, paths[name], threshold=threshold)
         artifacts = {name: os.path.relpath(path, out_dir) for name, path in paths.items()}
     return RunReport(
-        domain=config.domain,
-        config=config.to_dict(),
+        domain=domain,
+        config=checked,
         toolkit_version=__version__,
         dataset={**described, **dataset_extra},
         stages=rec.stages,

@@ -188,17 +188,18 @@ class GeneratorConfig:
     seed: int = 42
     overrides: dict = field(default_factory=dict)
 
-    def validate(self, min_n: int | None = 100) -> None:
+    def params(self, domain: str) -> dict:
+        """`domain`'s distribution parameters: `GENERATOR_PARAMS[domain]` with
+        the overrides laid over them, once `n` and `anomaly_rate` are checked
+        against `GENERATOR_MIN_N[domain]` and (0, 0.5). An override must name
+        a default, have its type (see `like`) and lie in its `PARAM_RANGES`
+        range, and a mix must weight each entry of its `MIXES` category list."""
+        min_n = GENERATOR_MIN_N[domain]
         if min_n is not None and self.n < min_n:
             raise ConfigError(f"generator.n must be >= {min_n}, got {self.n}")
         if not 0.0 < self.anomaly_rate < 0.5:
             raise ConfigError(f"generator.anomaly_rate must be in (0, 0.5), got {self.anomaly_rate}")
-
-    def params(self, defaults: dict) -> dict:
-        """`defaults` with the overrides laid over them; an override must name
-        a default, have its type (see `like`) and lie in its `PARAM_RANGES`
-        range, and a mix must weight each entry of its `MIXES` category list."""
-        merged = dict(defaults)
+        merged = dict(GENERATOR_PARAMS[domain])
         for key, value in self.overrides.items():
             if key not in merged:
                 raise ConfigError(f"unknown config key generator.overrides.{key}")
@@ -269,8 +270,7 @@ def generate_network_flows(config: GeneratorConfig) -> Dataset:
     (near-zero duration, <=2 packets) and traffic bursts (bytes and packets far
     beyond the clean tails).
     """
-    config.validate(GENERATOR_MIN_N["intrusion"])
-    p = config.params(NETWORK_DEFAULTS)
+    p = config.params("intrusion")
     rng = RngStream(config.seed, "network")
     n_anom = _exact_positive_count(config.n, config.anomaly_rate)
     n_clean = config.n - n_anom
@@ -336,8 +336,7 @@ def generate_network_flows(config: GeneratorConfig) -> Dataset:
 
 def generate_malware_corpus(config: GeneratorConfig) -> Dataset:
     """File metadata table: benign majority, packed/high-entropy malicious minority."""
-    config.validate(GENERATOR_MIN_N["malware"])
-    p = config.params(MALWARE_DEFAULTS)
+    p = config.params("malware")
     rng = RngStream(config.seed, "malware")
     n_mal = _exact_positive_count(config.n, config.anomaly_rate)
     n_ben = config.n - n_mal
@@ -412,8 +411,7 @@ def generate_email_corpus(config: GeneratorConfig) -> Dataset:
     sender_reputation_score stays class-faithful (legit > 0.5 > phish), keeping
     the classes separable by construction at any noise level.
     """
-    config.validate(GENERATOR_MIN_N["phishing"])
-    p = config.params(EMAIL_DEFAULTS)
+    p = config.params("phishing")
     rng = RngStream(config.seed, "email")
     n_phish = _exact_positive_count(config.n, config.anomaly_rate)
     n_legit = config.n - n_phish
@@ -466,8 +464,7 @@ def generate_user_activity(config: GeneratorConfig) -> Dataset:
     columns are then built one at a time, each event column dropped once its
     emitted column is built, so the peak stays near the returned table's size.
     """
-    config.validate(GENERATOR_MIN_N["ueba"])
-    p = config.params(UEBA_DEFAULTS)
+    p = config.params("ueba")
     users, days = p["users"], p["days"]
     rng = RngStream(config.seed, "ueba")
 

@@ -58,6 +58,14 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def check_finite(X: np.ndarray, name: str = "X") -> np.ndarray:
+    """X, if it holds no NaN or infinity; min and max propagate both, so the
+    check allocates nothing the size of X."""
+    if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
+        raise DataError(f"{name} contains NaN or infinite values; cannot fit on non-finite features")
+    return X
+
+
 class Dataset:
     """Column table with typed columns and stable row identities.
 

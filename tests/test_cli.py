@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from threatbench import pipeline
 from threatbench.cli import main
 
@@ -61,6 +63,21 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["seed"] == 5
         assert report["config"]["generator"]["n"] == 300
+
+    def test_echo_is_the_checked_config(self, tmp_path):
+        """An int given for a float echoes as the float that ran, and a partial
+        config file echoes every default key."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"models": {"dense_ae": {"epochs": 3}}}))
+        out = tmp_path / "out"
+        assert run_cli(["run", "intrusion", "--config", str(cfg_path), "--out", str(out),
+                        "--override", "threshold_percentile=90"] + FAST_OVERRIDES) == 0
+        text = (out / "report.json").read_text()
+        report = json.loads(text)
+        assert '"threshold_percentile": 90.0' in text and report["config"]["threshold_percentile"] == 90.0
+        assert report["config"]["models"]["dense_ae"] == {"l1": 1e-5, "epochs": 3, "step_size": 0.01, "batch_size": 64}
+        assert report["config"]["models"]["boosting"]["lam"] == 1.0
+        assert report["config"]["preprocess"] == pipeline.default_config("intrusion").preprocess
 
     def test_config_domain_conflict(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -188,3 +205,50 @@ class TestEvaluate:
         capsys.readouterr()
         assert run_cli(["evaluate", "--report", str(out / "report.json"), "--expectations", str(exp)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def report_path(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert run_cli(["run", "intrusion", "--out", str(out)] + FAST_OVERRIDES) == 0
+    return out / "report.json"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("document", [
+        [1],
+        {"intrusion": 5},
+        {"intrusion": {"isolation_forest": 5}},
+        {"intrusion": {"isolation_forest": {"min_auc": "x"}}},
+        {"intrusion": {"isolation_forest": {"min_auc": None}}},
+        {"intrusion": {"isolation_forest": {"min_auc": True}}},
+        {"intrusion": {"isolation_forest": {"min_aucc": 0.5}}},
+        {"malware": {"random_forest": {"min_accuracy": []}}},
+    ])
+    def test_malformed_expectations_are_2(self, report_path, tmp_path, capsys, document):
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert run_cli(["evaluate", "--report", str(report_path), "--expectations", str(exp)]) == 2
+        assert f"config error: expectations file {exp}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, edit", [
+        ("evaluate", lambda doc: doc.update(models=5)),
+        ("evaluate", lambda doc: doc["models"]["isolation_forest"].pop("accuracy")),
+        ("evaluate", lambda doc: doc["models"]["isolation_forest"].pop("roc_auc")),
+        ("evaluate", lambda doc: doc["models"]["isolation_forest"].update(roc_auc="x")),
+        ("report", lambda doc: doc.update(models=5)),
+        ("report", lambda doc: doc["models"]["isolation_forest"].pop("accuracy")),
+        ("report", lambda doc: doc["models"]["isolation_forest"].update(accuracy="x")),
+    ])
+    def test_malformed_report_is_3(self, report_path, tmp_path, capsys, command, edit):
+        doc = json.loads(report_path.read_text())
+        edit(doc)
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(doc))
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps({"intrusion": {"isolation_forest": {"min_accuracy": 0.0, "min_auc": 0.0}}}))
+        capsys.readouterr()
+        args = ["--expectations", str(exp)] if command == "evaluate" else []
+        assert run_cli([command, "--report", str(bad)] + args) == 3
+        assert f"data error: malformed report document {bad}" in capsys.readouterr().err

@@ -95,6 +95,13 @@ class TestDenseAutoencoder:
         with pytest.raises(DataError, match="non-empty"):
             fit_dense_autoencoder(np.zeros((0, 4)), [4, 2, 4], rng=RngStream(0, "x"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_a_data_error(self, np_rng, bad):
+        X = np_rng.normal(size=(20, 4))
+        X[7, 2] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            fit_dense_autoencoder(X, [4, 2, 4], epochs=2, rng=RngStream(0, "x"))
+
     def test_l1_shrinks_weight_mass(self, np_rng):
         X = np_rng.normal(size=(60, 4))
 
@@ -284,6 +291,16 @@ class TestLstmAutoencoder:
         for loss in (lstm_loss, lstm_loss_and_grads):
             with pytest.raises(DataError, match="lengths"):
                 loss(model, tensor.data, tensor.lengths)
+
+    @pytest.mark.parametrize("step", ["real", "padded"])
+    def test_non_finite_step_is_a_data_error(self, np_rng, step):
+        """A NaN in a padded step is rejected too: the masked recurrence
+        multiplies it by 0, and 0 * NaN is NaN."""
+        data = np_rng.normal(size=(4, 5, 2))
+        lengths = [5, 3, 4, 2]
+        data[1, 1 if step == "real" else 4, 0] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            fit_lstm_autoencoder(session_tensor(data, lengths), hidden=4, latent=2, epochs=1, rng=RngStream(0, "l"))
 
     def test_width_mismatch_on_scoring(self):
         model = init_lstm_autoencoder(2, 4, 2, RngStream(0, "l"))

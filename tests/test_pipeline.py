@@ -1,13 +1,16 @@
 import hashlib
+import json
 import os
 import weakref
 
+import numpy as np
 import pytest
 
+from conftest import edge_dataset
 from threatbench import pipeline
 from threatbench.errors import ConfigError, DataError
-from threatbench.evalx import permutation_importance
-from threatbench.forest import _RememberedWalk
+from threatbench.evalx import classification_report, permutation_importance
+from threatbench.forest import _RememberedWalk, fit_gradient_boosting
 from threatbench.modelio import save_model
 from threatbench.neural import fit_lstm_autoencoder, score_sessions
 from threatbench.pipeline import (
@@ -22,6 +25,7 @@ from threatbench.pipeline import (
 )
 from threatbench.preprocess import sessionize
 from threatbench.synthgen import GENERATOR_PARAMS, MIXES, PARAM_RANGES
+from threatbench.tabular import Dataset
 
 # Small, fast configs used by every structural test in this module.
 SMALL = {
@@ -254,6 +258,80 @@ def test_ueba_scores_the_test_tensor_once_outside_importance(monkeypatch):
     assert len(widths) == 2 + config.models["importance_repeats"] * widths[0]
 
 
+@pytest.mark.parametrize("domain", ["malware", "phishing"])
+def test_uncalibrated_boosting_predicts_at_one_half(domain, monkeypatch, tmp_path):
+    """With models.calibrate_boosting off, no stage calibrates and no
+    calibrator is saved; the GBM's reported predictions are its
+    `predict_proba >= 0.5` on the test rows."""
+    seen = {}
+
+    def fit(*args, **kwargs):
+        seen["model"] = fit_gradient_boosting(*args, **kwargs)
+        return seen["model"]
+
+    def report(y, predicted, **kwargs):
+        seen["y"], seen["predicted"] = y, predicted
+        return classification_report(y, predicted, **kwargs)
+
+    def importance(score, X, *args, **kwargs):
+        seen["X"] = X
+        return permutation_importance(score, X, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_gradient_boosting", fit)
+    monkeypatch.setattr(pipeline, "classification_report", report)
+    monkeypatch.setattr(pipeline, "permutation_importance", importance)
+    config = small_config(domain)
+    config.models["calibrate_boosting"] = False
+    result = run_domain(config, out_dir=str(tmp_path))
+    assert "calibrate_boosting" not in result.stages
+    assert "boosting_calibrator" not in result.artifacts
+    assert sorted(os.listdir(tmp_path / "models")) == sorted(f"{m}.json" for m in result.models)
+    # gradient_boosting is each domain's last model, so `seen` holds its calls.
+    expected = (seen["model"].predict_proba(seen["X"])[:, 1] >= 0.5).astype(int)
+    assert np.array_equal(seen["predicted"], expected)
+    assert result.models["gradient_boosting"]["confusion"]["tp"] == int(((expected == 1) & (seen["y"] == 1)).sum())
+
+
+class TestConfigEcho:
+    def test_library_run_echoes_every_default_key(self):
+        """The report echoes the checked config, not the partial one given."""
+        config = PipelineConfig(domain="phishing", generator={"n": 300},
+                                models={"forest": {"n_trees": 5}, "boosting": {"n_rounds": 5}, "importance_repeats": 1})
+        report = run_domain(config)
+        assert report.config["models"]["boosting"]["lam"] == 1.0
+        assert report.config["preprocess"] == default_config("phishing").preprocess
+        assert set(_dotted(report.config)) == set(_dotted(default_config("phishing").to_dict()))
+        assert report.config == config.validate()
+
+    def test_default_echo_is_the_default_config(self):
+        # So the echo of a default run, and every default digest, is unchanged.
+        for domain in pipeline.DOMAINS:
+            config = default_config(domain)
+            assert json.dumps(config.validate(), sort_keys=True) == json.dumps(config.to_dict(), sort_keys=True)
+
+
+class TestHistograms:
+    def test_distinct_categories_keep_separate_counts(self):
+        # A numpy unicode array would drop the trailing NUL and merge "a\x00" into "a".
+        ds = Dataset([("c", "categorical"), ("b", "binary"), ("y", "label")],
+                     {"c": ["a", "a\x00", "b", "a"], "b": np.array([1, 0, 1, 1]), "y": np.array([0, 0, 1, 0])})
+        h = pipeline._histograms(ds)
+        assert list(h["c"]["values"].items()) == [("a", 2), ("a\x00", 1), ("b", 1)]
+        assert h["b"] == {"kind": "binary", "values": {"0": 1, "1": 3}}
+        assert h["y"] == {"kind": "label", "values": {"0": 3, "1": 1}}
+
+    def test_counts_equal_a_per_row_count(self):
+        edge = edge_dataset()  # awkward strings and 64-bit extreme ints
+        columns = [(name, kind) for name, kind in edge.columns if kind != "numeric"]
+        ds = Dataset(columns, {name: edge.column(name) for name, _ in columns})
+        h = pipeline._histograms(ds)
+        for name, kind in columns:
+            counts = {}
+            for v in ds.column(name).tolist() if kind != "categorical" else ds.column(name):
+                counts[str(v)] = counts.get(str(v), 0) + 1
+            assert list(h[name]["values"].items()) == sorted(counts.items()), name
+
+
 class TestLeakage:
     def test_no_fit_stage_consumes_test_rows(self, small_reports):
         for domain, (_, audit) in small_reports.items():
@@ -467,7 +545,8 @@ class TestConfigWalk:
         cfg = default_config("malware")
         cfg.models["boosting"]["learning_rate"] = 1
         cfg.preprocess["downsample_ratio"] = 2
-        _, pp, models = cfg.validate()
+        checked = cfg.validate()
+        pp, models = checked["preprocess"], checked["models"]
         assert type(models["boosting"]["learning_rate"]) is float and models["boosting"]["learning_rate"] == 1.0
         assert type(pp["downsample_ratio"]) is float
         assert type(models["boosting"]["n_rounds"]) is int

@@ -10,7 +10,6 @@ from threatbench.errors import ConfigError
 from threatbench.linear import fit_logistic, predict_proba
 from threatbench.synthgen import (
     EMAIL_SCHEMA,
-    UEBA_DEFAULTS,
     USER_EVENT_SCHEMA,
     GeneratorConfig,
     _event_capacity,
@@ -31,8 +30,7 @@ CHI2_CRIT_DF23_P99 = 41.638398118858476
 def per_event_user_activity(config: GeneratorConfig) -> Dataset:
     """The former per-event implementation of `generate_user_activity`, kept as
     the oracle of the whole-array one."""
-    config.validate(min_n=None)
-    p = config.params(UEBA_DEFAULTS)
+    p = config.params("ueba")
     users, days = int(p["users"]), int(p["days"])
     if users < 1 or days < 1:
         raise ConfigError("users and days must both be >= 1")
@@ -414,7 +412,7 @@ class TestUserActivity:
         concatenated per-block arrays. The second config draws more events than
         `_event_capacity` starts the event columns at, so they grow."""
         ds = generate_user_activity(config)
-        p = config.params(UEBA_DEFAULTS)
+        p = config.params("ueba")
         assert (ds.n > _event_capacity(p["users"], p["days"], p["events_per_day_mean"])) == grows
         save_dataset(ds, tmp_path / "ueba.csv")
         save_events_jsonl(ds, tmp_path / "events.jsonl")
