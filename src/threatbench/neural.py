@@ -223,7 +223,7 @@ def fit_dense_autoencoder(
 
 def reconstruction_errors(model: DenseAutoencoder, X) -> np.ndarray:
     """Per-row mean over features of squared reconstruction difference."""
-    X = np.asarray(X, dtype=np.float64)
+    X = check_finite(np.asarray(X, dtype=np.float64))
     return np.mean((model.reconstruct(X) - X) ** 2, axis=1)
 
 
@@ -526,10 +526,13 @@ def score_sessions(model: LstmAutoencoder, sessions: SessionTensor) -> np.ndarra
 
     The scan keeps one block's errors at a time and only each session's sum
     of them, so scoring never holds a second array the size of the tensor.
+    The whole tensor must be finite, padding included: the masked recurrence
+    multiplies padded steps by 0, and 0 * NaN is NaN.
     """
     data, lengths = _session_arrays(sessions.data, sessions.lengths)
     if data.shape[2] != model.input_dim:
         raise DataError(f"session features do not match model width {model.input_dim}")
+    check_finite(data, "session tensor")
     sq = np.empty(len(lengths))
     for rows, err in _sq_error_blocks(model, data, lengths):
         sq[rows] = err.sum(axis=(1, 2))

@@ -53,11 +53,13 @@ from .preprocess import (
     downsample_majority,
     fit_one_hot,
     fit_scaler,
+    group_sessions,
+    one_hot_codes,
     sessionize,
     smote_oversample,
 )
 from .synthgen import GENERATORS, GeneratorConfig, save_events_jsonl
-from .tabular import Dataset, RngStream, save_dataset, stratified_indices, stratified_split
+from .tabular import Dataset, RngStream, check_finite, save_dataset, stratified_indices, stratified_split
 
 DOMAINS = ("intrusion", "malware", "phishing", "ueba")
 REPORT_SCHEMA_VERSION = 1
@@ -212,26 +214,34 @@ def generator_config(config: PipelineConfig) -> GeneratorConfig:
 class LeakageAudit:
     """Records the source-row ids every fit/calibration stage consumed,
     plus the ids of the held-out test partition, so a test can assert the
-    two never intersect."""
+    two never intersect. Each set of ids is a sorted unique int64 array;
+    synthetic rows (id -1) are left out. An id array that is already sorted
+    and unique is kept as it is, not copied, so callers hand over arrays
+    they no longer change."""
 
     def __init__(self):
-        self.consumed = {}  # stage -> set of row ids
-        self.test_rows = set()
+        self.consumed = {}  # stage -> row ids
+        self.test_rows = np.empty(0, dtype=np.int64)
+
+    @staticmethod
+    def _ids(row_ids) -> np.ndarray:
+        ids = np.asarray(row_ids, dtype=np.int64).ravel()
+        if not (ids[1:] > ids[:-1]).all():
+            ids = np.unique(ids)
+        return ids[np.searchsorted(ids, 0):]
 
     def record(self, stage: str, row_ids) -> None:
-        ids = {int(r) for r in np.asarray(row_ids).ravel() if int(r) >= 0}
-        self.consumed.setdefault(stage, set()).update(ids)
+        ids = self._ids(row_ids)
+        self.consumed[stage] = np.union1d(self.consumed[stage], ids) if stage in self.consumed else ids
 
     def mark_test(self, row_ids) -> None:
-        self.test_rows.update(int(r) for r in np.asarray(row_ids).ravel() if int(r) >= 0)
+        ids = self._ids(row_ids)
+        self.test_rows = np.union1d(self.test_rows, ids) if self.test_rows.size else ids
 
     def leaked(self) -> dict:
         """Stage -> offending row ids (empty when the run was clean)."""
-        return {
-            stage: sorted(ids & self.test_rows)
-            for stage, ids in self.consumed.items()
-            if ids & self.test_rows
-        }
+        overlaps = {stage: np.intersect1d(ids, self.test_rows, assume_unique=True) for stage, ids in self.consumed.items()}
+        return {stage: ids.tolist() for stage, ids in overlaps.items() if ids.size}
 
 
 class _StageRecorder:
@@ -283,7 +293,7 @@ def _histograms(dataset: Dataset, bins: int = 20) -> dict:
         values = dataset.column(name)
         if kind == "numeric":
             arr = np.asarray(values, dtype=np.float64)
-            counts, edges = np.histogram(arr, bins=bins)
+            counts, edges = np.histogram(check_finite(arr, f"numeric column {name!r}"), bins=bins)
             out[name] = {"kind": "numeric", "edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
         elif isinstance(values, np.ndarray) and values.dtype.kind in "biu":
             uniq, counts = np.unique(values, return_counts=True)
@@ -347,9 +357,6 @@ class _Sessions(_Rows):
     def __init__(self, tensor: SessionTensor):
         super().__init__(tensor, tensor.labels, tensor.event_row_ids)
 
-    def select(self, idx) -> "_Sessions":
-        return _Sessions(self.X.select(idx))
-
     def importance_inputs(self, score):
         t = self.X
         return t.data, lambda X3: score(
@@ -363,9 +370,9 @@ def _record(audit, stage, *parts) -> None:
             audit.record(stage, part.ids)
 
 
-def _encode(spec, train: Dataset, targets, rec, audit, exclude=()):
+def _encode(spec, train: Dataset, targets, rec, audit):
     """Fit one-hot encoding, then z-scores if the spec scales, on `train` only;
-    returns `targets` transformed. Numeric columns in `exclude` stay unscaled."""
+    returns `targets` transformed."""
     with rec.stage("fit_one_hot"):
         encoder = fit_one_hot(train, list(spec.categoricals))
         if audit:
@@ -374,8 +381,7 @@ def _encode(spec, train: Dataset, targets, rec, audit, exclude=()):
         targets = [train_e if t is train else apply_one_hot(encoder, t) for t in targets]
     if spec.scale:
         with rec.stage("fit_scaler"):
-            numeric = [n for n in train_e.names_of_kind("numeric") if n not in exclude]
-            scaler = fit_scaler(train_e, numeric)
+            scaler = fit_scaler(train_e, train_e.names_of_kind("numeric"))
             if audit:
                 audit.record("fit_scaler", train_e.row_ids)
             targets = [apply_scaler(scaler, t) for t in targets]
@@ -426,40 +432,49 @@ def _prepare_tabular(spec, held, pp, rng, rec, audit):
 
 
 def _prepare_sessions(spec, held, pp, rng, rec, audit):
-    """Session-level split -> encode/scale on train-session events -> one
-    `sessionize` per partition. Takes `held` and returns the same triple as
-    `_prepare_tabular`.
+    """One pass over the event log: group it into (user, day) sessions once,
+    split at session level, fit the encoder and scaler on the train sessions'
+    events, then fill each partition's tensor straight from the log. Takes
+    `held` and returns the same triple as `_prepare_tabular`, with only the
+    partitions a model reads, and "test".
 
-    Sessions are numbered in sorted (user, day) order, as sessionize numbers
-    them, and the split keeps that order, so each partition's tensor is the
-    whole set's tensor at that partition's session indices. The whole set is
-    never sessionized, and the event log and each event copy are dropped once
-    used.
+    No copy of the event table is made. A partition is the table rows of its
+    sessions; "clean" is the train sessions labelled 0, so a domain whose
+    models read only "clean" (ueba) never builds a train tensor. The fits read
+    the train rows in ascending row order, as a train copy of the table would
+    hold them, and `sessionize` frees each column of the log once used.
     """
     events = held.pop()
+    read = {name for m in spec.models for name in m.rows}
     with rec.stage("session_split"):
-        keys = np.column_stack([events.column("user_id"), events.column("day")]).astype(np.float64)
-        session_keys, event_session = np.unique(keys, axis=0, return_inverse=True)
-        del keys
-        event_session = event_session.ravel()
-        session_labels = np.zeros(len(session_keys), dtype=np.int64)
-        np.maximum.at(session_labels, event_session, np.asarray(events.column(spec.label), dtype=np.int64))
-        train_sessions, _ = stratified_indices(session_labels, pp["test_fraction"], rng.child("split"))
-        in_train = np.isin(event_session, train_sessions)
-        train_events = events.select_rows(np.flatnonzero(in_train))
-        test_events = events.select_rows(np.flatnonzero(~in_train))
-        del events, event_session, in_train
+        sessions = group_sessions(events, label_column=spec.label)
+        labels = sessions.labels
+        train, test = stratified_indices(labels, pp["test_fraction"], rng.child("split"))
+        chosen = {"train": train, "clean": train[labels[train] == 0], "test": test}
+        names = [name for name in chosen if name in read or name == "test"]
+        partitions = [sessions.select(chosen[name]) for name in names]
+        train_rows, test_rows = (np.sort(sessions.select(idx).order) for idx in (train, test))
+        del sessions, chosen
         if audit:
-            audit.mark_test(test_events.row_ids)
-
-    encoded = _encode(spec, train_events, [train_events, test_events], rec, audit, exclude=("user_id", "day"))
-    del train_events, test_events
+            audit.mark_test(events.row_ids[test_rows])
+    with rec.stage("fit_one_hot"):
+        encoder = fit_one_hot(events, list(spec.categoricals), rows=train_rows)
+        if audit:
+            audit.record("fit_one_hot", events.row_ids[train_rows])
+        for name in encoder.categories:  # test rows in row order: an unseen one is named by its test row
+            column = events.column(name)
+            one_hot_codes(encoder, name, [column[i] for i in test_rows.tolist()])
+    with rec.stage("fit_scaler"):
+        numeric = [n for n in events.names_of_kind("numeric") if n not in ("user_id", "day")]
+        scaler = fit_scaler(events, numeric, rows=train_rows)
+        if audit:
+            audit.record("fit_scaler", events.row_ids[train_rows])
+    del train_rows, test_rows
     with rec.stage("sessionize"):
-        parts = {name: _Sessions(sessionize(encoded.pop(0), pp["time_steps"], label_column=spec.label))
-                 for name in ("train", "test")}
-    counts = {str(c): int((session_labels == c).sum()) for c in (0, 1)}
-    extra = {"n_sessions": len(session_labels), "session_label_counts": counts}
-    return parts["train"].X.feature_names, parts, extra
+        tensors = sessionize(events, pp["time_steps"], partitions, encoder, scaler)
+    counts = {str(c): int((labels == c).sum()) for c in (0, 1)}
+    extra = {"n_sessions": len(labels), "session_label_counts": counts}
+    return tensors[0].feature_names, {name: _Sessions(t) for name, t in zip(names, tensors)}, extra
 
 
 # The fits and scorers below reach every kernel through this module's globals
@@ -591,10 +606,11 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
     del dataset
     prepare = _prepare_sessions if spec.sessions else _prepare_tabular
     features, parts, dataset_extra = prepare(spec, held, pp, rng, rec, audit)
-    # A partition no model trains on is freed before the first fit (ueba's
-    # train tensor, malware's whole train matrix); "test" is kept to evaluate.
+    # A partition no model trains on is freed before the first fit (malware's
+    # whole train matrix); "test" is kept to evaluate. Session preparation
+    # builds "clean" itself, and only the partitions models read.
     read = {name for m in spec.models for name in m.rows}
-    if "clean" in read:
+    if "clean" in read and "clean" not in parts:
         parts["clean"] = parts["train"].select(np.flatnonzero(parts["train"].y == 0))
     for name in set(parts) - read - {"test"}:
         del parts[name]

@@ -29,21 +29,37 @@ class EncoderSpec:
         return sum(len(c) - 1 for c in self.categories.values())
 
 
-def fit_one_hot(dataset: Dataset, columns) -> EncoderSpec:
+def fit_one_hot(dataset: Dataset, columns, rows=None) -> EncoderSpec:
+    """The categories each column holds, on `rows` of the table if given."""
     cats = {}
     for col in columns:
         if dataset.kind_of(col) != "categorical":
             raise DataError(f"column {col!r} is not categorical")
-        cats[col] = tuple(sorted(set(dataset.column(col))))
+        values = dataset.column(col)
+        cats[col] = tuple(sorted(set(values if rows is None else map(values.__getitem__, rows.tolist()))))
     return EncoderSpec(categories=cats)
+
+
+def one_hot_codes(spec: EncoderSpec, name: str, values) -> np.ndarray:
+    """Each of `values`' index in the categories `spec` holds for column `name`.
+
+    A category unseen at fit time is an error, not a silent zero row (silent
+    zeros would alias the dropped category); it names the value's position in
+    `values`.
+    """
+    code = {cat: k for k, cat in enumerate(spec.categories[name])}
+    try:
+        return np.fromiter(map(code.__getitem__, values), dtype=np.min_scalar_type(len(code)), count=len(values))
+    except KeyError:
+        i = next(i for i, v in enumerate(values) if v not in code)
+        raise DataError(f"unseen category {values[i]!r} in column {name!r} (row {i})") from None
 
 
 def apply_one_hot(spec: EncoderSpec, dataset: Dataset) -> Dataset:
     """Replace each encoded column by |categories|-1 binary columns.
 
     The lexicographically first category maps to the all-zeros pattern; a
-    category unseen at fit time is an error, not a silent zero row (silent
-    zeros would alias the dropped category).
+    category unseen at fit time is an error (see `one_hot_codes`).
     """
     columns = []
     data = {}
@@ -53,13 +69,7 @@ def apply_one_hot(spec: EncoderSpec, dataset: Dataset) -> Dataset:
             data[name] = dataset.column(name)
             continue
         cats = spec.categories[name]
-        values = dataset.column(name)
-        code = {cat: k for k, cat in enumerate(cats)}
-        try:
-            codes = np.fromiter(map(code.__getitem__, values), dtype=np.int64, count=len(values))
-        except KeyError:
-            i = next(i for i, v in enumerate(values) if v not in code)
-            raise DataError(f"unseen category {values[i]!r} in column {name!r} (row {i})") from None
+        codes = one_hot_codes(spec, name, dataset.column(name))
         for k, cat in enumerate(cats[1:], 1):
             out_name = f"{name}={cat}"
             columns.append((out_name, "binary"))
@@ -74,12 +84,15 @@ class ScalerSpec:
     stats: dict  # column -> (mean, std)
 
 
-def fit_scaler(dataset: Dataset, columns) -> ScalerSpec:
+def fit_scaler(dataset: Dataset, columns, rows=None) -> ScalerSpec:
+    """Each column's mean and std, on `rows` of the table (in their order) if given."""
     stats = {}
     for col in columns:
         if dataset.kind_of(col) != "numeric":
             raise DataError(f"column {col!r} is not numeric")
         arr = np.asarray(dataset.column(col), dtype=np.float64)
+        if rows is not None:
+            arr = arr[rows]
         stats[col] = (float(arr.mean()), float(arr.std()))
     return ScalerSpec(stats=stats)
 
@@ -182,64 +195,115 @@ class SessionTensor:
     def time_steps(self) -> int:
         return self.data.shape[1]
 
-    def select(self, indices) -> "SessionTensor":
+
+@dataclass
+class SessionIndex:
+    """Sessions of an event log, as the table rows each one holds."""
+
+    order: np.ndarray  # table rows, session after session, each session's in row order
+    bounds: np.ndarray  # session i's rows are order[bounds[i]:bounds[i + 1]]
+    labels: np.ndarray  # the max label over each session's events
+    keys: list  # (user_id, day) per session, spelt as its first event's
+
+    def select(self, indices) -> "SessionIndex":
+        """Sessions `indices`, in that order, renumbered from 0."""
         indices = np.asarray(indices, dtype=np.int64)
-        ids, bounds = self.event_row_ids, self.event_bounds
-        if bounds is not None:
-            lo, sizes = bounds[indices], bounds[indices + 1] - bounds[indices]
-            bounds = np.concatenate([[0], np.cumsum(sizes)])
-            ids = ids[np.repeat(lo - bounds[:-1], sizes) + np.arange(bounds[-1])]
-        return SessionTensor(
-            data=self.data[indices],
-            lengths=self.lengths[indices],
-            labels=self.labels[indices],
-            feature_names=list(self.feature_names),
-            keys=[self.keys[i] for i in indices] if self.keys else [],
-            event_row_ids=ids,
-            event_bounds=bounds,
-        )
+        lo, sizes = self.bounds[indices], self.bounds[indices + 1] - self.bounds[indices]
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        order = self.order[np.repeat(lo - bounds[:-1], sizes) + np.arange(bounds[-1])]
+        return SessionIndex(order, bounds, self.labels[indices], [self.keys[i] for i in indices])
 
 
-def sessionize(events: Dataset, time_steps: int, group_columns=("user_id", "day"), label_column="anomaly_label") -> SessionTensor:
-    """Group events into per-(user, day) sequences of at most time_steps steps.
+def group_sessions(events: Dataset, group_columns=("user_id", "day"), label_column="anomaly_label") -> SessionIndex:
+    """The per-(user, day) sessions of an event log, from one stable sort.
 
-    Features are every numeric/binary column except the group keys. Sessions
-    are numbered in ascending (user, day) order; -0.0 and 0.0 are one key, and
-    a session's key is spelt as its first event's. Within a session events keep
-    their row order, whatever order the rows come in (the generators emit
-    user/day/hour order). Longer sessions are truncated to their earliest
-    time_steps events; the session label is the max anomaly flag over all of
-    the session's events, truncated ones included.
+    Sessions are numbered in ascending (user, day) order; -0.0 and 0.0 are one
+    key, and a session's key is spelt as its first event's. Within a session
+    events keep their row order, whatever order the rows come in (the
+    generators emit user/day/hour order). A session's label is the max
+    anomaly flag over all of its events.
     """
-    if time_steps < 1:
-        raise DataError(f"time_steps must be >= 1, got {time_steps}")
-    feature_names = [
-        n for n, k in events.columns
-        if k in ("numeric", "binary") and n not in group_columns
-    ]
     gu = np.asarray(events.column(group_columns[0]), dtype=np.float64)
     gd = np.asarray(events.column(group_columns[1]), dtype=np.float64)
     order = np.lexsort((gd, gu))  # stable: row order within a session
     gu, gd = gu[order], gd[order]
     starts = np.flatnonzero(np.concatenate([[events.n > 0], (gu[1:] != gu[:-1]) | (gd[1:] != gd[:-1])]))
-    sizes = np.diff(np.append(starts, events.n))
-
-    # Event i of the order goes to cell (session, step) of the tensor.
-    step = np.arange(events.n) - np.repeat(starts, sizes)
-    kept = step < time_steps
-    cell = (np.repeat(np.arange(len(starts)), sizes) * time_steps + step)[kept]
-    rows = order[kept]
-    data = np.zeros((len(starts), time_steps, len(feature_names)))
-    cells = data.reshape(len(starts) * time_steps, len(feature_names))
-    for f, name in enumerate(feature_names):
-        cells[cell, f] = np.asarray(events.column(name), dtype=np.float64)[rows]
     labels = np.asarray(events.column(label_column), dtype=np.int64)[order]
-    return SessionTensor(
-        data=data,
-        lengths=np.minimum(sizes, time_steps),
+    return SessionIndex(
+        order=order,
+        bounds=np.append(starts, events.n),
         labels=np.maximum.reduceat(labels, starts),
-        feature_names=feature_names,
         keys=list(zip(gu[starts].tolist(), gd[starts].tolist())),
-        event_row_ids=events.row_ids[order],
-        event_bounds=np.append(starts, events.n),
     )
+
+
+def sessionize(events: Dataset, time_steps: int, partitions, encoder: EncoderSpec | None = None,
+               scaler: ScalerSpec | None = None, group_columns=("user_id", "day")) -> list:
+    """One zero-padded tensor per partition of an event log's sessions.
+
+    `partitions` are `SessionIndex`es of `events`: `group_sessions(events)`
+    or selections of it. Features are every numeric or binary column except
+    the group keys, in table order; a column `encoder` encodes is replaced
+    there by its one-hot columns and a column `scaler` scales is z-scored,
+    each value as `apply_one_hot` and `apply_scaler` would give it. A session
+    holds its earliest time_steps events and keeps its partition's label,
+    which counts the truncated ones too.
+
+    Consumes `events`: the tensors are filled one table column at a time,
+    straight from the table, and each column is removed from the table once
+    it has been used, so no encoded copy of the log is ever made.
+    """
+    if time_steps < 1:
+        raise DataError(f"time_steps must be >= 1, got {time_steps}")
+    categories = encoder.categories if encoder else {}
+    stats = scaler.stats if scaler else {}
+    plan = [  # (table column, the features it fills)
+        (name, [f"{name}={cat}" for cat in categories[name][1:]] if name in categories else [name])
+        for name, kind in events.columns
+        if name in categories or (kind in ("numeric", "binary") and name not in group_columns)
+    ]
+    for name in set(events.column_names) - {name for name, _ in plan}:
+        events.pop(name)
+    feature_names = [f for _, names in plan for f in names]
+
+    # Per partition: its tensor and session lengths, the (session, step)
+    # cells its events fill, and the table rows of those events in cell order.
+    fills = []
+    for p in partitions:
+        sizes = np.diff(p.bounds)
+        step = np.arange(len(p.order))
+        step -= np.repeat(p.bounds[:-1], sizes)
+        rows = p.order[step < time_steps]
+        del step
+        lengths = np.minimum(sizes, time_steps)
+        data = np.zeros((len(sizes), time_steps, len(feature_names)))
+        fills.append((data, lengths, np.arange(time_steps) < lengths[:, None], rows))
+    f = 0
+    for name, names in plan:
+        values = events.pop(name)
+        if name in categories:
+            values = one_hot_codes(encoder, name, values)
+        for data, _, cells, rows in fills:
+            v = np.asarray(values)[rows]
+            if name in categories:
+                for k in range(1, len(names) + 1):
+                    data[:, :, f + k - 1][cells] = v == k
+            elif name in stats:
+                mean, std = stats[name]
+                if std != 0.0:  # a zero-variance column scales to the zeros already there
+                    data[:, :, f][cells] = (v - mean) / std
+            else:
+                data[:, :, f][cells] = v
+        f += len(names)
+    return [
+        SessionTensor(
+            data=data,
+            lengths=lengths,
+            labels=p.labels,
+            feature_names=list(feature_names),
+            keys=p.keys,
+            event_row_ids=events.row_ids[p.order],
+            event_bounds=p.bounds,
+        )
+        for p, (data, lengths, _, _) in zip(partitions, fills)
+    ]

@@ -62,7 +62,7 @@ def check_finite(X: np.ndarray, name: str = "X") -> np.ndarray:
     """X, if it holds no NaN or infinity; min and max propagate both, so the
     check allocates nothing the size of X."""
     if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
-        raise DataError(f"{name} contains NaN or infinite values; cannot fit on non-finite features")
+        raise DataError(f"{name} contains NaN or infinite values; non-finite features are rejected")
     return X
 
 
@@ -132,6 +132,14 @@ class Dataset:
         if name not in self._data:
             raise DataError(f"no such column: {name!r}")
         return self._data[name]
+
+    def pop(self, name: str):
+        """Remove a column from the table and return its values, so a consumer
+        can free a table one column at a time."""
+        values = self.column(name)
+        del self._data[name]
+        self.columns = [(n, k) for n, k in self.columns if n != name]
+        return values
 
     def label_column(self):
         for n, k in self.columns:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from threatbench.preprocess import SessionTensor
 from threatbench.tabular import WRITE_BLOCK, Dataset
 
 # Property tests draw the same examples on every run and keep no example
@@ -101,4 +102,44 @@ def edge_dataset(seed: int = 0) -> Dataset:
             "flag": rng.integers(0, 2, size=n),
             "id": big,
         },
+    )
+
+
+def per_event_sessionize(events, time_steps, group_columns=("user_id", "day"), label_column="anomaly_label"):
+    """The former dict-of-index-lists `sessionize`, kept as the oracle of the
+    whole-array one."""
+    feature_names = [
+        n for n, k in events.columns
+        if k in ("numeric", "binary") and n not in group_columns
+    ]
+    X = events.matrix(feature_names)
+    labels = np.asarray(events.column(label_column))
+    gu = np.asarray(events.column(group_columns[0]))
+    gd = np.asarray(events.column(group_columns[1]))
+
+    groups = {}
+    for i in range(events.n):
+        groups.setdefault((float(gu[i]), float(gd[i])), []).append(i)
+    keys = sorted(groups)
+
+    S = len(keys)
+    data = np.zeros((S, time_steps, len(feature_names)))
+    lengths = np.zeros(S, dtype=np.int64)
+    sess_labels = np.zeros(S, dtype=np.int64)
+    row_ids = []
+    for s, key in enumerate(keys):
+        idx = groups[key]
+        take = idx[:time_steps]
+        data[s, : len(take)] = X[take]
+        lengths[s] = len(take)
+        sess_labels[s] = int(labels[idx].max())
+        row_ids.append([int(events.row_ids[i]) for i in idx])
+    return SessionTensor(
+        data=data,
+        lengths=lengths,
+        labels=sess_labels,
+        feature_names=feature_names,
+        keys=keys,
+        event_row_ids=np.array([i for ids in row_ids for i in ids], dtype=np.int64),
+        event_bounds=np.cumsum([0] + [len(ids) for ids in row_ids]),
     )

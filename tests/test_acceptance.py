@@ -247,7 +247,7 @@ def test_criterion_9_no_leakage(default_runs):
     ok = True
     for domain in DOMAINS:
         audit = default_runs[domain]["audit"]
-        ok &= bool(audit.test_rows)
+        ok &= audit.test_rows.size > 0
         ok &= audit.leaked() == {}
     verdict("9: zero test-partition rows consumed by any fit/calibration stage", ok)
 

@@ -136,6 +136,14 @@ class TestReconstructionErrors:
         with pytest.raises(DataError, match="width"):
             reconstruction_errors(model, np.zeros((2, 5)))
 
+    def test_non_finite_row_is_a_data_error(self, np_rng):
+        """Unchecked, a NaN row scores NaN, which no threshold ever flags."""
+        model = init_dense_autoencoder([4, 2, 4], 0.0, RngStream(0, "ae"))
+        X = np_rng.normal(size=(3, 4))
+        X[1, 2] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            reconstruction_errors(model, X)
+
 
 class TestThreshold:
     def test_nearest_rank_examples(self):
@@ -301,6 +309,16 @@ class TestLstmAutoencoder:
         data[1, 1 if step == "real" else 4, 0] = np.nan
         with pytest.raises(DataError, match="non-finite"):
             fit_lstm_autoencoder(session_tensor(data, lengths), hidden=4, latent=2, epochs=1, rng=RngStream(0, "l"))
+
+    @pytest.mark.parametrize("step", ["real", "padded"])
+    def test_non_finite_step_is_rejected_on_scoring(self, np_rng, step):
+        """Scoring checks the whole tensor, padding included: unchecked, a NaN
+        in a padded step scores its session NaN."""
+        model = init_lstm_autoencoder(2, 4, 2, RngStream(0, "l"))
+        data = np_rng.normal(size=(3, 5, 2))
+        data[1, 1 if step == "real" else 4, 0] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            score_sessions(model, session_tensor(data, [4, 2, 4]))
 
     def test_width_mismatch_on_scoring(self):
         model = init_lstm_autoencoder(2, 4, 2, RngStream(0, "l"))

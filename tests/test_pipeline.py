@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import edge_dataset
+from conftest import edge_dataset, per_event_sessionize, traced_peak
 from threatbench import pipeline
 from threatbench.errors import ConfigError, DataError
 from threatbench.evalx import classification_report, permutation_importance
@@ -23,9 +23,10 @@ from threatbench.pipeline import (
     report_to_json,
     run_domain,
 )
-from threatbench.preprocess import sessionize
-from threatbench.synthgen import GENERATOR_PARAMS, MIXES, PARAM_RANGES
-from threatbench.tabular import Dataset
+from threatbench.cli import main
+from threatbench.preprocess import apply_one_hot, apply_scaler, fit_one_hot, fit_scaler, sessionize
+from threatbench.synthgen import GENERATOR_PARAMS, MIXES, PARAM_RANGES, GeneratorConfig
+from threatbench.tabular import Dataset, RngStream, stratified_indices
 
 # Small, fast configs used by every structural test in this module.
 SMALL = {
@@ -180,50 +181,68 @@ def test_no_remembered_walk_outlives_its_importance_call(domain, scorers, monkey
     assert len(refs) == scorers
 
 
-def test_ueba_sessionizes_each_partition_on_its_own(monkeypatch):
-    """Each `sessionize` call sees the events of train sessions only or of test
-    sessions only; together the calls see every event once."""
-    seen = []
-
-    def spy(events, *args, **kwargs):
-        seen.append(events.row_ids.tolist())
-        return sessionize(events, *args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "sessionize", spy)
-    audit = LeakageAudit()
-    run_domain(small_config("ueba"), audit=audit)
-    assert [bool(audit.test_rows.intersection(ids)) for ids in seen] == [False, True]
-    assert audit.test_rows.issuperset(seen[1])
-    ids = seen[0] + seen[1]
-    assert sorted(ids) == list(range(len(ids)))
-
-
-def test_ueba_train_tensor_is_gone_before_the_lstm_fit(monkeypatch):
-    """The LSTM trains on the clean partition; the train partition's tensor,
-    which only the clean one is carved from, is freed before the fit starts."""
-    refs = []
+def test_ueba_partitions_hold_their_own_sessions_events(monkeypatch):
+    """The clean tensor holds no event of a test session and the test tensor
+    holds every one of them. The clean sessions' events are train events,
+    and train and test events together are every event once."""
+    parts = []
 
     def prepare(*args, **kwargs):
-        features, parts, extra = prepare_sessions(*args, **kwargs)
-        refs.append(weakref.ref(parts["train"].X))
-        return features, parts, extra
-
-    def fit(*args, **kwargs):
-        assert refs[0]() is None
-        return fit_lstm_autoencoder(*args, **kwargs)
+        features, prepared, extra = prepare_sessions(*args, **kwargs)
+        parts.append({name: part.X.event_row_ids for name, part in prepared.items()})
+        return features, prepared, extra
 
     prepare_sessions = pipeline._prepare_sessions
     monkeypatch.setattr(pipeline, "_prepare_sessions", prepare)
+    audit = LeakageAudit()
+    run_domain(small_config("ueba"), audit=audit)
+    clean, test = parts[0]["clean"], parts[0]["test"]
+    train = audit.consumed["fit_one_hot"]
+    assert not np.isin(clean, audit.test_rows).any()
+    assert np.array_equal(np.sort(test), audit.test_rows)
+    assert np.isin(clean, train).all()
+    ids = np.concatenate([train, test])
+    assert np.array_equal(np.sort(ids), np.arange(len(ids)))
+
+
+def test_ueba_run_copies_no_event_table(monkeypatch):
+    """ueba's preparation works on row indices of the generated log; no
+    `Dataset.select_rows` copy of it is ever made."""
+
+    def select_rows(*args, **kwargs):
+        raise AssertionError("Dataset.select_rows called")
+
+    monkeypatch.setattr(Dataset, "select_rows", select_rows)
+    run_domain(small_config("ueba"))
+
+
+def test_ueba_builds_only_the_tensors_it_reads(monkeypatch):
+    """The LSTM trains on the clean partition, the train sessions labelled 0,
+    which is filled straight from the log like the test one; no train tensor
+    is built, so none is alive at the fit."""
+    built = []
+
+    def spy(*args, **kwargs):
+        tensors = sessionize(*args, **kwargs)
+        built.extend(weakref.ref(t) for t in tensors)
+        return tensors
+
+    def fit(sessions, *args, **kwargs):
+        assert [ref() is not None for ref in built] == [True, True]
+        assert not sessions.labels.any()
+        return fit_lstm_autoencoder(sessions, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sessionize", spy)
     monkeypatch.setattr(pipeline, "fit_lstm_autoencoder", fit)
     run_domain(small_config("ueba"))
-    assert len(refs) == 1
+    assert len(built) == 2
 
 
-@pytest.mark.parametrize("domain, kernel", [("ueba", "sessionize"), ("malware", "fit_random_forest")])
+@pytest.mark.parametrize("domain, kernel", [("ueba", "fit_lstm_autoencoder"), ("malware", "fit_random_forest")])
 def test_generated_table_is_gone_once_split(domain, kernel, monkeypatch, tmp_path):
     """`data/`, the dataset block and the histograms are taken from the
     generated table before it is split; the table is freed by the time the
-    first partition is sessionized (ueba) or the first model fits (malware)."""
+    first model fits."""
     refs, freed = [], []
 
     def generate(*args, **kwargs):
@@ -256,6 +275,170 @@ def test_ueba_scores_the_test_tensor_once_outside_importance(monkeypatch):
     config = small_config("ueba")
     run_domain(config)
     assert len(widths) == 2 + config.models["importance_repeats"] * widths[0]
+
+
+def two_copy_prepare(events, pp, rng, label="anomaly_label"):
+    """The former ueba preparation, kept as the oracle of the one-pass one:
+    number sessions with `np.unique`, split them, copy the train and the test
+    sessions' events out of the log, fit and apply one-hot encoding and
+    z-scores on the copies, and sessionize each copy. Returns the train,
+    clean (the train sessions labelled 0) and test tensors, and the session
+    labels."""
+    keys = np.column_stack([events.column("user_id"), events.column("day")]).astype(np.float64)
+    session_keys, event_session = np.unique(keys, axis=0, return_inverse=True)
+    event_session = event_session.ravel()
+    session_labels = np.zeros(len(session_keys), dtype=np.int64)
+    np.maximum.at(session_labels, event_session, np.asarray(events.column(label), dtype=np.int64))
+    train_sessions, _ = stratified_indices(session_labels, pp["test_fraction"], rng.child("split"))
+    in_train = np.isin(event_session, train_sessions)
+    train, test = events.select_rows(np.flatnonzero(in_train)), events.select_rows(np.flatnonzero(~in_train))
+    encoder = fit_one_hot(train, ["activity_type"])
+    train, test = apply_one_hot(encoder, train), apply_one_hot(encoder, test)
+    scaler = fit_scaler(train, [n for n in train.names_of_kind("numeric") if n not in ("user_id", "day")])
+    train, test = apply_scaler(scaler, train), apply_scaler(scaler, test)
+    clean = train.select_rows(np.flatnonzero(session_labels[event_session[in_train]] == 0))
+    tensors = {name: per_event_sessionize(part, pp["time_steps"]) for name, part in
+               (("train", train), ("clean", clean), ("test", test))}
+    return tensors, session_labels
+
+
+def one_pass_prepare(events, pp, rows=None, audit=None):
+    """`_prepare_sessions` on `events` for ueba, or for ueba with its LSTM
+    training on the partitions named in `rows`."""
+    spec = pipeline.DOMAIN_SPECS["ueba"]
+    if rows:
+        spec = spec._replace(models=(spec.models[0]._replace(rows=rows),))
+    rng = RngStream(42, "pipeline/ueba")
+    return pipeline._prepare_sessions(spec, [events], pp, rng, pipeline._StageRecorder(), audit)
+
+
+ACTIVITIES = ("cmd", "login", "mail")
+
+
+def event_log(sessions, seed=0):
+    """A hand-built ueba event log with its rows shuffled. `sessions` holds a
+    (user, day spellings, labels) triple per session, with one day spelling
+    and one label per event. Activities cycle through ACTIVITIES within each
+    session; `weekday` is constant, so it z-scores to zeros."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        (user, day, float(rng.integers(0, 24)), 3.0, ACTIVITIES[k % 3], float(rng.poisson(2.0)), int(rng.integers(0, 2)), flag)
+        for user, days, flags in sessions
+        for k, (day, flag) in enumerate(zip(days, flags))
+    ]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    columns = [("user_id", "numeric"), ("day", "numeric"), ("hour", "numeric"), ("weekday", "numeric"),
+               ("activity_type", "categorical"), ("command_count", "numeric"), ("is_admin_action", "binary"),
+               ("anomaly_label", "label")]
+    return Dataset(columns, {name: [row[j] for row in rows] for j, (name, _) in enumerate(columns)})
+
+
+# A session of 6 events whose only threat event is its last, its day spelt
+# -0.0 and 0.0 alike; single-event sessions, clean and threat; sessions of 2
+# to 9 events; and one session whose user is spelt 0.0 and -0.0.
+HAND_SESSIONS = [
+    (1.0, [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0], [0, 0, 0, 0, 0, 1]),
+    (1.0, [1.0], [0]),
+    (2.0, [-0.0, 0.0, -0.0], [0, 1, 0]),
+    (2.0, [3.0], [1]),
+    (2.0, [2.0], [0]),
+    (3.0, [0.0] * 5, [0, 0, 0, 0, 0]),
+    (3.0, [1.0] * 2, [0, 0]),
+    (3.0, [2.0] * 7, [0, 0, 0, 0, 0, 1, 0]),
+    (4.0, [5.0] * 9, [0, 0, 0, 0, 0, 0, 0, 0, 1]),
+    (4.0, [1.0] * 4, [0, 0, 0, 0]),
+    (0.0, [4.0] * 3, [0, 0, 0]),
+    (-0.0, [4.0, 4.0], [1, 0]),
+]
+
+
+class TestOnePassSessions:
+    """`_prepare_sessions` against the two-copy oracle: the same tensor bytes,
+    lengths, labels, keys (signs included), event row ids and bounds, session
+    counts and leakage-audit ids."""
+
+    @staticmethod
+    def check(make_log, pp):
+        want, session_labels = two_copy_prepare(make_log(), pp, RngStream(42, "pipeline/ueba"))
+        audit = LeakageAudit()
+        features, parts, extra = one_pass_prepare(make_log(), pp, rows=("train", "clean"), audit=audit)
+        assert set(parts) == set(want)
+        for name, tensor in want.items():
+            got = parts[name].X
+            for field in ("data", "lengths", "labels", "event_row_ids", "event_bounds"):
+                a, b = getattr(got, field), getattr(tensor, field)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (name, field)
+            assert got.feature_names == tensor.feature_names == features
+            assert repr(got.keys) == repr(tensor.keys), name  # repr tells -0.0 from 0.0
+        counts = {str(c): int((session_labels == c).sum()) for c in (0, 1)}
+        assert extra == {"n_sessions": len(session_labels), "session_label_counts": counts}
+        assert np.array_equal(audit.test_rows, np.sort(want["test"].event_row_ids))
+        for stage in ("fit_one_hot", "fit_scaler"):
+            assert np.array_equal(audit.consumed[stage], np.sort(want["train"].event_row_ids)), stage
+        _, ueba_parts, _ = one_pass_prepare(make_log(), pp)
+        assert set(ueba_parts) == {"clean", "test"}
+        for name, part in ueba_parts.items():
+            assert part.X.data.tobytes() == parts[name].X.data.tobytes(), name
+        return parts
+
+    def test_small_config(self):
+        checked = small_config("ueba").validate()
+        config = GeneratorConfig(**checked["generator"], seed=42)
+        parts = self.check(lambda: pipeline.GENERATORS["ueba"](config), checked["preprocess"])
+        assert parts["train"].X.lengths.max() == checked["preprocess"]["time_steps"]  # some sessions truncated
+
+    @pytest.mark.parametrize("time_steps", [1, 4, 50])
+    def test_hand_built_log(self, time_steps):
+        parts = self.check(lambda: event_log(HAND_SESSIONS), {"test_fraction": 0.5, "time_steps": time_steps})
+        assert len(parts["train"].X.lengths) + len(parts["test"].X.lengths) == 11  # -0.0 and 0.0 are one key
+
+    def test_truncated_threat_event_labels_its_session(self):
+        parts = self.check(lambda: event_log(HAND_SESSIONS), {"test_fraction": 0.5, "time_steps": 4})
+        tensor = next(parts[name].X for name in ("train", "test") if (1.0, -0.0) in parts[name].X.keys)
+        s = tensor.keys.index((1.0, -0.0))
+        assert tensor.lengths[s] == 4 and tensor.labels[s] == 1
+
+    def test_category_seen_only_in_test_sessions_is_rejected(self, monkeypatch, tmp_path, capsys):
+        """The error names the value and its row in the test partition, as a
+        test copy of the log numbers it, from the fit_one_hot stage; the run
+        exits 3."""
+        pp = {"test_fraction": 0.5, "time_steps": 4}
+        audit = LeakageAudit()
+        one_pass_prepare(event_log(HAND_SESSIONS), pp, audit=audit)
+        row = int(audit.test_rows[len(audit.test_rows) // 2])
+
+        def make_log(config=None):
+            log = event_log(HAND_SESSIONS)
+            log.column("activity_type")[row] = "rare"
+            return log
+
+        with pytest.raises(DataError) as want:
+            two_copy_prepare(make_log(), pp, RngStream(42, "pipeline/ueba"))
+        assert f"'rare' in column 'activity_type' (row {len(audit.test_rows) // 2})" in str(want.value)
+        with pytest.raises(DataError) as got:
+            one_pass_prepare(make_log(), pp)
+        assert str(got.value) == f"stage 'fit_one_hot': {want.value}"
+        monkeypatch.setitem(pipeline.GENERATORS, "ueba", make_log)
+        args = ["run", "ueba", "--out", str(tmp_path)]
+        for key, value in pp.items():
+            args += ["--override", f"preprocess.{key}={value}"]
+        assert main(args) == 3
+        assert str(got.value) in capsys.readouterr().err
+
+    def test_traced_peak_is_the_tensors_and_less_than_a_table(self):
+        """Beyond the tensors it returns, `_prepare_sessions` allocates less
+        than the event table it is handed: 0.54x the table's bytes for the
+        small config. The two-copy path read 1.57x."""
+        checked = small_config("ueba").validate()
+        config = GeneratorConfig(**checked["generator"], seed=42)
+        logs = [pipeline.GENERATORS["ueba"](config) for _ in range(3)]
+        table_bytes = logs[0].row_ids.nbytes + sum(
+            8 * logs[0].n if kind == "categorical" else logs[0].column(name).nbytes for name, kind in logs[0].columns
+        )
+        _, parts, _ = one_pass_prepare(logs.pop(), checked["preprocess"])
+        tensor_bytes = sum(part.X.data.nbytes for part in parts.values())
+        peak = traced_peak(lambda: one_pass_prepare(logs.pop(), checked["preprocess"]))
+        assert peak <= table_bytes + tensor_bytes + table_bytes // 5
 
 
 @pytest.mark.parametrize("domain", ["malware", "phishing"])
@@ -320,6 +503,12 @@ class TestHistograms:
         assert h["b"] == {"kind": "binary", "values": {"0": 1, "1": 3}}
         assert h["y"] == {"kind": "label", "values": {"0": 3, "1": 1}}
 
+    def test_non_finite_numeric_column_is_named(self):
+        """np.histogram cannot bin a column holding NaN or infinity; the run
+        gets a DataError naming the column, not a ValueError."""
+        with pytest.raises(DataError, match="numeric column 'size%' contains NaN or infinite values"):
+            pipeline._histograms(edge_dataset())
+
     def test_counts_equal_a_per_row_count(self):
         edge = edge_dataset()  # awkward strings and 64-bit extreme ints
         columns = [(name, kind) for name, kind in edge.columns if kind != "numeric"]
@@ -333,9 +522,23 @@ class TestHistograms:
 
 
 class TestLeakage:
+    def test_audit_keeps_sorted_unique_id_arrays(self):
+        audit = LeakageAudit()
+        audit.record("fit", [5, -1, 3, 5, 9])
+        audit.record("fit", np.array([[2, 3], [-1, 11]]))
+        audit.record("calibrate", np.arange(20, 23))
+        audit.mark_test([9, 22, -1, 4])
+        audit.mark_test([30])
+        assert audit.consumed["fit"].tolist() == [2, 3, 5, 9, 11]
+        assert audit.consumed["calibrate"].dtype == audit.test_rows.dtype == np.int64
+        assert audit.test_rows.tolist() == [4, 9, 22, 30]
+        assert audit.leaked() == {"fit": [9], "calibrate": [22]}
+        assert all(type(i) is int for ids in audit.leaked().values() for i in ids)
+        assert LeakageAudit().leaked() == {}
+
     def test_no_fit_stage_consumes_test_rows(self, small_reports):
         for domain, (_, audit) in small_reports.items():
-            assert audit.test_rows, domain
+            assert audit.test_rows.size, domain
             assert audit.leaked() == {}, f"{domain}: {audit.leaked()}"
 
     def test_every_fit_stage_recorded(self, small_reports):

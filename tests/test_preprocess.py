@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import segment_offsets, traced_peak
+from conftest import per_event_sessionize, segment_offsets, traced_peak
 from threatbench import preprocess
 from threatbench.errors import DataError
 from threatbench.preprocess import (
@@ -9,8 +9,8 @@ from threatbench.preprocess import (
     apply_scaler,
     downsample_majority,
     fit_one_hot,
-    SessionTensor,
     fit_scaler,
+    group_sessions,
     sessionize,
     smote_oversample,
 )
@@ -187,46 +187,6 @@ class TestDownsample:
         assert len(kept_min) == 60
 
 
-def per_event_sessionize(events, time_steps, group_columns=("user_id", "day"), label_column="anomaly_label"):
-    """The former dict-of-index-lists `sessionize`, kept as the oracle of the
-    whole-array one."""
-    feature_names = [
-        n for n, k in events.columns
-        if k in ("numeric", "binary") and n not in group_columns
-    ]
-    X = events.matrix(feature_names)
-    labels = np.asarray(events.column(label_column))
-    gu = np.asarray(events.column(group_columns[0]))
-    gd = np.asarray(events.column(group_columns[1]))
-
-    groups = {}
-    for i in range(events.n):
-        groups.setdefault((float(gu[i]), float(gd[i])), []).append(i)
-    keys = sorted(groups)
-
-    S = len(keys)
-    data = np.zeros((S, time_steps, len(feature_names)))
-    lengths = np.zeros(S, dtype=np.int64)
-    sess_labels = np.zeros(S, dtype=np.int64)
-    row_ids = []
-    for s, key in enumerate(keys):
-        idx = groups[key]
-        take = idx[:time_steps]
-        data[s, : len(take)] = X[take]
-        lengths[s] = len(take)
-        sess_labels[s] = int(labels[idx].max())
-        row_ids.append([int(events.row_ids[i]) for i in idx])
-    return SessionTensor(
-        data=data,
-        lengths=lengths,
-        labels=sess_labels,
-        feature_names=feature_names,
-        keys=keys,
-        event_row_ids=np.array([i for ids in row_ids for i in ids], dtype=np.int64),
-        event_bounds=np.cumsum([0] + [len(ids) for ids in row_ids]),
-    )
-
-
 def encoded_events(users=4, days=3, seed=5, rate=0.05):
     events = generate_user_activity(
         GeneratorConfig(anomaly_rate=rate, seed=seed, overrides={"users": users, "days": days})
@@ -241,7 +201,8 @@ class TestSessionize:
             [("user_id", "numeric"), ("day", "numeric"), ("v", "numeric"), ("anomaly_label", "label")],
             {"user_id": [1.0] * 5, "day": [1.0] * 5, "v": [1.0, 2.0, 3.0, 4.0, 5.0], "anomaly_label": [0] * 5},
         )
-        t = sessionize(ds, time_steps=20)
+        t, = sessionize(ds, 20, [group_sessions(ds)])
+        assert ds.column_names == []  # each column is freed once used
         assert t.data.shape == (1, 20, 1)
         assert t.lengths[0] == 5
         assert np.array_equal(t.data[0, 5:, 0], np.zeros(15))
@@ -252,19 +213,19 @@ class TestSessionize:
             [("user_id", "numeric"), ("day", "numeric"), ("v", "numeric"), ("anomaly_label", "label")],
             {"user_id": [1.0, 1.0, 2.0], "day": [1.0, 1.0, 1.0], "v": [0.0, 1.0, 2.0], "anomaly_label": [0, 1, 0]},
         )
-        t = sessionize(ds, time_steps=4)
+        t, = sessionize(ds, 4, [group_sessions(ds)])
         assert t.labels.tolist() == [1, 0]
 
     def test_session_count_equals_distinct_user_days(self):
         encoded, raw = encoded_events(users=7, days=4)
-        t = sessionize(encoded, time_steps=50)
+        t, = sessionize(encoded, 50, [group_sessions(encoded)])
         keys = {(u, d) for u, d in zip(raw.column("user_id"), raw.column("day"))}
         assert t.n_sessions == len(keys) == 28
 
     def test_conservation_and_truncation(self):
         encoded, raw = encoded_events(users=5, days=3)
         T = 10  # force truncation: user-days average ~40 events
-        t = sessionize(encoded, T)
+        t, = sessionize(encoded, T, [group_sessions(encoded)])
         counts = {}
         for u, d in zip(raw.column("user_id"), raw.column("day")):
             counts[(u, d)] = counts.get((u, d), 0) + 1
@@ -274,7 +235,7 @@ class TestSessionize:
 
     def test_labels_match_bruteforce(self):
         encoded, raw = encoded_events(users=6, days=5, rate=0.1)
-        t = sessionize(encoded, time_steps=50)
+        t, = sessionize(encoded, 50, [group_sessions(encoded)])
         labels = {}
         for u, d, a in zip(raw.column("user_id"), raw.column("day"), raw.column("anomaly_label")):
             labels[(u, d)] = max(labels.get((u, d), 0), int(a))
@@ -286,14 +247,14 @@ class TestSessionize:
             [("user_id", "numeric"), ("day", "numeric"), ("v", "numeric"), ("anomaly_label", "label")],
             {"user_id": [1.0] * 6, "day": [1.0] * 6, "v": [10.0, 20.0, 30.0, 40.0, 50.0, 60.0], "anomaly_label": [0] * 6},
         )
-        t = sessionize(ds, time_steps=3)
+        t, = sessionize(ds, 3, [group_sessions(ds)])
         assert np.array_equal(t.data[0, :, 0], [10.0, 20.0, 30.0])
         assert t.lengths[0] == 3
 
     def test_bad_time_steps(self):
         encoded, _ = encoded_events(users=2, days=2)
         with pytest.raises(DataError, match="time_steps"):
-            sessionize(encoded, 0)
+            sessionize(encoded, 0, [group_sessions(encoded)])
 
 
 def session_dataset(user, day, v, label):
@@ -309,7 +270,9 @@ class TestSessionizeOracle:
 
     @staticmethod
     def check(events, time_steps):
-        got, want = sessionize(events, time_steps), per_event_sessionize(events, time_steps)
+        want = per_event_sessionize(events, time_steps)
+        copy = events.select_rows(np.arange(events.n))  # sessionize consumes its table
+        got, = sessionize(copy, time_steps, [group_sessions(copy)])
         for name in ("data", "lengths", "labels", "event_row_ids", "event_bounds"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -340,13 +303,14 @@ class TestSessionizeOracle:
 
     def test_select_keeps_each_sessions_ids(self, np_rng):
         encoded, _ = encoded_events(users=5, days=4, rate=0.1)
-        t = sessionize(encoded, 10)
-        per_session = [t.event_row_ids[a:b].tolist() for a, b in zip(t.event_bounds[:-1], t.event_bounds[1:])]
-        for idx in ([], [3], [5, 0, 5, 19], np_rng.permutation(t.n_sessions)):
-            s = t.select(idx)
-            assert s.event_row_ids.dtype == np.int64
-            got = [s.event_row_ids[a:b].tolist() for a, b in zip(s.event_bounds[:-1], s.event_bounds[1:])]
+        index = group_sessions(encoded)
+        per_session = [index.order[a:b].tolist() for a, b in zip(index.bounds[:-1], index.bounds[1:])]
+        for idx in ([], [3], [5, 0, 5, 19], np_rng.permutation(len(index.labels))):
+            s = index.select(idx)
+            assert s.order.dtype == s.bounds.dtype == np.int64
+            got = [s.order[a:b].tolist() for a, b in zip(s.bounds[:-1], s.bounds[1:])]
             assert got == [per_session[i] for i in idx]
+            assert s.labels.tolist() == [index.labels[i] for i in idx] and s.keys == [index.keys[i] for i in idx]
 
     def test_signed_zero_keys(self):
         ds = session_dataset([0.0, -0.0, 1.0, -0.0, 0.0], [-0.0, 0.0, 0.0, 2.0, 2.0],
@@ -368,10 +332,9 @@ def test_generate_and_sessionize_memory_is_bounded():
     def run(users, days):
         config = GeneratorConfig(anomaly_rate=0.02, seed=42, overrides={"users": users, "days": days})
         events = generate_user_activity(config)
-        return events, sessionize(events, 50)
+        arrays = [events.column(name) for name, kind in events.columns if kind != "categorical"]
+        tensor, = sessionize(events, 50, [group_sessions(events)])
+        return arrays + [tensor.data, tensor.lengths, tensor.labels]
 
     peak = traced_peak(lambda: run(20, 10))
-    events, tensor = run(20, 10)
-    arrays = [events.column(name) for name, kind in events.columns if kind != "categorical"]
-    arrays += [tensor.data, tensor.lengths, tensor.labels]
-    assert peak <= 3 * sum(a.nbytes for a in arrays)
+    assert peak <= 3 * sum(a.nbytes for a in run(20, 10))
