@@ -148,6 +148,7 @@ def test_criterion_5_threshold_calibration():
 # -- criterion 6: isolation forest sanity ------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_isolation_forest_sanity():
     ok = average_path_length(2) == 1.0
     rng = np.random.default_rng(606)
@@ -208,6 +209,7 @@ def default_runs(tmp_path_factory):
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_7_pipeline_bands(default_runs):
     checks = []
     ph = default_runs["phishing"]["report"].models
@@ -235,6 +237,7 @@ def test_criterion_7_pipeline_bands(default_runs):
     verdict(f"7: pipeline bands on default generators, seed 42 ({detail})", ok)
 
 
+@pytest.mark.slow
 def test_criterion_8_determinism(default_runs):
     ok = True
     for domain in DOMAINS:
@@ -243,6 +246,7 @@ def test_criterion_8_determinism(default_runs):
     verdict("8: identical configs give byte-identical datasets, model files, and reports", ok)
 
 
+@pytest.mark.slow
 def test_criterion_9_no_leakage(default_runs):
     ok = True
     for domain in DOMAINS:
@@ -331,6 +335,7 @@ DEFAULT_DIGESTS = {
 }
 
 
+@pytest.mark.slow
 def test_default_output_digests(default_runs):
     for domain in DOMAINS:
         assert default_runs[domain]["digests"][0] == DEFAULT_DIGESTS[domain], domain

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from threatbench import forest
 from threatbench.errors import DataError
 from threatbench.evalx import permutation_importance
 from threatbench.forest import (
@@ -17,6 +18,7 @@ from threatbench.forest import (
     _column_codes,
     _gini_best_split,
     _logloss,
+    _stable_order,
     average_path_length,
     fit_gradient_boosting,
     fit_isolation_forest,
@@ -143,9 +145,65 @@ class TestSplitSearchOracle:
             p = 1.0 / (1.0 + np.exp(-np_rng.normal(size=len(X))))
             g = p - np_rng.integers(0, 2, size=len(X))
             h = p * (1.0 - p)
+            S = np.array([idx[np.argsort(c[idx], kind="stable")] for c in codes])
             for lam, gamma in ((1.0, 0.0), (0.0, 0.5)):
-                got = _boost_best_split(Xc, codes, g, h, idx, lam, gamma)
+                got = _boost_best_split(Xc, codes, g, h, idx, S, lam, gamma)
                 assert got == reference_boost_split(X, g, h, idx, lam, gamma)
+            # lam = 0 with exact-zero gradients and hessians on the rows of
+            # column 0's lowest value: its first cut's gain is 0/0, NaN, which
+            # refuses column 0, though g makes it the best split elsewhere
+            g = np.where(X[:, 0] > np.median(X[idx, 0]), -0.5, 0.5) + 0.01 * np_rng.normal(size=len(X))
+            h = np.full(len(X), 0.25)
+            lowest = X[:, 0] == X[idx, 0].min()
+            g[lowest] = h[lowest] = 0.0
+            with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+                reference_boost_split(X, g, h, idx, 0.0, 0.0)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                got = _boost_best_split(Xc, codes, g, h, idx, S, 0.0, 0.0)
+                assert got == reference_boost_split(X, g, h, idx, 0.0, 0.0)
+                assert got is None or got[0] != 0
+
+    @pytest.mark.parametrize("n", [500, _BLOCK // 2 + 1])  # all three features in one block; one per block
+    def test_boost_ties_go_to_the_lower_feature_then_threshold(self, np_rng, n):
+        v = np_rng.integers(0, 4, size=n).astype(float)
+        X = np.column_stack([v, v, v])  # equal gains in every column
+        g = np.select([v == 0, v == 3], [1.0, -1.0], 0.0)
+        h = np.where((v == 1) | (v == 2), 0.0, 1.0)  # equal gains at all three cuts
+        idx = np_rng.permutation(n)
+        Xc, codes = _column_codes(X)
+        S = np.array([idx[np.argsort(c[idx], kind="stable")] for c in codes])
+        got = _boost_best_split(Xc, codes, g, h, idx, S, 1.0, 0.0)
+        assert got == reference_boost_split(X, g, h, idx, 1.0, 0.0) and got[:2] == (0, 0.5)
+
+    def test_radix_order_matches_stable_argsort(self, np_rng):
+        X, idx = next(c for c in split_search_cases(np_rng) if len(c[0]) == 80_000)
+        codes = _column_codes(X)[1][0]
+        assert codes.dtype == np.uint32 and codes.max() >= 1 << 16
+        for c in (codes, codes.take(idx), codes[::-1].copy()):
+            assert np.array_equal(_stable_order(c), np.argsort(c, kind="stable"))
+
+    def test_each_node_gets_its_own_stable_sort(self, np_rng, monkeypatch):
+        seen, newton = [], forest._newton_node
+
+        def spy(*args):
+            seen.append(args[-2:])  # (item, depth)
+            return newton(*args)
+
+        monkeypatch.setattr(forest, "_newton_node", spy)
+        cfg = BoostConfig(n_rounds=2, early_stopping_rounds=2)
+        for X, _ in split_search_cases(np_rng):
+            seen.clear()
+            y = np_rng.integers(0, 2, size=len(X))
+            fit_gradient_boosting(X, y, cfg, validation=(X[:200], y[:200]), rng=RngStream(0, "gb"))
+            codes = _column_codes(X)[1]
+            for (idx, S), depth in seen:
+                if depth == cfg.max_depth:  # leaves below the last split level
+                    assert S is None
+                    continue
+                assert S.dtype == np.min_scalar_type(len(X) - 1)
+                for f, c in enumerate(codes):
+                    assert np.array_equal(S[f], idx[np.argsort(c[idx], kind="stable")])
+            assert max(depth for _, depth in seen) == cfg.max_depth
 
 
 def random_tree(rng, depth, n_features=3):
@@ -346,6 +404,35 @@ class TestRememberedWalk:
             scorer = model.scorer(Xt)
             for M in changed_matrices(np_rng, Xt):
                 assert scorer(M).tobytes() == score(M).tobytes()
+
+    def test_walks_only_the_rows_a_permutation_moved(self, np_rng, monkeypatch):
+        X = np.round(np_rng.normal(size=(600, 4)), 1)
+        X[:, 1] = np_rng.random(600) < 0.2  # binary
+        y = (X[:, 0] + 2.0 * X[:, 1] + 0.5 * np_rng.normal(size=600) > 0.7).astype(int)
+        rf = fit_random_forest(X, y, ForestConfig(n_trees=10, max_depth=6), RngStream(0, "rf"))
+        gb = fit_gradient_boosting(X[:400], y[:400], BoostConfig(n_rounds=20), validation=(X[400:], y[400:]),
+                                   rng=RngStream(0, "gb"))
+        walked, walk = [], forest._FlatForest.walk
+
+        def spy(flat_forest, flat, pos, offset, walking):
+            walked.append(offset // X.shape[1])  # each pair's row
+            return walk(flat_forest, flat, pos, offset, walking)
+
+        M = X.copy()
+        M[:, 1] = X[np_rng.permutation(len(X)), 1]
+        moved = np.flatnonzero(M[:, 1] != X[:, 1])
+        assert 0 < len(moved) < len(X) / 2
+        for model in (rf, gb):
+            scorer = model.scorer(X)
+            monkeypatch.setattr(forest._FlatForest, "walk", spy)
+            walked.clear()
+            scorer(X.copy())
+            assert sum(len(rows) for rows in walked) == 0
+            scores = scorer(M)
+            monkeypatch.undo()
+            rows = np.concatenate(walked)
+            assert len(rows) and np.isin(rows, moved).all()
+            assert scores.tobytes() == model.predict_proba(M)[:, 1].tobytes()
 
     def test_shape_checks(self, np_rng):
         rf = RandomForestModel(trees=[random_tree(np_rng, 3)], n_features=3, config=ForestConfig())
@@ -565,6 +652,7 @@ class TestIsolationForest:
         assert np.array_equal(s1, s2)
         assert (s1 > 0).all() and (s1 < 1).all()
 
+    @pytest.mark.slow
     def test_planted_outlier_gets_top_score(self, np_rng):
         hits = 0
         trials = 20
