@@ -75,18 +75,6 @@ class MetricsReport:
             "roc_auc": self.roc_auc,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        cm = d["confusion"]
-        return cls(
-            accuracy=d["accuracy"],
-            per_class={k: dict(v) for k, v in d["per_class"].items()},
-            macro_f1=d["macro_f1"],
-            confusion=ConfusionMatrix(tp=cm["tp"], fp=cm["fp"], fn=cm["fn"], tn=cm["tn"]),
-            positive_label=d["positive_label"],
-            roc_auc=d["roc_auc"],
-        )
-
 
 def report_from_confusion(cm: ConfusionMatrix, scores=None, y_true=None, positive_label: str = "1") -> MetricsReport:
     p1, r1, f1_1 = _prf(cm.tp, cm.fp, cm.fn)

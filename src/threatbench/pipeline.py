@@ -4,6 +4,12 @@ A domain is one DOMAIN_SPECS entry: its label and categorical columns, its
 preprocessing, and per model the fit, the scorer, the training rows and the
 threshold policy. `run_domain` executes any entry.
 
+Data preparation has one path for both shapes of data: the generated table is
+split by row index, the encoder and scaler are fit on the train rows
+(`_fit_encoding`), and `preprocess.fill_features` fills each partition's
+matrix (tabular domains) or session tensor (ueba) straight from the table, so
+no copy of the table is made.
+
 Each run is a pure function of (PipelineConfig, toolkit version): reports
 carry no timestamps or host identifiers and artifact paths are stored relative
 to the report, so identical configs produce byte-identical output trees. Every
@@ -48,9 +54,9 @@ from .neural import (
 )
 from .preprocess import (
     SessionTensor,
-    apply_one_hot,
-    apply_scaler,
     downsample_majority,
+    feature_plan,
+    fill_features,
     fit_one_hot,
     fit_scaler,
     group_sessions,
@@ -59,7 +65,7 @@ from .preprocess import (
     smote_oversample,
 )
 from .synthgen import GENERATORS, GeneratorConfig, save_events_jsonl
-from .tabular import Dataset, RngStream, check_finite, save_dataset, stratified_indices, stratified_split
+from .tabular import Dataset, RngStream, check_finite, save_dataset, stratified_indices
 
 DOMAINS = ("intrusion", "malware", "phishing", "ueba")
 REPORT_SCHEMA_VERSION = 1
@@ -370,49 +376,54 @@ def _record(audit, stage, *parts) -> None:
             audit.record(stage, part.ids)
 
 
-def _encode(spec, train: Dataset, targets, rec, audit):
-    """Fit one-hot encoding, then z-scores if the spec scales, on `train` only;
-    returns `targets` transformed."""
+def _fit_encoding(spec, table: Dataset, train, test, rec, audit, exclude=()):
+    """Fit the one-hot encoder, and the scaler if the spec scales, on the
+    table rows `train` (in their order). A test category that train lacks is
+    an error of the fit_one_hot stage, named by its position in `test`."""
     with rec.stage("fit_one_hot"):
-        encoder = fit_one_hot(train, list(spec.categoricals))
+        encoder = fit_one_hot(table, list(spec.categoricals), rows=train)
         if audit:
-            audit.record("fit_one_hot", train.row_ids)
-        train_e = apply_one_hot(encoder, train)
-        targets = [train_e if t is train else apply_one_hot(encoder, t) for t in targets]
+            audit.record("fit_one_hot", table.row_ids[train])
+        for name in encoder.categories:
+            one_hot_codes(encoder, name, table.column(name), test)
+    scaler = None
     if spec.scale:
         with rec.stage("fit_scaler"):
-            scaler = fit_scaler(train_e, train_e.names_of_kind("numeric"))
+            numeric = [n for n in table.names_of_kind("numeric") if n not in exclude]
+            scaler = fit_scaler(table, numeric, rows=train)
             if audit:
-                audit.record("fit_scaler", train_e.row_ids)
-            targets = [apply_scaler(scaler, t) for t in targets]
-    return targets
+                audit.record("fit_scaler", table.row_ids[train])
+    return encoder, scaler
 
 
 def _prepare_tabular(spec, held, pp, rng, rec, audit):
-    """Split -> downsample train -> encode/scale on train -> carve validation
-    -> SMOTE on the fit rows. Returns (features, partitions, dataset extras).
+    """Split -> downsample train -> fit encoding on train -> fill the train and
+    test matrices -> carve validation -> SMOTE on the fit rows. Returns
+    (features, partitions, dataset extras).
 
-    `held` is a one-item list holding the generated table; it is popped, so
-    the table is freed once split."""
-    dataset = held.pop()
+    Like `_prepare_sessions`, it works on row indices of the generated table
+    and fills each matrix straight from it, so no copy of the table is made.
+    `held` is a one-item list holding the table; it is popped, and the table
+    is consumed by the fill."""
+    table = held.pop()
     with rec.stage("split"):
-        train, test = stratified_split(dataset, spec.label, pp["test_fraction"], rng.child("split"))
-        del dataset
+        labels = np.asarray(table.column(spec.label))
+        train, test = stratified_indices(labels, pp["test_fraction"], rng.child("split"))
         if audit:
-            audit.mark_test(test.row_ids)
+            audit.mark_test(table.row_ids[test])
     if spec.resample == "downsample":
         with rec.stage("downsample_majority"):
-            train = downsample_majority(train, spec.label, pp["downsample_ratio"], rng.child("downsample"))
-    train, test = _encode(spec, train, [train, test], rec, audit)
+            train = train[downsample_majority(labels[train], pp["downsample_ratio"], rng.child("downsample"))]
+    encoder, scaler = _fit_encoding(spec, table, train, test, rec, audit)
 
-    features = train.names_of_kind("numeric", "binary")
-    parts = {
-        name: _Rows(part.matrix(features), np.asarray(part.column(spec.label)), part.row_ids)
-        for name, part in (("train", train), ("test", test))
-    }
+    plan = feature_plan(table, encoder)
+    features = [f for _, names in plan for f in names]
+    rows = {"train": train, "test": test}
+    parts = {name: _Rows(np.zeros((len(r), len(features))), labels[r], table.row_ids[r]) for name, r in rows.items()}
+    fill_features(table, plan, [(parts[name].X, slice(None), r) for name, r in rows.items()], encoder, scaler)
     if spec.validation:
         with rec.stage("carve_validation"):
-            fit_idx, val_idx = stratified_indices(train.column(spec.label), pp["validation_fraction"], rng.child("val"))
+            fit_idx, val_idx = stratified_indices(parts["train"].y, pp["validation_fraction"], rng.child("val"))
             parts["fit"] = parts["train"].select(fit_idx)
             parts["val"] = parts["train"].select(val_idx)
     if spec.resample == "smote":
@@ -457,18 +468,7 @@ def _prepare_sessions(spec, held, pp, rng, rec, audit):
         del sessions, chosen
         if audit:
             audit.mark_test(events.row_ids[test_rows])
-    with rec.stage("fit_one_hot"):
-        encoder = fit_one_hot(events, list(spec.categoricals), rows=train_rows)
-        if audit:
-            audit.record("fit_one_hot", events.row_ids[train_rows])
-        for name in encoder.categories:  # test rows in row order: an unseen one is named by its test row
-            column = events.column(name)
-            one_hot_codes(encoder, name, [column[i] for i in test_rows.tolist()])
-    with rec.stage("fit_scaler"):
-        numeric = [n for n in events.names_of_kind("numeric") if n not in ("user_id", "day")]
-        scaler = fit_scaler(events, numeric, rows=train_rows)
-        if audit:
-            audit.record("fit_scaler", events.row_ids[train_rows])
+    encoder, scaler = _fit_encoding(spec, events, train_rows, test_rows, rec, audit, exclude=("user_id", "day"))
     del train_rows, test_rows
     with rec.stage("sessionize"):
         tensors = sessionize(events, pp["time_steps"], partitions, encoder, scaler)

@@ -1,14 +1,19 @@
 """Encoding, scaling, imbalance handling and sessionization.
 
-Fit operations consume the training partition only; the fitted specs are
-immutable and safe to apply anywhere. Categorical levels are ordered
-lexicographically at fit time so "drop the first level" is stable across runs.
+Fit operations consume the training partition only, given as rows of the
+table; the fitted specs are immutable and safe to apply anywhere. Categorical
+levels are ordered lexicographically at fit time so "drop the first level" is
+stable across runs. `fill_features` is the one place features are encoded: it
+writes the one-hot and z-scored values of chosen table rows straight into a
+preallocated array, a tabular matrix or a session tensor, so no encoded copy
+of a table is ever made.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -22,12 +27,6 @@ class EncoderSpec:
 
     categories: dict  # column -> tuple of categories, lexicographic
 
-    def dropped(self, column: str) -> str:
-        return self.categories[column][0]
-
-    def output_width(self) -> int:
-        return sum(len(c) - 1 for c in self.categories.values())
-
 
 def fit_one_hot(dataset: Dataset, columns, rows=None) -> EncoderSpec:
     """The categories each column holds, on `rows` of the table if given."""
@@ -40,41 +39,24 @@ def fit_one_hot(dataset: Dataset, columns, rows=None) -> EncoderSpec:
     return EncoderSpec(categories=cats)
 
 
-def one_hot_codes(spec: EncoderSpec, name: str, values) -> np.ndarray:
-    """Each of `values`' index in the categories `spec` holds for column `name`.
+def one_hot_codes(spec: EncoderSpec, name: str, values, rows=None) -> np.ndarray:
+    """Each of `values`' index in the categories `spec` holds for column
+    `name`; those of `values[rows]` if `rows` is given.
 
     A category unseen at fit time is an error, not a silent zero row (silent
     zeros would alias the dropped category); it names the value's position in
-    `values`.
+    `rows`, or in `values`. A value in no row of `rows` is never an error.
     """
     code = {cat: k for k, cat in enumerate(spec.categories[name])}
-    try:
-        return np.fromiter(map(code.__getitem__, values), dtype=np.min_scalar_type(len(code)), count=len(values))
-    except KeyError:
-        i = next(i for i, v in enumerate(values) if v not in code)
-        raise DataError(f"unseen category {values[i]!r} in column {name!r} (row {i})") from None
-
-
-def apply_one_hot(spec: EncoderSpec, dataset: Dataset) -> Dataset:
-    """Replace each encoded column by |categories|-1 binary columns.
-
-    The lexicographically first category maps to the all-zeros pattern; a
-    category unseen at fit time is an error (see `one_hot_codes`).
-    """
-    columns = []
-    data = {}
-    for name, kind in dataset.columns:
-        if name not in spec.categories:
-            columns.append((name, kind))
-            data[name] = dataset.column(name)
-            continue
-        cats = spec.categories[name]
-        codes = one_hot_codes(spec, name, dataset.column(name))
-        for k, cat in enumerate(cats[1:], 1):
-            out_name = f"{name}={cat}"
-            columns.append((out_name, "binary"))
-            data[out_name] = (codes == k).astype(np.int64)
-    return Dataset(columns, data, row_ids=dataset.row_ids, meta=dataset.meta)
+    unseen = len(code)
+    codes = np.fromiter(map(code.get, values, repeat(unseen)), dtype=np.min_scalar_type(unseen), count=len(values))
+    if rows is not None:
+        codes = codes[rows]
+    bad = np.flatnonzero(codes == unseen)
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"unseen category {values[i if rows is None else rows[i]]!r} in column {name!r} (row {i})")
+    return codes
 
 
 @dataclass(frozen=True)
@@ -97,16 +79,48 @@ def fit_scaler(dataset: Dataset, columns, rows=None) -> ScalerSpec:
     return ScalerSpec(stats=stats)
 
 
-def apply_scaler(spec: ScalerSpec, dataset: Dataset) -> Dataset:
-    data = {}
-    for name, kind in dataset.columns:
-        vals = dataset.column(name)
-        if name in spec.stats:
-            mean, std = spec.stats[name]
-            arr = np.asarray(vals, dtype=np.float64)
-            vals = np.zeros_like(arr) if std == 0.0 else (arr - mean) / std
-        data[name] = vals
-    return Dataset(dataset.columns, data, row_ids=dataset.row_ids, meta=dataset.meta)
+def feature_plan(table: Dataset, encoder: EncoderSpec | None = None, exclude=()) -> list:
+    """The features a table fills, as (table column, its feature names) pairs
+    in table order. A column `encoder` encodes fills `name=category` for each
+    of its categories but the first, which is the all-zeros pattern; every
+    other numeric or binary column not in `exclude` fills itself."""
+    categories = encoder.categories if encoder else {}
+    return [
+        (name, [f"{name}={cat}" for cat in categories[name][1:]] if name in categories else [name])
+        for name, kind in table.columns
+        if name in categories or (kind in ("numeric", "binary") and name not in exclude)
+    ]
+
+
+def fill_features(table: Dataset, plan, fills, encoder: EncoderSpec | None = None,
+                  scaler: ScalerSpec | None = None) -> None:
+    """Write the features of `plan` (see `feature_plan`) into each
+    `(data, cells, rows)` of `fills`: feature f of the table rows `rows`, in
+    their order, goes to `data[..., f][cells]`, and `data` starts as zeros.
+
+    A column `scaler` scales is z-scored; a zero-variance one leaves its
+    zeros. A category `encoder` has not seen is an error (see
+    `one_hot_codes`), named by its position in `rows`; a row no fill names
+    is never checked. Consumes `table` one plan column at a time, removing
+    each once used.
+    """
+    categories = encoder.categories if encoder else {}
+    stats = scaler.stats if scaler else {}
+    f = 0
+    for name, names in plan:
+        values = table.pop(name)
+        for data, cells, rows in fills:
+            if name in categories:
+                codes = one_hot_codes(encoder, name, values, rows)
+                for k in range(1, len(names) + 1):
+                    data[..., f + k - 1][cells] = codes == k
+            elif name in stats:
+                mean, std = stats[name]
+                if std != 0.0:  # a zero-variance column scales to the zeros already there
+                    data[..., f][cells] = (values[rows] - mean) / std
+            else:
+                data[..., f][cells] = values[rows]
+        f += len(names)
 
 
 # Elements of the (rows, m, d) difference block in SMOTE's neighbour search.
@@ -146,12 +160,13 @@ def smote_oversample(minority_rows: np.ndarray, k: int, n_synthetic: int, rng: R
     return X[parents] + u[:, None] * (X[nn] - X[parents])
 
 
-def downsample_majority(dataset: Dataset, label_column: str, target_majority_ratio: float, rng: RngStream) -> Dataset:
-    """Subsample the majority class to target_majority_ratio : 1 against the minority.
+def downsample_majority(labels, target_majority_ratio: float, rng: RngStream) -> np.ndarray:
+    """Positions in `labels` that keep the majority class at
+    target_majority_ratio : 1 against the minority.
 
-    All minority rows are kept; the surviving rows are reshuffled by rng.
+    Every minority position is kept; the kept positions are shuffled by rng.
     """
-    labels = np.asarray(dataset.column(label_column))
+    labels = np.asarray(labels)
     classes, counts = np.unique(labels, return_counts=True)
     if len(classes) != 2:
         raise DataError(f"need exactly two classes, got {classes.tolist()}")
@@ -169,8 +184,7 @@ def downsample_majority(dataset: Dataset, label_column: str, target_majority_rat
     majority_idx = np.flatnonzero(labels == majority_cls)
     keep_maj = majority_idx[rng.permutation(n_maj)[:target]]
     keep = np.concatenate([np.flatnonzero(labels == minority_cls), keep_maj])
-    keep = keep[rng.permutation(len(keep))]
-    return dataset.select_rows(keep)
+    return keep[rng.permutation(len(keep))]
 
 
 @dataclass
@@ -186,14 +200,6 @@ class SessionTensor:
     # session after session; session i's are event_row_ids[event_bounds[i]:event_bounds[i + 1]].
     event_row_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     event_bounds: np.ndarray | None = None
-
-    @property
-    def n_sessions(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def time_steps(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass
@@ -242,68 +248,44 @@ def sessionize(events: Dataset, time_steps: int, partitions, encoder: EncoderSpe
     """One zero-padded tensor per partition of an event log's sessions.
 
     `partitions` are `SessionIndex`es of `events`: `group_sessions(events)`
-    or selections of it. Features are every numeric or binary column except
-    the group keys, in table order; a column `encoder` encodes is replaced
-    there by its one-hot columns and a column `scaler` scales is z-scored,
-    each value as `apply_one_hot` and `apply_scaler` would give it. A session
-    holds its earliest time_steps events and keeps its partition's label,
-    which counts the truncated ones too.
+    or selections of it. The features are `feature_plan(events, encoder,
+    group_columns)`, filled by `fill_features`. A session holds its earliest
+    time_steps events and keeps its partition's label, which counts the
+    truncated ones too.
 
-    Consumes `events`: the tensors are filled one table column at a time,
-    straight from the table, and each column is removed from the table once
-    it has been used, so no encoded copy of the log is ever made.
+    Consumes `events`: the columns no feature reads are removed before the
+    tensors are allocated, the others once used, so no encoded copy of the
+    log is ever made.
     """
     if time_steps < 1:
         raise DataError(f"time_steps must be >= 1, got {time_steps}")
-    categories = encoder.categories if encoder else {}
-    stats = scaler.stats if scaler else {}
-    plan = [  # (table column, the features it fills)
-        (name, [f"{name}={cat}" for cat in categories[name][1:]] if name in categories else [name])
-        for name, kind in events.columns
-        if name in categories or (kind in ("numeric", "binary") and name not in group_columns)
-    ]
+    plan = feature_plan(events, encoder, group_columns)
     for name in set(events.column_names) - {name for name, _ in plan}:
         events.pop(name)
     feature_names = [f for _, names in plan for f in names]
 
-    # Per partition: its tensor and session lengths, the (session, step)
-    # cells its events fill, and the table rows of those events in cell order.
-    fills = []
+    # Per partition: its tensor, the (session, step) cells its events fill,
+    # and the table rows of those events in cell order; and its lengths.
+    fills, lengths = [], []
     for p in partitions:
         sizes = np.diff(p.bounds)
         step = np.arange(len(p.order))
         step -= np.repeat(p.bounds[:-1], sizes)
         rows = p.order[step < time_steps]
         del step
-        lengths = np.minimum(sizes, time_steps)
+        lengths.append(np.minimum(sizes, time_steps))
         data = np.zeros((len(sizes), time_steps, len(feature_names)))
-        fills.append((data, lengths, np.arange(time_steps) < lengths[:, None], rows))
-    f = 0
-    for name, names in plan:
-        values = events.pop(name)
-        if name in categories:
-            values = one_hot_codes(encoder, name, values)
-        for data, _, cells, rows in fills:
-            v = np.asarray(values)[rows]
-            if name in categories:
-                for k in range(1, len(names) + 1):
-                    data[:, :, f + k - 1][cells] = v == k
-            elif name in stats:
-                mean, std = stats[name]
-                if std != 0.0:  # a zero-variance column scales to the zeros already there
-                    data[:, :, f][cells] = (v - mean) / std
-            else:
-                data[:, :, f][cells] = v
-        f += len(names)
+        fills.append((data, np.arange(time_steps) < lengths[-1][:, None], rows))
+    fill_features(events, plan, fills, encoder, scaler)
     return [
         SessionTensor(
             data=data,
-            lengths=lengths,
+            lengths=n,
             labels=p.labels,
             feature_names=list(feature_names),
             keys=p.keys,
             event_row_ids=events.row_ids[p.order],
             event_bounds=p.bounds,
         )
-        for p, (data, lengths, _, _) in zip(partitions, fills)
+        for p, n, (data, _, _) in zip(partitions, lengths, fills)
     ]

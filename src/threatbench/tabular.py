@@ -1,4 +1,4 @@
-"""Typed column tables, seeded randomness, CSV I/O, nearest-rank quantiles and stratified splits.
+"""Typed column tables, seeded randomness, CSV writing, nearest-rank quantiles and stratified splits.
 
 Everything downstream (generators, preprocessing, models, pipelines) moves data
 around as a `Dataset`: an immutable-by-convention table whose columns carry one
@@ -70,9 +70,8 @@ class Dataset:
     """Column table with typed columns and stable row identities.
 
     Columns are stored column-major: numeric as float arrays, binary/label as
-    int arrays, categorical as string lists. `row_ids` track provenance back
-    to the originating table across row selections (used by the leakage
-    audit); synthetic rows carry id -1.
+    int arrays, categorical as string lists. `row_ids` name each row's source
+    row (used by the leakage audit); synthetic rows carry id -1.
     """
 
     def __init__(self, columns, data, row_ids=None, meta=None):
@@ -150,48 +149,11 @@ class Dataset:
     def names_of_kind(self, *kinds):
         return [n for n, k in self.columns if k in kinds]
 
-    def matrix(self, names=None) -> np.ndarray:
-        """Float matrix of the named (default: all numeric+binary) columns."""
-        if names is None:
-            names = self.names_of_kind("numeric", "binary")
-        cols = []
-        for name in names:
-            if self.kind_of(name) == "categorical":
-                raise DataError(f"column {name!r} is categorical; encode it first")
-            cols.append(np.asarray(self.column(name), dtype=np.float64))
-        if not cols:
-            return np.empty((self.n, 0))
-        return np.column_stack(cols)
-
-    def select_rows(self, indices) -> "Dataset":
-        indices = np.asarray(indices, dtype=np.int64)
-        data = {}
-        for name, kind in self.columns:
-            vals = self._data[name]
-            if kind == "categorical":
-                data[name] = [vals[i] for i in indices]
-            else:
-                data[name] = vals[indices]
-        return Dataset(self.columns, data, row_ids=self.row_ids[indices])
-
-    def equals(self, other: "Dataset") -> bool:
-        """Value-for-value equality (column names, kinds, every cell)."""
-        if self.columns != other.columns or self.n != other.n:
-            return False
-        for name, kind in self.columns:
-            a, b = self._data[name], other._data[name]
-            if kind == "categorical":
-                if a != b:
-                    return False
-            elif not np.array_equal(a, b):
-                return False
-        return True
-
     def __repr__(self):
         return f"Dataset(n={self.n}, columns={self.column_names})"
 
 
-# -- CSV I/O ----------------------------------------------------------------
+# -- CSV writing -------------------------------------------------------------
 
 
 WRITE_BLOCK = 512  # rows formatted per column slice by the dataset and event writers
@@ -210,7 +172,7 @@ def _format_block(values, kind: str) -> list:
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a Dataset as header + comma-separated rows.
 
-    Numeric cells use shortest round-trip float repr, so save → load is exact
+    Numeric cells use shortest round-trip float repr, so reading back is exact
     and two saves of the same table are byte-identical. Cells are formatted a
     column slice of `WRITE_BLOCK` rows at a time and written a block at a time.
     """
@@ -226,56 +188,6 @@ def save_dataset(dataset: Dataset, path) -> None:
                 writer.writerows(zip(*cells) if cells else [()] * (stop - start))
     except OSError as exc:
         raise DataError(f"cannot write dataset to {path}: {exc}") from exc
-
-
-def load_dataset(path, schema) -> Dataset:
-    """Parse a CSV file against a declared schema of (name, kind) pairs.
-
-    The header row must match the schema names exactly; cells are parsed per
-    kind and a bad cell is reported with its row number and column name.
-    """
-    schema = [(str(n), str(k)) for n, k in schema]
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file, expected a header row")
-            expected = [n for n, _ in schema]
-            if header != expected:
-                raise DataError(f"{path}: header {header} does not match schema {expected}")
-            rows = list(reader)
-    except FileNotFoundError as exc:
-        raise DataError(f"dataset file not found: {path}") from exc
-
-    data = {name: [] for name, _ in schema}
-    for r, row in enumerate(rows, start=2):  # header is line 1
-        if len(row) != len(schema):
-            raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(schema)}")
-        for cell, (name, kind) in zip(row, schema):
-            if kind == "numeric":
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: unparseable numeric cell {cell!r} at row {r}, column {name!r}"
-                    )
-            elif kind in ("binary", "label"):
-                try:
-                    value = int(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: unparseable integer cell {cell!r} at row {r}, column {name!r}"
-                    )
-                if kind == "binary" and value not in (0, 1):
-                    raise DataError(
-                        f"{path}: binary cell {cell!r} out of range at row {r}, column {name!r}"
-                    )
-            else:
-                value = cell
-            data[name].append(value)
-    return Dataset(schema, data)
 
 
 # -- quantiles ---------------------------------------------------------------
@@ -312,9 +224,3 @@ def stratified_indices(labels, test_fraction: float, rng: RngStream):
     test_mask = np.zeros(len(labels), dtype=bool)
     test_mask[test_idx] = True
     return np.flatnonzero(~test_mask), np.flatnonzero(test_mask)
-
-
-def stratified_split(dataset: Dataset, label_column: str, test_fraction: float, rng: RngStream):
-    """Split a dataset per class; see stratified_indices for the rounding rule."""
-    train_idx, test_idx = stratified_indices(dataset.column(label_column), test_fraction, rng)
-    return dataset.select_rows(train_idx), dataset.select_rows(test_idx)

@@ -1,3 +1,4 @@
+import csv
 import os
 import tempfile
 import tracemalloc
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from threatbench.preprocess import SessionTensor
+from threatbench.errors import DataError
+from threatbench.preprocess import SessionTensor, one_hot_codes
 from threatbench.tabular import WRITE_BLOCK, Dataset
 
 # Property tests draw the same examples on every run and keep no example
@@ -112,7 +114,7 @@ def per_event_sessionize(events, time_steps, group_columns=("user_id", "day"), l
         n for n, k in events.columns
         if k in ("numeric", "binary") and n not in group_columns
     ]
-    X = events.matrix(feature_names)
+    X = matrix(events, feature_names)
     labels = np.asarray(events.column(label_column))
     gu = np.asarray(events.column(group_columns[0]))
     gd = np.asarray(events.column(group_columns[1]))
@@ -143,3 +145,118 @@ def per_event_sessionize(events, time_steps, group_columns=("user_id", "day"), l
         event_row_ids=np.array([i for ids in row_ids for i in ids], dtype=np.int64),
         event_bounds=np.cumsum([0] + [len(ids) for ids in row_ids]),
     )
+
+
+# -- The two-copy oracle -----------------------------------------------------
+# Data preparation once copied each partition out of the table and encoded the
+# copies a column at a time; these are those copies, kept as the oracle of the
+# row-index preparation that fills matrices straight from the table.
+
+
+def select_rows(dataset, indices) -> Dataset:
+    """A copy of the table's rows `indices`, in that order, with their row ids."""
+    indices = np.asarray(indices, dtype=np.int64)
+    data = {}
+    for name, kind in dataset.columns:
+        vals = dataset.column(name)
+        data[name] = [vals[i] for i in indices] if kind == "categorical" else vals[indices]
+    return Dataset(dataset.columns, data, row_ids=dataset.row_ids[indices])
+
+
+def apply_one_hot(spec, dataset) -> Dataset:
+    """Replace each encoded column by |categories|-1 binary columns; the
+    lexicographically first category maps to the all-zeros pattern, and a
+    category unseen at fit time is an error (see `one_hot_codes`)."""
+    columns = []
+    data = {}
+    for name, kind in dataset.columns:
+        if name not in spec.categories:
+            columns.append((name, kind))
+            data[name] = dataset.column(name)
+            continue
+        codes = one_hot_codes(spec, name, dataset.column(name))
+        for k, cat in enumerate(spec.categories[name][1:], 1):
+            columns.append((f"{name}={cat}", "binary"))
+            data[f"{name}={cat}"] = (codes == k).astype(np.int64)
+    return Dataset(columns, data, row_ids=dataset.row_ids, meta=dataset.meta)
+
+
+def apply_scaler(spec, dataset) -> Dataset:
+    """Z-score each column the scaler holds; a zero-variance one becomes zeros."""
+    data = {}
+    for name, _ in dataset.columns:
+        vals = dataset.column(name)
+        if name in spec.stats:
+            mean, std = spec.stats[name]
+            arr = np.asarray(vals, dtype=np.float64)
+            vals = np.zeros_like(arr) if std == 0.0 else (arr - mean) / std
+        data[name] = vals
+    return Dataset(dataset.columns, data, row_ids=dataset.row_ids, meta=dataset.meta)
+
+
+def matrix(dataset, names=None) -> np.ndarray:
+    """Float matrix of the named (default: all numeric and binary) columns."""
+    if names is None:
+        names = dataset.names_of_kind("numeric", "binary")
+    for name in names:
+        if dataset.kind_of(name) == "categorical":
+            raise DataError(f"column {name!r} is categorical; encode it first")
+    if not names:
+        return np.empty((dataset.n, 0))
+    return np.column_stack([np.asarray(dataset.column(name), dtype=np.float64) for name in names])
+
+
+# -- CSV reading, the oracle of the writers ----------------------------------
+
+
+def datasets_equal(a, b) -> bool:
+    """Value-for-value equality: column names, kinds and every cell."""
+    if a.columns != b.columns or a.n != b.n:
+        return False
+    for name, kind in a.columns:
+        x, y = a.column(name), b.column(name)
+        if not (x == y if kind == "categorical" else np.array_equal(x, y)):
+            return False
+    return True
+
+
+def load_dataset(path, schema) -> Dataset:
+    """Parse a CSV file against a declared schema of (name, kind) pairs.
+
+    The header row must match the schema names exactly; cells are parsed per
+    kind and a bad cell is reported with its row number and column name.
+    """
+    schema = [(str(n), str(k)) for n, k in schema]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            expected = [n for n, _ in schema]
+            if header != expected:
+                raise DataError(f"{path}: header {header} does not match schema {expected}")
+            rows = list(reader)
+    except FileNotFoundError as exc:
+        raise DataError(f"dataset file not found: {path}") from exc
+
+    data = {name: [] for name, _ in schema}
+    for r, row in enumerate(rows, start=2):  # header is line 1
+        if len(row) != len(schema):
+            raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(schema)}")
+        for cell, (name, kind) in zip(row, schema):
+            value = cell
+            if kind == "numeric":
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(f"{path}: unparseable numeric cell {cell!r} at row {r}, column {name!r}")
+            elif kind in ("binary", "label"):
+                try:
+                    value = int(cell)
+                except ValueError:
+                    raise DataError(f"{path}: unparseable integer cell {cell!r} at row {r}, column {name!r}")
+                if kind == "binary" and value not in (0, 1):
+                    raise DataError(f"{path}: binary cell {cell!r} out of range at row {r}, column {name!r}")
+            data[name].append(value)
+    return Dataset(schema, data)

@@ -114,13 +114,6 @@ class TestClassificationReport:
         scored = classification_report(y, pred, scores=np_rng.random(20))
         assert scored.roc_auc is not None
 
-    def test_round_trip_dict(self):
-        rep = classification_report([1, 0, 1], [1, 0, 0], scores=[0.9, 0.1, 0.4])
-        from threatbench.evalx import MetricsReport
-
-        again = MetricsReport.from_dict(rep.to_dict())
-        assert again.to_dict() == rep.to_dict()
-
 
 class TestRocAuc:
     def test_perfect_separation(self):

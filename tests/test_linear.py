@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import relative_deviation
+from conftest import apply_one_hot, apply_scaler, matrix, relative_deviation
 from threatbench.errors import DataError
 from threatbench.linear import (
     CalibratorSpec,
@@ -14,7 +14,7 @@ from threatbench.linear import (
     predict_proba,
     sigmoid,
 )
-from threatbench.preprocess import apply_one_hot, apply_scaler, fit_one_hot, fit_scaler
+from threatbench.preprocess import fit_one_hot, fit_scaler
 from threatbench.synthgen import GeneratorConfig, generate_email_corpus
 
 
@@ -114,7 +114,7 @@ class TestLogistic:
         ds_e = apply_one_hot(enc, ds)
         scaler = fit_scaler(ds_e, ds_e.names_of_kind("numeric"))
         ds_s = apply_scaler(scaler, ds_e)
-        X = ds_s.matrix()
+        X = matrix(ds_s)
         y = np.asarray(ds_s.column("label"))
         n = len(y)
         base = {0: n / (2.0 * (y == 0).sum()), 1: n / (2.0 * (y == 1).sum())}

@@ -1,12 +1,22 @@
 import hashlib
 import json
 import os
+import re
 import weakref
 
 import numpy as np
 import pytest
 
-from conftest import edge_dataset, per_event_sessionize, traced_peak
+from conftest import (
+    apply_one_hot,
+    apply_scaler,
+    edge_dataset,
+    load_dataset,
+    matrix,
+    per_event_sessionize,
+    select_rows,
+    traced_peak,
+)
 from threatbench import pipeline
 from threatbench.errors import ConfigError, DataError
 from threatbench.evalx import classification_report, permutation_importance
@@ -24,7 +34,7 @@ from threatbench.pipeline import (
     run_domain,
 )
 from threatbench.cli import main
-from threatbench.preprocess import apply_one_hot, apply_scaler, fit_one_hot, fit_scaler, sessionize
+from threatbench.preprocess import downsample_majority, fit_one_hot, fit_scaler, one_hot_codes, sessionize, smote_oversample
 from threatbench.synthgen import GENERATOR_PARAMS, MIXES, PARAM_RANGES, GeneratorConfig
 from threatbench.tabular import Dataset, RngStream, stratified_indices
 
@@ -205,15 +215,28 @@ def test_ueba_partitions_hold_their_own_sessions_events(monkeypatch):
     assert np.array_equal(np.sort(ids), np.arange(len(ids)))
 
 
-def test_ueba_run_copies_no_event_table(monkeypatch):
-    """ueba's preparation works on row indices of the generated log; no
-    `Dataset.select_rows` copy of it is ever made."""
+@pytest.mark.parametrize("domain", pipeline.DOMAINS)
+def test_run_copies_no_table(domain, monkeypatch):
+    """Every domain's preparation works on row indices of the generated
+    table and fills its matrices or tensors straight from it: once the table
+    is generated, no run builds another `Dataset` (a row selection, or an
+    encoded or scaled copy)."""
+    generated = []
 
-    def select_rows(*args, **kwargs):
-        raise AssertionError("Dataset.select_rows called")
+    def generate(*args, **kwargs):
+        table = generators[domain](*args, **kwargs)
+        generated.append(table)
+        return table
 
-    monkeypatch.setattr(Dataset, "select_rows", select_rows)
-    run_domain(small_config("ueba"))
+    def init(self, *args, **kwargs):
+        assert not generated, "a Dataset was built after the generated table"
+        dataset_init(self, *args, **kwargs)
+
+    generators, dataset_init = dict(pipeline.GENERATORS), Dataset.__init__
+    monkeypatch.setitem(pipeline.GENERATORS, domain, generate)
+    monkeypatch.setattr(Dataset, "__init__", init)
+    run_domain(small_config(domain))
+    assert len(generated) == 1
 
 
 def test_ueba_builds_only_the_tensors_it_reads(monkeypatch):
@@ -238,7 +261,9 @@ def test_ueba_builds_only_the_tensors_it_reads(monkeypatch):
     assert len(built) == 2
 
 
-@pytest.mark.parametrize("domain, kernel", [("ueba", "fit_lstm_autoencoder"), ("malware", "fit_random_forest")])
+@pytest.mark.parametrize("domain, kernel", [
+    ("ueba", "fit_lstm_autoencoder"), ("malware", "fit_random_forest"), ("phishing", "fit_logistic"),
+])
 def test_generated_table_is_gone_once_split(domain, kernel, monkeypatch, tmp_path):
     """`data/`, the dataset block and the histograms are taken from the
     generated table before it is split; the table is freed by the time the
@@ -291,12 +316,12 @@ def two_copy_prepare(events, pp, rng, label="anomaly_label"):
     np.maximum.at(session_labels, event_session, np.asarray(events.column(label), dtype=np.int64))
     train_sessions, _ = stratified_indices(session_labels, pp["test_fraction"], rng.child("split"))
     in_train = np.isin(event_session, train_sessions)
-    train, test = events.select_rows(np.flatnonzero(in_train)), events.select_rows(np.flatnonzero(~in_train))
+    train, test = select_rows(events, np.flatnonzero(in_train)), select_rows(events, np.flatnonzero(~in_train))
     encoder = fit_one_hot(train, ["activity_type"])
     train, test = apply_one_hot(encoder, train), apply_one_hot(encoder, test)
     scaler = fit_scaler(train, [n for n in train.names_of_kind("numeric") if n not in ("user_id", "day")])
     train, test = apply_scaler(scaler, train), apply_scaler(scaler, test)
-    clean = train.select_rows(np.flatnonzero(session_labels[event_session[in_train]] == 0))
+    clean = select_rows(train, np.flatnonzero(session_labels[event_session[in_train]] == 0))
     tensors = {name: per_event_sessionize(part, pp["time_steps"]) for name, part in
                (("train", train), ("clean", clean), ("test", test))}
     return tensors, session_labels
@@ -439,6 +464,154 @@ class TestOnePassSessions:
         tensor_bytes = sum(part.X.data.nbytes for part in parts.values())
         peak = traced_peak(lambda: one_pass_prepare(logs.pop(), checked["preprocess"]))
         assert peak <= table_bytes + tensor_bytes + table_bytes // 5
+
+
+def two_copy_tabular(spec, table, pp, rng):
+    """The former tabular preparation, kept as the oracle of the row-index
+    one: copy the train and test rows out of the table, downsample the train
+    copy, fit and apply one-hot encoding and z-scores on the copies, take
+    their matrices, then carve validation and SMOTE the fit rows. Returns the
+    features and {partition: (X, y, ids)}."""
+    labels = np.asarray(table.column(spec.label))
+    train_idx, test_idx = stratified_indices(labels, pp["test_fraction"], rng.child("split"))
+    train, test = select_rows(table, train_idx), select_rows(table, test_idx)
+    if spec.resample == "downsample":
+        keep = downsample_majority(train.column(spec.label), pp["downsample_ratio"], rng.child("downsample"))
+        train = select_rows(train, keep)
+    encoder = fit_one_hot(train, list(spec.categoricals))
+    train, test = apply_one_hot(encoder, train), apply_one_hot(encoder, test)
+    if spec.scale:
+        scaler = fit_scaler(train, train.names_of_kind("numeric"))
+        train, test = apply_scaler(scaler, train), apply_scaler(scaler, test)
+    features = train.names_of_kind("numeric", "binary")
+    parts = {name: (matrix(part, features), np.asarray(part.column(spec.label)), part.row_ids)
+             for name, part in (("train", train), ("test", test))}
+    if spec.validation:
+        fit_idx, val_idx = stratified_indices(train.column(spec.label), pp["validation_fraction"], rng.child("val"))
+        parts["fit"], parts["val"] = (tuple(a[idx] for a in parts["train"]) for idx in (fit_idx, val_idx))
+    if spec.resample == "smote":
+        X, y, ids = parts["fit"]
+        minority = X[y == 1]
+        synthetic = smote_oversample(minority, pp["smote_k"], max(0, int((y == 0).sum()) - len(minority)), rng.child("smote"))
+        parts["fit"] = (np.vstack([X, synthetic]), np.concatenate([y, np.ones(len(synthetic), dtype=np.int64)]),
+                        np.concatenate([ids, np.full(len(synthetic), -1, dtype=np.int64)]))
+    return features, parts
+
+
+def one_pass_tabular(domain, table, pp, audit=None, spec=None):
+    """`_prepare_tabular` on `table` for `domain`, or for `spec` if given."""
+    rng = RngStream(42, f"pipeline/{domain}")
+    spec = spec or pipeline.DOMAIN_SPECS[domain]
+    return pipeline._prepare_tabular(spec, [table], pp, rng, pipeline._StageRecorder(), audit)
+
+
+def attachment_table(n_legit=40, n_phish=12, seed=0):
+    """A hand-built phishing table: a categorical column, a constant numeric
+    one (it z-scores to zeros), a binary flag and the label."""
+    rng = np.random.default_rng(seed)
+    n = n_legit + n_phish
+    columns = [("size", "numeric"), ("attachment_type", "categorical"), ("weekday", "numeric"),
+               ("has_link", "binary"), ("label", "label")]
+    return Dataset(columns, {
+        "size": rng.normal(size=n) * 100.0,
+        "attachment_type": [("none", "pdf", "zip")[i % 3] for i in range(n)],
+        "weekday": np.full(n, 3.0),
+        "has_link": rng.integers(0, 2, size=n),
+        "label": [0] * n_legit + [1] * n_phish,
+    })
+
+
+class TestOnePassTabular:
+    """`_prepare_tabular` against the two-copy oracle: the same matrix bytes,
+    labels, row ids and feature names for every partition, and the same
+    leakage-audit ids."""
+
+    @staticmethod
+    def check(domain, make_table, pp, spec=None):
+        spec = spec or pipeline.DOMAIN_SPECS[domain]
+        want_features, want = two_copy_tabular(spec, make_table(), pp, RngStream(42, f"pipeline/{domain}"))
+        audit = LeakageAudit()
+        features, parts, extra = one_pass_tabular(domain, make_table(), pp, audit, spec)
+        assert features == want_features and extra == {}
+        assert set(parts) == set(want)
+        for name, arrays in want.items():
+            for field, a, b in zip(("X", "y", "ids"), (parts[name].X, parts[name].y, parts[name].ids), arrays):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (name, field)
+        assert np.array_equal(audit.test_rows, np.sort(want["test"][2]))
+        for stage in ("fit_one_hot", "fit_scaler") if spec.scale else ("fit_one_hot",):
+            assert np.array_equal(audit.consumed[stage], np.sort(want["train"][2])), stage
+        return parts
+
+    @pytest.mark.parametrize("domain", ["intrusion", "malware", "phishing"])
+    def test_small_config(self, domain):
+        checked = small_config(domain).validate()
+        config = GeneratorConfig(**checked["generator"], seed=42)
+        self.check(domain, lambda: pipeline.GENERATORS[domain](config), checked["preprocess"])
+
+    def test_hand_built_table(self):
+        pp = {"test_fraction": 0.25, "validation_fraction": 0.3, "downsample_ratio": 2.0}
+        parts = self.check("phishing", attachment_table, pp)
+        assert not parts["train"].X[:, 3].any() and not parts["test"].X[:, 3].any()  # constant weekday
+
+    def test_category_only_in_rows_downsampling_dropped_is_never_encoded(self):
+        """Only the rows a partition holds are encoded: a category that only
+        a train row dropped by downsampling holds is not in the encoder, and
+        preparation succeeds, as it did on copies of the kept rows. Encoding
+        the whole column would reject it."""
+        pp = {"test_fraction": 0.25, "validation_fraction": 0.3, "downsample_ratio": 1.0}
+        rng = RngStream(42, "pipeline/phishing")
+        labels = np.asarray(attachment_table().column("label"))
+        train, _ = stratified_indices(labels, pp["test_fraction"], rng.child("split"))
+        kept = train[downsample_majority(labels[train], pp["downsample_ratio"], rng.child("downsample"))]
+        row = int(np.setdiff1d(train, kept)[0])
+
+        def make_table():
+            table = attachment_table()
+            table.column("attachment_type")[row] = "rare"
+            return table
+
+        encoder = fit_one_hot(make_table(), ["attachment_type"], rows=kept)
+        with pytest.raises(DataError, match="'rare'"):
+            one_hot_codes(encoder, "attachment_type", make_table().column("attachment_type"))
+        parts = self.check("phishing", make_table, pp)
+        assert row not in parts["train"].ids and row not in parts["test"].ids
+        features, _, _ = one_pass_tabular("phishing", make_table(), pp)
+        assert not any("rare" in f for f in features)
+
+    @pytest.mark.parametrize("domain", ["malware", "phishing"])
+    def test_category_seen_only_in_test_is_rejected(self, domain):
+        """The error names the value and its row in the test partition, as a
+        test copy of the table numbers it, from the fit_one_hot stage."""
+        spec = pipeline.DOMAIN_SPECS[domain]._replace(categoricals=("attachment_type",))
+        pp = {"test_fraction": 0.25, "validation_fraction": 0.3, "downsample_ratio": 2.0, "smote_k": 2}
+        audit = LeakageAudit()
+        one_pass_tabular(domain, attachment_table(), pp, audit, spec)
+        row = int(audit.test_rows[len(audit.test_rows) // 2])
+
+        def make_table():
+            table = attachment_table()
+            table.column("attachment_type")[row] = "rare"
+            return table
+
+        with pytest.raises(DataError) as want:
+            two_copy_tabular(spec, make_table(), pp, RngStream(42, f"pipeline/{domain}"))
+        assert f"'rare' in column 'attachment_type' (row {len(audit.test_rows) // 2})" in str(want.value)
+        with pytest.raises(DataError) as got:
+            one_pass_tabular(domain, make_table(), pp, spec=spec)
+        assert str(got.value) == f"stage 'fit_one_hot': {want.value}"
+
+
+@pytest.mark.parametrize("domain", ["malware", "intrusion"])
+def test_unseen_test_category_exits_3_from_fit_one_hot(domain, tmp_path, capsys):
+    """At 100 rows with 99% held out, the one train category list misses a
+    test category: the run exits 3 from the fit_one_hot stage, naming the
+    value and its row within the test partition, before any model fits."""
+    args = ["run", domain, "--override", "generator.n=100", "--override", "preprocess.test_fraction=0.99",
+            "--out", str(tmp_path)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"data error: stage 'fit_one_hot': unseen category '[^']+' in column '\w+' \(row \d+\)\n", err), err
+    assert not (tmp_path / "models").exists()
 
 
 @pytest.mark.parametrize("domain", ["malware", "phishing"])
@@ -605,7 +778,6 @@ class TestDeterminismAndEmission:
         report = run_domain(small_config("ueba", seed=4), out_dir=str(out))
         from threatbench.modelio import load_model
         from threatbench.synthgen import SCHEMAS
-        from threatbench.tabular import load_dataset
 
         assert not os.path.isabs(report.artifacts["dataset"])
         ds = load_dataset(out / report.artifacts["dataset"], SCHEMAS["ueba"])

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import per_event_sessionize, segment_offsets, traced_peak
+from conftest import apply_one_hot, apply_scaler, matrix, per_event_sessionize, segment_offsets, select_rows, traced_peak
 from threatbench import preprocess
 from threatbench.errors import DataError
 from threatbench.preprocess import (
-    apply_one_hot,
-    apply_scaler,
     downsample_majority,
+    feature_plan,
+    fill_features,
     fit_one_hot,
     fit_scaler,
     group_sessions,
@@ -33,7 +33,7 @@ class TestOneHot:
         spec = fit_one_hot(ds, ["proto"])
         out = apply_one_hot(spec, ds)
         assert out.column_names == ["proto=TCP", "proto=UDP"]
-        assert spec.dropped("proto") == "ICMP"
+        assert spec.categories["proto"][0] == "ICMP"  # the dropped level
         # the ICMP row maps to all zeros
         assert out.column("proto=TCP")[2] == 0 and out.column("proto=UDP")[2] == 0
         assert out.column("proto=TCP")[0] == 1
@@ -63,7 +63,7 @@ class TestOneHot:
                 want = np.array([1 if v == cat else 0 for v in values], dtype=np.int64)
                 got = out.column(f"proto={cat}")
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert spec.output_width() == len(set(values)) - 1
+            assert len(spec.categories["proto"]) - 1 == len(set(values)) - 1
 
     def test_non_categorical_rejected(self):
         ds = Dataset([("x", "numeric")], {"x": [1.0]})
@@ -95,6 +95,46 @@ class TestScaler:
             out = np.asarray(apply_scaler(fit_scaler(ds, ["x"]), ds).column("x"))
             assert abs(out.mean()) <= 1e-9
             assert abs(out.std() - 1.0) <= 1e-9
+
+
+class TestFillFeatures:
+    """`fill_features` into a matrix (`cells` = all rows) against the copies
+    `apply_one_hot` and `apply_scaler` make of the selected rows."""
+
+    @staticmethod
+    def table():
+        return Dataset(
+            [("x", "numeric"), ("proto", "categorical"), ("c", "numeric"), ("f", "binary"), ("y", "label")],
+            {"x": [0.5, -2.0, 3.25, 8.0, 1.0, -0.0], "proto": ["UDP", "TCP", "ICMP", "TCP", "UDP", "GRE"],
+             "c": [4.0] * 6, "f": [1, 0, 0, 1, 1, 0], "y": [0, 1, 0, 1, 0, 0]},
+        )
+
+    def test_matrix_equals_the_copies(self):
+        train, test = np.array([3, 0, 2, 1]), np.array([4])  # GRE (row 5) is in no fill
+        table = self.table()
+        encoder = fit_one_hot(table, ["proto"], rows=train)
+        scaler = fit_scaler(table, ["x", "c"], rows=train)
+        plan = feature_plan(table, encoder)
+        assert plan == [("x", ["x"]), ("proto", ["proto=TCP", "proto=UDP"]), ("c", ["c"]), ("f", ["f"])]
+        out = [np.zeros((len(rows), 5)) for rows in (train, test)]
+        fill_features(table, plan, [(X, slice(None), rows) for X, rows in zip(out, (train, test))], encoder, scaler)
+        assert table.column_names == ["y"]  # each plan column is freed once used
+        for X, rows in zip(out, (train, test)):
+            want = matrix(apply_scaler(scaler, apply_one_hot(encoder, select_rows(self.table(), rows))),
+                          ["x", "proto=TCP", "proto=UDP", "c", "f"])
+            assert X.tobytes() == want.tobytes()
+        assert not out[0][:, 3].any()  # the constant column z-scores to zeros
+
+    def test_exclude_and_unencoded_columns(self):
+        plan = feature_plan(self.table(), exclude=("x",))
+        assert plan == [("c", ["c"]), ("f", ["f"])]  # an unencoded category fills nothing
+
+    def test_unseen_category_named_by_its_position_in_rows(self):
+        table = self.table()
+        encoder = fit_one_hot(table, ["proto"], rows=np.array([0, 1, 2]))
+        X = np.zeros((3, 5))
+        with pytest.raises(DataError, match=r"^unseen category 'GRE' in column 'proto' \(row 2\)$"):
+            fill_features(table, feature_plan(table, encoder), [(X, slice(None), np.array([1, 0, 5]))], encoder)
 
 
 class TestSmote:
@@ -151,39 +191,35 @@ class TestSmote:
 
 class TestDownsample:
     def make(self, n_maj=9000, n_min=1000):
-        labels = [0] * n_maj + [1] * n_min
-        return Dataset(
-            [("x", "numeric"), ("y", "label")],
-            {"x": list(range(n_maj + n_min)), "y": labels},
-        )
+        return np.array([0] * n_maj + [1] * n_min)
 
     def test_one_to_one(self):
-        ds = self.make()
-        out = downsample_majority(ds, "y", 1.0, RngStream(2, "d"))
-        y = np.asarray(out.column("y"))
+        labels = self.make()
+        keep = downsample_majority(labels, 1.0, RngStream(2, "d"))
+        y = labels[keep]
         assert (y == 0).sum() == 1000 and (y == 1).sum() == 1000
 
     def test_current_ratio_keeps_everything(self):
-        ds = self.make(90, 10)
-        out = downsample_majority(ds, "y", 9.0, RngStream(2, "d"))
-        assert out.n == 100
-        assert sorted(out.row_ids.tolist()) == list(range(100))
+        labels = self.make(90, 10)
+        keep = downsample_majority(labels, 9.0, RngStream(2, "d"))
+        assert len(keep) == 100
+        assert sorted(keep.tolist()) == list(range(100))
 
     def test_same_seed_identical(self):
-        ds = self.make(200, 40)
-        a = downsample_majority(ds, "y", 2.0, RngStream(7, "d"))
-        b = downsample_majority(ds, "y", 2.0, RngStream(7, "d"))
-        assert a.equals(b)
+        labels = self.make(200, 40)
+        a = downsample_majority(labels, 2.0, RngStream(7, "d"))
+        b = downsample_majority(labels, 2.0, RngStream(7, "d"))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_unachievable_ratio(self):
-        ds = self.make(50, 30)
+        labels = self.make(50, 30)
         with pytest.raises(DataError, match="only"):
-            downsample_majority(ds, "y", 5.0, RngStream(0, "d"))
+            downsample_majority(labels, 5.0, RngStream(0, "d"))
 
     def test_minority_all_kept(self):
-        ds = self.make(300, 60)
-        out = downsample_majority(ds, "y", 1.5, RngStream(1, "d"))
-        kept_min = [r for r in out.row_ids.tolist() if r >= 300]
+        labels = self.make(300, 60)
+        keep = downsample_majority(labels, 1.5, RngStream(1, "d"))
+        kept_min = [r for r in keep.tolist() if r >= 300]
         assert len(kept_min) == 60
 
 
@@ -220,7 +256,7 @@ class TestSessionize:
         encoded, raw = encoded_events(users=7, days=4)
         t, = sessionize(encoded, 50, [group_sessions(encoded)])
         keys = {(u, d) for u, d in zip(raw.column("user_id"), raw.column("day"))}
-        assert t.n_sessions == len(keys) == 28
+        assert t.data.shape[0] == len(keys) == 28
 
     def test_conservation_and_truncation(self):
         encoded, raw = encoded_events(users=5, days=3)
@@ -271,7 +307,7 @@ class TestSessionizeOracle:
     @staticmethod
     def check(events, time_steps):
         want = per_event_sessionize(events, time_steps)
-        copy = events.select_rows(np.arange(events.n))  # sessionize consumes its table
+        copy = select_rows(events, np.arange(events.n))  # sessionize consumes its table
         got, = sessionize(copy, time_steps, [group_sessions(copy)])
         for name in ("data", "lengths", "labels", "event_row_ids", "event_bounds"):
             a, b = getattr(got, name), getattr(want, name)
@@ -282,7 +318,7 @@ class TestSessionizeOracle:
 
     def test_default_events(self):
         encoded, _ = encoded_events(users=100, days=30, seed=42, rate=0.02)
-        assert self.check(encoded, 50).n_sessions == 3000
+        assert self.check(encoded, 50).data.shape[0] == 3000
 
     @pytest.mark.parametrize("time_steps", [1, 2, 10, 37, 200])
     def test_truncation(self, time_steps):
@@ -291,7 +327,7 @@ class TestSessionizeOracle:
 
     def test_rows_out_of_group_order(self, np_rng):
         encoded, _ = encoded_events(users=6, days=5, rate=0.1)
-        shuffled = encoded.select_rows(np_rng.permutation(encoded.n))
+        shuffled = select_rows(encoded, np_rng.permutation(encoded.n))
         for time_steps in (1, 7, 50):
             self.check(shuffled, time_steps)
         interleaved = session_dataset([2.0, 1.0, 2.0, 1.0, 3.0, 1.0], [1.0, 2.0, 1.0, 1.0, 0.0, 2.0],
@@ -316,7 +352,7 @@ class TestSessionizeOracle:
         ds = session_dataset([0.0, -0.0, 1.0, -0.0, 0.0], [-0.0, 0.0, 0.0, 2.0, 2.0],
                              [1.0, 2.0, 3.0, 4.0, 5.0], [0, 0, 1, 1, 0])
         t = self.check(ds, 3)
-        assert t.n_sessions == 3 and repr(t.keys[0]) == "(0.0, -0.0)"
+        assert t.data.shape[0] == 3 and repr(t.keys[0]) == "(0.0, -0.0)"
 
     def test_empty_and_featureless_tables(self):
         self.check(session_dataset([], [], [], []), 4)
