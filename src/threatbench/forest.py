@@ -355,7 +355,6 @@ class RandomForestModel(TreeEnsemble):
     trees: list
     n_features: int
     config: ForestConfig
-    classes: tuple = (0, 1)
     _flat: _FlatForest | None = field(default=None, repr=False, compare=False)
 
     def _walk_parts(self):

@@ -4,17 +4,17 @@ A domain is one DOMAIN_SPECS entry: its label and categorical columns, its
 preprocessing, and per model the fit, the scorer, the training rows and the
 threshold policy. `run_domain` executes any entry.
 
-Data preparation has one path for both shapes of data: the generated table is
-split by row index, the encoder and scaler are fit on the train rows
-(`_fit_encoding`), and `preprocess.fill_features` fills each partition's
-matrix (tabular domains) or session tensor (ueba) straight from the table, so
-no copy of the table is made.
+Data preparation has one path for both shapes of data. A row is its position
+in the generated table: the table is split by position, the encoder and scaler
+are fit on the train rows (`_fit_encoding`), and `preprocess.fill_features`
+fills the matrix (tabular domains) or session tensor (ueba) of each partition
+`_plan` names straight from the table, so no copy of the table is made.
 
 Each run is a pure function of (PipelineConfig, toolkit version): reports
 carry no timestamps or host identifiers and artifact paths are stored relative
 to the report, so identical configs produce byte-identical output trees. Every
 fit or calibration stage consumes training-partition rows only; pass a
-LeakageAudit to record exactly which source rows each stage touched.
+LeakageAudit to record exactly which table positions each stage touched.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .neural import (
     score_sessions,
 )
 from .preprocess import (
+    SESSION_KEYS,
     SessionTensor,
     downsample_majority,
     feature_plan,
@@ -111,7 +112,8 @@ _OPTIONAL = "models.dense_ae.layers"
 # predicate sees only a value of its default's type. Below 1 a count or size
 # fits no model, or fails after earlier stages have run; a zero-epoch fit
 # leaves initial weights, a depth-0 tree is a single leaf, a split needs two
-# rows and a step size must move the weights forward.
+# rows, a step size or learning rate must move the weights forward, and a
+# penalty (`lam`, `gamma`, `l2`, `l1`) below 0 fits a wrong model.
 _FRACTION = (lambda v: 0 < v < 1, "a number in (0, 1)")
 _RANGES = {
     **dict.fromkeys((
@@ -123,8 +125,11 @@ _RANGES = {
     **dict.fromkeys(("models.iforest.psi", "models.forest.min_samples_split"), (lambda v: v >= 2, ">= 2")),
     **dict.fromkeys((
         "models.logistic.step_size", "models.dense_ae.step_size", "models.lstm_ae.step_size",
-        "preprocess.downsample_ratio",
+        "models.boosting.learning_rate", "preprocess.downsample_ratio",
     ), (lambda v: 0 < v < np.inf, "a finite number > 0")),
+    **dict.fromkeys((
+        "models.boosting.lam", "models.boosting.gamma", "models.logistic.l2", "models.dense_ae.l1",
+    ), (lambda v: 0 <= v < np.inf, "a finite number >= 0")),
     "models.boosting.subsample": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "preprocess.test_fraction": _FRACTION,
     "preprocess.validation_fraction": _FRACTION,
@@ -218,15 +223,15 @@ def generator_config(config: PipelineConfig) -> GeneratorConfig:
 
 
 class LeakageAudit:
-    """Records the source-row ids every fit/calibration stage consumed,
-    plus the ids of the held-out test partition, so a test can assert the
-    two never intersect. Each set of ids is a sorted unique int64 array;
-    synthetic rows (id -1) are left out. An id array that is already sorted
-    and unique is kept as it is, not copied, so callers hand over arrays
-    they no longer change."""
+    """Records the table positions every fit/calibration stage consumed,
+    plus those of the held-out test partition, so a test can assert the two
+    never intersect. Each set is a sorted unique int64 array; synthetic rows
+    (position -1) are left out. An array that is already sorted and unique
+    is kept as it is, not copied, so callers hand over arrays they no longer
+    change."""
 
     def __init__(self):
-        self.consumed = {}  # stage -> row ids
+        self.consumed = {}  # stage -> table positions
         self.test_rows = np.empty(0, dtype=np.int64)
 
     @staticmethod
@@ -251,12 +256,18 @@ class LeakageAudit:
 
 
 class _StageRecorder:
-    def __init__(self):
+    """The stages a run went through, in order; `record` charges table
+    positions to the open stage in `audit`, the leakage ledger, if given."""
+
+    def __init__(self, audit: LeakageAudit | None = None):
         self.stages = []
+        self.audit = audit
+        self.open = None
 
     @contextmanager
     def stage(self, name: str):
         self.stages.append(name)
+        outer, self.open = self.open, name
         try:
             yield
         except Exception as exc:
@@ -264,6 +275,18 @@ class _StageRecorder:
             # classes whose constructors take other arguments.
             exc.args = (f"stage {name!r}: {exc}",)
             raise
+        finally:
+            self.open = outer
+
+    def record(self, *positions) -> None:
+        if self.open is None:
+            raise RuntimeError("rows recorded outside an open stage")
+        for rows in positions if self.audit else ():
+            self.audit.record(self.open, rows)
+
+    def mark_test(self, positions) -> None:
+        if self.audit:
+            self.audit.mark_test(positions)
 
 
 @dataclass
@@ -341,15 +364,12 @@ def write_dataset(dataset: Dataset, domain: str, directory) -> dict:
 
 @dataclass
 class _Rows:
-    """A tabular partition: features, labels, and the source row id behind
-    each row (-1 for synthetic rows), for the leakage audit."""
+    """A tabular partition: features, labels, and the table position of each
+    row (-1 for synthetic rows), for the leakage audit."""
 
     X: np.ndarray
     y: np.ndarray
     ids: np.ndarray
-
-    def select(self, idx) -> "_Rows":
-        return _Rows(self.X[idx], self.y[idx], self.ids[idx])
 
     def importance_inputs(self, score):
         """(array permutation importance shuffles, scorer of that array)."""
@@ -357,8 +377,8 @@ class _Rows:
 
 
 class _Sessions(_Rows):
-    """A session partition: X is a SessionTensor, ids the row ids of every
-    event of every session."""
+    """A session partition: X is a SessionTensor, ids the table positions of
+    every event of every session."""
 
     def __init__(self, tensor: SessionTensor):
         super().__init__(tensor, tensor.labels, tensor.event_row_ids)
@@ -370,38 +390,41 @@ class _Sessions(_Rows):
         )
 
 
-def _record(audit, stage, *parts) -> None:
-    if audit:
-        for part in parts:
-            audit.record(stage, part.ids)
-
-
-def _fit_encoding(spec, table: Dataset, train, test, rec, audit, exclude=()):
+def _fit_encoding(spec, table: Dataset, train, test, rec):
     """Fit the one-hot encoder, and the scaler if the spec scales, on the
     table rows `train` (in their order). A test category that train lacks is
     an error of the fit_one_hot stage, named by its position in `test`."""
     with rec.stage("fit_one_hot"):
         encoder = fit_one_hot(table, list(spec.categoricals), rows=train)
-        if audit:
-            audit.record("fit_one_hot", table.row_ids[train])
+        rec.record(train)
         for name in encoder.categories:
             one_hot_codes(encoder, name, table.column(name), test)
     scaler = None
     if spec.scale:
         with rec.stage("fit_scaler"):
-            numeric = [n for n in table.names_of_kind("numeric") if n not in exclude]
+            numeric = [n for n in table.names_of_kind("numeric") if n not in SESSION_KEYS]
             scaler = fit_scaler(table, numeric, rows=train)
-            if audit:
-                audit.record("fit_scaler", table.row_ids[train])
+            rec.record(train)
     return encoder, scaler
 
 
-def _prepare_tabular(spec, held, pp, rng, rec, audit):
-    """Split -> downsample train -> fit encoding on train -> fill the train and
-    test matrices -> carve validation -> SMOTE on the fit rows. Returns
+def _plan(spec, labels, train, test, pp, rng, rec) -> dict:
+    """The partitions `spec` builds, as positions into `labels`, of "train",
+    "test", "clean" (train labelled 0) and, carving validation, "fit" and "val"."""
+    rows = {"train": train, "clean": train[labels[train] == 0], "test": test}
+    if spec.validation:
+        with rec.stage("carve_validation"):
+            fit, val = stratified_indices(labels[train], pp["validation_fraction"], rng.child("val"))
+            rows["fit"], rows["val"] = train[fit], train[val]
+    return {name: r for name, r in rows.items() if name in spec.partitions}
+
+
+def _prepare_tabular(spec, held, pp, rng, rec):
+    """Split -> downsample train -> fit encoding on train -> plan the
+    partitions -> fill their matrices -> SMOTE on the fit rows. Returns
     (features, partitions, dataset extras).
 
-    Like `_prepare_sessions`, it works on row indices of the generated table
+    Like `_prepare_sessions`, it works on positions in the generated table
     and fills each matrix straight from it, so no copy of the table is made.
     `held` is a one-item list holding the table; it is popped, and the table
     is consumed by the fill."""
@@ -409,31 +432,24 @@ def _prepare_tabular(spec, held, pp, rng, rec, audit):
     with rec.stage("split"):
         labels = np.asarray(table.column(spec.label))
         train, test = stratified_indices(labels, pp["test_fraction"], rng.child("split"))
-        if audit:
-            audit.mark_test(table.row_ids[test])
+        rec.mark_test(test)
     if spec.resample == "downsample":
         with rec.stage("downsample_majority"):
             train = train[downsample_majority(labels[train], pp["downsample_ratio"], rng.child("downsample"))]
-    encoder, scaler = _fit_encoding(spec, table, train, test, rec, audit)
+    encoder, scaler = _fit_encoding(spec, table, train, test, rec)
+    rows = _plan(spec, labels, train, test, pp, rng, rec)
 
     plan = feature_plan(table, encoder)
     features = [f for _, names in plan for f in names]
-    rows = {"train": train, "test": test}
-    parts = {name: _Rows(np.zeros((len(r), len(features))), labels[r], table.row_ids[r]) for name, r in rows.items()}
-    fill_features(table, plan, [(parts[name].X, slice(None), r) for name, r in rows.items()], encoder, scaler)
-    if spec.validation:
-        with rec.stage("carve_validation"):
-            fit_idx, val_idx = stratified_indices(parts["train"].y, pp["validation_fraction"], rng.child("val"))
-            parts["fit"] = parts["train"].select(fit_idx)
-            parts["val"] = parts["train"].select(val_idx)
+    parts = {name: _Rows(np.zeros((len(r), len(features))), labels[r], r) for name, r in rows.items()}
+    fill_features(table, plan, [(part.X, slice(None), part.ids) for part in parts.values()], encoder, scaler)
     if spec.resample == "smote":
         with rec.stage("smote_oversample"):
             fit = parts["fit"]
             minority = fit.X[fit.y == 1]
             n_synthetic = max(0, int((fit.y == 0).sum()) - minority.shape[0])
             synthetic = smote_oversample(minority, pp["smote_k"], n_synthetic, rng.child("smote"))
-            if audit:
-                audit.record("smote_oversample", fit.ids[fit.y == 1])
+            rec.record(fit.ids[fit.y == 1])
             parts["fit"] = _Rows(
                 np.vstack([fit.X, synthetic]),
                 np.concatenate([fit.y, np.ones(synthetic.shape[0], dtype=np.int64)]),
@@ -442,39 +458,35 @@ def _prepare_tabular(spec, held, pp, rng, rec, audit):
     return features, parts, {}
 
 
-def _prepare_sessions(spec, held, pp, rng, rec, audit):
+def _prepare_sessions(spec, held, pp, rng, rec):
     """One pass over the event log: group it into (user, day) sessions once,
     split at session level, fit the encoder and scaler on the train sessions'
-    events, then fill each partition's tensor straight from the log. Takes
-    `held` and returns the same triple as `_prepare_tabular`, with only the
-    partitions a model reads, and "test".
+    events, then fill each planned partition's tensor straight from the log.
+    Takes `held` and returns the same triple as `_prepare_tabular`.
 
     No copy of the event table is made. A partition is the table rows of its
-    sessions; "clean" is the train sessions labelled 0, so a domain whose
-    models read only "clean" (ueba) never builds a train tensor. The fits read
-    the train rows in ascending row order, as a train copy of the table would
-    hold them, and `sessionize` frees each column of the log once used.
+    sessions, so a domain whose models read only "clean" (ueba) never builds
+    a train tensor. The fits read the train rows in ascending row order, as a
+    train copy of the table would hold them, and `sessionize` frees each
+    column of the log once used.
     """
     events = held.pop()
-    read = {name for m in spec.models for name in m.rows}
     with rec.stage("session_split"):
         sessions = group_sessions(events, label_column=spec.label)
         labels = sessions.labels
         train, test = stratified_indices(labels, pp["test_fraction"], rng.child("split"))
-        chosen = {"train": train, "clean": train[labels[train] == 0], "test": test}
-        names = [name for name in chosen if name in read or name == "test"]
-        partitions = [sessions.select(chosen[name]) for name in names]
+        planned = _plan(spec, labels, train, test, pp, rng, rec)
+        partitions = [sessions.select(idx) for idx in planned.values()]
         train_rows, test_rows = (np.sort(sessions.select(idx).order) for idx in (train, test))
-        del sessions, chosen
-        if audit:
-            audit.mark_test(events.row_ids[test_rows])
-    encoder, scaler = _fit_encoding(spec, events, train_rows, test_rows, rec, audit, exclude=("user_id", "day"))
+        del sessions
+        rec.mark_test(test_rows)
+    encoder, scaler = _fit_encoding(spec, events, train_rows, test_rows, rec)
     del train_rows, test_rows
     with rec.stage("sessionize"):
         tensors = sessionize(events, pp["time_steps"], partitions, encoder, scaler)
     counts = {str(c): int((labels == c).sum()) for c in (0, 1)}
     extra = {"n_sessions": len(labels), "session_label_counts": counts}
-    return tensors[0].feature_names, {name: _Sessions(t) for name, t in zip(names, tensors)}, extra
+    return tensors[0].feature_names, {name: _Sessions(t) for name, t in zip(planned, tensors)}, extra
 
 
 # The fits and scorers below reach every kernel through this module's globals
@@ -546,6 +558,11 @@ class DomainSpec(NamedTuple):
     sessions: bool  # an event log, split and scored per (user, day) session
     models: tuple
 
+    @property
+    def partitions(self) -> set:
+        """The partitions a run builds: those its models train on, and "test"."""
+        return {name for m in self.models for name in m.rows} | {"test"}
+
 
 DOMAIN_SPECS = {
     "intrusion": DomainSpec(
@@ -585,9 +602,9 @@ DOMAIN_SPECS = {
 
 def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None = None) -> RunReport:
     """Run one domain as its DOMAIN_SPECS entry says: generate the table and,
-    given out_dir, write it to `data/` before any fit; prepare partitions, fit
-    each model on its rows, calibrate on training rows only, then score,
-    explain and, given out_dir, save the models.
+    given out_dir, write it to `data/` before any fit; prepare the partitions
+    it builds, fit each model on its rows, calibrate on training rows only,
+    then score, explain and, given out_dir, save the models.
 
     What the report needs of the generated table (its dataset block and
     histograms) is taken right after `generate`, and the table is handed to
@@ -596,7 +613,7 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
     checked = config.validate()
     domain, seed, pp, mc = checked["domain"], checked["seed"], checked["preprocess"], checked["models"]
     spec = DOMAIN_SPECS[domain]
-    rec = _StageRecorder()
+    rec = _StageRecorder(audit)
     rng = RngStream(seed, f"pipeline/{domain}")
     with rec.stage("generate"):
         dataset = GENERATORS[domain](GeneratorConfig(**checked["generator"], seed=seed))
@@ -605,35 +622,26 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
     held = [dataset]  # `prepare` pops the table and drops it once it is split
     del dataset
     prepare = _prepare_sessions if spec.sessions else _prepare_tabular
-    features, parts, dataset_extra = prepare(spec, held, pp, rng, rec, audit)
-    # A partition no model trains on is freed before the first fit (malware's
-    # whole train matrix); "test" is kept to evaluate. Session preparation
-    # builds "clean" itself, and only the partitions models read.
-    read = {name for m in spec.models for name in m.rows}
-    if "clean" in read and "clean" not in parts:
-        parts["clean"] = parts["train"].select(np.flatnonzero(parts["train"].y == 0))
-    for name in set(parts) - read - {"test"}:
-        del parts[name]
+    features, parts, dataset_extra = prepare(spec, held, pp, rng, rec)
 
     fitted, calibrators, thresholds = {}, {}, {}
     for m in spec.models:
         with rec.stage(m.stage):
             rows = [parts[name] for name in m.rows]
             fitted[m.name] = m.fit(mc, rng, *rows)
-            _record(audit, m.stage, *rows)
+            rec.record(*(part.ids for part in rows))
         if m.threshold == "platt" and mc["calibrate_boosting"]:
             with rec.stage("calibrate_boosting"):
                 val = parts["val"]
                 calibrators[m.name] = fit_platt(fitted[m.name].predict_margin(val.X), val.y)
-                _record(audit, "calibrate_boosting", val)
+                rec.record(val.ids)
     by_percentile = [m for m in spec.models if m.threshold == "percentile"]
     if by_percentile:
-        stage = "calibrate_thresholds" if len(by_percentile) > 1 else "calibrate_threshold"
-        with rec.stage(stage):
+        with rec.stage("calibrate_thresholds" if len(by_percentile) > 1 else "calibrate_threshold"):
             for m in by_percentile:
                 rows = parts[m.rows[0]]
                 thresholds[m.name] = calibrate_threshold(m.score(fitted[m.name], rows.X), checked["threshold_percentile"])
-                _record(audit, stage, rows)
+                rec.record(rows.ids)
 
     test = parts["test"]
     models, importances, flags = {}, {}, {}

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DataError
 from .tabular import Dataset, RngStream
 
+# The columns that group an event log's events into sessions; they are no feature.
+SESSION_KEYS = ("user_id", "day")
+
 
 @dataclass(frozen=True)
 class EncoderSpec:
@@ -196,8 +199,8 @@ class SessionTensor:
     labels: np.ndarray
     feature_names: list
     keys: list = field(default_factory=list)  # (user_id, day) per session
-    # Provenance for the leakage audit: the row ids of every session's events,
-    # session after session; session i's are event_row_ids[event_bounds[i]:event_bounds[i + 1]].
+    # Provenance for the leakage audit: the table positions of every session's
+    # events, session after session; session i's are event_row_ids[event_bounds[i]:event_bounds[i + 1]].
     event_row_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     event_bounds: np.ndarray | None = None
 
@@ -220,8 +223,9 @@ class SessionIndex:
         return SessionIndex(order, bounds, self.labels[indices], [self.keys[i] for i in indices])
 
 
-def group_sessions(events: Dataset, group_columns=("user_id", "day"), label_column="anomaly_label") -> SessionIndex:
-    """The per-(user, day) sessions of an event log, from one stable sort.
+def group_sessions(events: Dataset, label_column="anomaly_label") -> SessionIndex:
+    """The sessions of an event log, one per (user, day) pair of its
+    `SESSION_KEYS` columns, from one stable sort.
 
     Sessions are numbered in ascending (user, day) order; -0.0 and 0.0 are one
     key, and a session's key is spelt as its first event's. Within a session
@@ -229,8 +233,7 @@ def group_sessions(events: Dataset, group_columns=("user_id", "day"), label_colu
     generators emit user/day/hour order). A session's label is the max
     anomaly flag over all of its events.
     """
-    gu = np.asarray(events.column(group_columns[0]), dtype=np.float64)
-    gd = np.asarray(events.column(group_columns[1]), dtype=np.float64)
+    gu, gd = (np.asarray(events.column(name), dtype=np.float64) for name in SESSION_KEYS)
     order = np.lexsort((gd, gu))  # stable: row order within a session
     gu, gd = gu[order], gd[order]
     starts = np.flatnonzero(np.concatenate([[events.n > 0], (gu[1:] != gu[:-1]) | (gd[1:] != gd[:-1])]))
@@ -244,14 +247,14 @@ def group_sessions(events: Dataset, group_columns=("user_id", "day"), label_colu
 
 
 def sessionize(events: Dataset, time_steps: int, partitions, encoder: EncoderSpec | None = None,
-               scaler: ScalerSpec | None = None, group_columns=("user_id", "day")) -> list:
+               scaler: ScalerSpec | None = None) -> list:
     """One zero-padded tensor per partition of an event log's sessions.
 
     `partitions` are `SessionIndex`es of `events`: `group_sessions(events)`
     or selections of it. The features are `feature_plan(events, encoder,
-    group_columns)`, filled by `fill_features`. A session holds its earliest
+    SESSION_KEYS)`, filled by `fill_features`. A session holds its earliest
     time_steps events and keeps its partition's label, which counts the
-    truncated ones too.
+    truncated ones too; its event positions are those its partition holds.
 
     Consumes `events`: the columns no feature reads are removed before the
     tensors are allocated, the others once used, so no encoded copy of the
@@ -259,7 +262,7 @@ def sessionize(events: Dataset, time_steps: int, partitions, encoder: EncoderSpe
     """
     if time_steps < 1:
         raise DataError(f"time_steps must be >= 1, got {time_steps}")
-    plan = feature_plan(events, encoder, group_columns)
+    plan = feature_plan(events, encoder, SESSION_KEYS)
     for name in set(events.column_names) - {name for name, _ in plan}:
         events.pop(name)
     feature_names = [f for _, names in plan for f in names]
@@ -284,7 +287,7 @@ def sessionize(events: Dataset, time_steps: int, partitions, encoder: EncoderSpe
             labels=p.labels,
             feature_names=list(feature_names),
             keys=p.keys,
-            event_row_ids=events.row_ids[p.order],
+            event_row_ids=p.order,
             event_bounds=p.bounds,
         )
         for p, n, (data, _, _) in zip(partitions, lengths, fills)

@@ -593,10 +593,8 @@ def save_events_jsonl(dataset: Dataset, path) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             for start in range(0, dataset.n, WRITE_BLOCK):
-                stop = min(start + WRITE_BLOCK, dataset.n)
-                cells = [_json_block(col[start:stop], kinds[name]) for col, name in zip(columns, names)]
-                rows = zip(*cells) if cells else [()] * (stop - start)
-                fh.write("".join([template % row for row in rows]))
+                cells = [_json_block(col[start:start + WRITE_BLOCK], kinds[name]) for col, name in zip(columns, names)]
+                fh.write("".join([template % row for row in zip(*cells)]))
     except OSError as exc:
         raise DataError(f"cannot write events to {path}: {exc}") from exc
 

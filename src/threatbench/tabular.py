@@ -67,14 +67,14 @@ def check_finite(X: np.ndarray, name: str = "X") -> np.ndarray:
 
 
 class Dataset:
-    """Column table with typed columns and stable row identities.
+    """Column table with typed columns.
 
     Columns are stored column-major: numeric as float arrays, binary/label as
-    int arrays, categorical as string lists. `row_ids` name each row's source
-    row (used by the leakage audit); synthetic rows carry id -1.
+    int arrays, categorical as string lists. A row is identified by its
+    position in the table: partitions and the leakage audit name rows that way.
     """
 
-    def __init__(self, columns, data, row_ids=None, meta=None):
+    def __init__(self, columns, data, meta=None):
         self.columns = [(str(n), str(k)) for n, k in columns]
         names = [n for n, _ in self.columns]
         if len(set(names)) != len(names):
@@ -86,8 +86,7 @@ class Dataset:
             if k not in KINDS:
                 raise DataError(f"unknown column kind {k!r} for column {n!r}")
 
-        self._data = {}
-        n_rows = None
+        self._data, self.n = {}, 0
         for name, kind in self.columns:
             if name not in data:
                 raise DataError(f"missing data for column {name!r}")
@@ -101,18 +100,9 @@ class Dataset:
                     raise DataError(f"binary column {name!r} contains {bad!r}")
             else:
                 vals = [str(v) for v in vals]
-            if n_rows is None:
-                n_rows = len(vals)
-            elif len(vals) != n_rows:
-                raise DataError(f"column {name!r} has {len(vals)} rows, expected {n_rows}")
-            self._data[name] = vals
-        if n_rows is None:
-            # zero-width table (every column encoded away): rows live on in ids
-            n_rows = 0 if row_ids is None else len(row_ids)
-        self.n = n_rows
-        self.row_ids = np.arange(self.n) if row_ids is None else np.asarray(row_ids, dtype=np.int64)
-        if len(self.row_ids) != self.n:
-            raise DataError("row_ids length does not match row count")
+            if self._data and len(vals) != self.n:
+                raise DataError(f"column {name!r} has {len(vals)} rows, expected {self.n}")
+            self._data[name], self.n = vals, len(vals)
         self.meta = dict(meta) if meta else {}
 
     # -- basic access -------------------------------------------------------
@@ -183,9 +173,8 @@ def save_dataset(dataset: Dataset, path) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(dataset.column_names)
             for start in range(0, dataset.n, WRITE_BLOCK):
-                stop = min(start + WRITE_BLOCK, dataset.n)
-                cells = [_format_block(col[start:stop], kind) for col, kind in zip(columns, kinds)]
-                writer.writerows(zip(*cells) if cells else [()] * (stop - start))
+                cells = [_format_block(col[start:start + WRITE_BLOCK], kind) for col, kind in zip(columns, kinds)]
+                writer.writerows(zip(*cells))
     except OSError as exc:
         raise DataError(f"cannot write dataset to {path}: {exc}") from exc
 

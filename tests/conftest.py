@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from threatbench.errors import DataError
-from threatbench.preprocess import SessionTensor, one_hot_codes
+from threatbench.preprocess import SESSION_KEYS, SessionTensor, one_hot_codes
 from threatbench.tabular import WRITE_BLOCK, Dataset
 
 # Property tests draw the same examples on every run and keep no example
@@ -107,17 +107,17 @@ def edge_dataset(seed: int = 0) -> Dataset:
     )
 
 
-def per_event_sessionize(events, time_steps, group_columns=("user_id", "day"), label_column="anomaly_label"):
+def per_event_sessionize(events, time_steps, label_column="anomaly_label"):
     """The former dict-of-index-lists `sessionize`, kept as the oracle of the
-    whole-array one."""
+    whole-array one. Its event positions are those `positions` gives."""
     feature_names = [
         n for n, k in events.columns
-        if k in ("numeric", "binary") and n not in group_columns
+        if k in ("numeric", "binary") and n not in SESSION_KEYS
     ]
     X = matrix(events, feature_names)
     labels = np.asarray(events.column(label_column))
-    gu = np.asarray(events.column(group_columns[0]))
-    gd = np.asarray(events.column(group_columns[1]))
+    gu, gd = (np.asarray(events.column(name)) for name in SESSION_KEYS)
+    at = positions(events)
 
     groups = {}
     for i in range(events.n):
@@ -128,22 +128,22 @@ def per_event_sessionize(events, time_steps, group_columns=("user_id", "day"), l
     data = np.zeros((S, time_steps, len(feature_names)))
     lengths = np.zeros(S, dtype=np.int64)
     sess_labels = np.zeros(S, dtype=np.int64)
-    row_ids = []
+    event_positions = []
     for s, key in enumerate(keys):
         idx = groups[key]
         take = idx[:time_steps]
         data[s, : len(take)] = X[take]
         lengths[s] = len(take)
         sess_labels[s] = int(labels[idx].max())
-        row_ids.append([int(events.row_ids[i]) for i in idx])
+        event_positions.append([int(at[i]) for i in idx])
     return SessionTensor(
         data=data,
         lengths=lengths,
         labels=sess_labels,
         feature_names=feature_names,
         keys=keys,
-        event_row_ids=np.array([i for ids in row_ids for i in ids], dtype=np.int64),
-        event_bounds=np.cumsum([0] + [len(ids) for ids in row_ids]),
+        event_row_ids=np.array([i for ids in event_positions for i in ids], dtype=np.int64),
+        event_bounds=np.cumsum([0] + [len(ids) for ids in event_positions]),
     )
 
 
@@ -153,14 +153,21 @@ def per_event_sessionize(events, time_steps, group_columns=("user_id", "day"), l
 # row-index preparation that fills matrices straight from the table.
 
 
+def positions(dataset) -> np.ndarray:
+    """Each row's position in the table that `select_rows` first copied it
+    from; a table that is no copy holds its own rows, in order."""
+    return dataset.meta.get("positions", np.arange(dataset.n))
+
+
 def select_rows(dataset, indices) -> Dataset:
-    """A copy of the table's rows `indices`, in that order, with their row ids."""
+    """A copy of the table's rows `indices`, in that order; its meta carries
+    their `positions`."""
     indices = np.asarray(indices, dtype=np.int64)
     data = {}
     for name, kind in dataset.columns:
         vals = dataset.column(name)
         data[name] = [vals[i] for i in indices] if kind == "categorical" else vals[indices]
-    return Dataset(dataset.columns, data, row_ids=dataset.row_ids[indices])
+    return Dataset(dataset.columns, data, meta={"positions": positions(dataset)[indices]})
 
 
 def apply_one_hot(spec, dataset) -> Dataset:
@@ -178,7 +185,7 @@ def apply_one_hot(spec, dataset) -> Dataset:
         for k, cat in enumerate(spec.categories[name][1:], 1):
             columns.append((f"{name}={cat}", "binary"))
             data[f"{name}={cat}"] = (codes == k).astype(np.int64)
-    return Dataset(columns, data, row_ids=dataset.row_ids, meta=dataset.meta)
+    return Dataset(columns, data, meta=dataset.meta)
 
 
 def apply_scaler(spec, dataset) -> Dataset:
@@ -191,7 +198,7 @@ def apply_scaler(spec, dataset) -> Dataset:
             arr = np.asarray(vals, dtype=np.float64)
             vals = np.zeros_like(arr) if std == 0.0 else (arr - mean) / std
         data[name] = vals
-    return Dataset(dataset.columns, data, row_ids=dataset.row_ids, meta=dataset.meta)
+    return Dataset(dataset.columns, data, meta=dataset.meta)
 
 
 def matrix(dataset, names=None) -> np.ndarray:

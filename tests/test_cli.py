@@ -152,6 +152,15 @@ class TestExitCodes:
             ("phishing", "models.logistic.step_size=0", "models.logistic.step_size must be a finite number > 0"),
             ("intrusion", "models.dense_ae.step_size=-1", "models.dense_ae.step_size must be a finite number > 0"),
             ("ueba", "models.lstm_ae.step_size=1e999", "models.lstm_ae.step_size must be a finite number > 0"),
+            ("phishing", "models.boosting.learning_rate=-1", "models.boosting.learning_rate must be a finite number > 0"),
+            ("phishing", "models.boosting.learning_rate=NaN", "models.boosting.learning_rate must be a finite number > 0"),
+            ("phishing", "models.boosting.lam=-1", "models.boosting.lam must be a finite number >= 0"),
+            ("phishing", "models.boosting.lam=NaN", "models.boosting.lam must be a finite number >= 0"),
+            ("phishing", "models.boosting.gamma=-1", "models.boosting.gamma must be a finite number >= 0"),
+            ("phishing", "models.boosting.gamma=NaN", "models.boosting.gamma must be a finite number >= 0"),
+            ("phishing", "models.logistic.l2=-1", "models.logistic.l2 must be a finite number >= 0"),
+            ("intrusion", "models.dense_ae.l1=-1", "models.dense_ae.l1 must be a finite number >= 0"),
+            ("intrusion", "models.dense_ae.l1=1e999", "models.dense_ae.l1 must be a finite number >= 0"),
         ):
             capsys.readouterr()
             assert run_cli(["run", domain, "--override", override]) == 2

@@ -14,6 +14,7 @@ from conftest import (
     load_dataset,
     matrix,
     per_event_sessionize,
+    positions,
     select_rows,
     traced_peak,
 )
@@ -334,7 +335,7 @@ def one_pass_prepare(events, pp, rows=None, audit=None):
     if rows:
         spec = spec._replace(models=(spec.models[0]._replace(rows=rows),))
     rng = RngStream(42, "pipeline/ueba")
-    return pipeline._prepare_sessions(spec, [events], pp, rng, pipeline._StageRecorder(), audit)
+    return pipeline._prepare_sessions(spec, [events], pp, rng, pipeline._StageRecorder(audit))
 
 
 ACTIVITIES = ("cmd", "login", "mail")
@@ -379,7 +380,7 @@ HAND_SESSIONS = [
 
 class TestOnePassSessions:
     """`_prepare_sessions` against the two-copy oracle: the same tensor bytes,
-    lengths, labels, keys (signs included), event row ids and bounds, session
+    lengths, labels, keys (signs included), event positions and bounds, session
     counts and leakage-audit ids."""
 
     @staticmethod
@@ -457,7 +458,7 @@ class TestOnePassSessions:
         checked = small_config("ueba").validate()
         config = GeneratorConfig(**checked["generator"], seed=42)
         logs = [pipeline.GENERATORS["ueba"](config) for _ in range(3)]
-        table_bytes = logs[0].row_ids.nbytes + sum(
+        table_bytes = sum(
             8 * logs[0].n if kind == "categorical" else logs[0].column(name).nbytes for name, kind in logs[0].columns
         )
         _, parts, _ = one_pass_prepare(logs.pop(), checked["preprocess"])
@@ -470,8 +471,9 @@ def two_copy_tabular(spec, table, pp, rng):
     """The former tabular preparation, kept as the oracle of the row-index
     one: copy the train and test rows out of the table, downsample the train
     copy, fit and apply one-hot encoding and z-scores on the copies, take
-    their matrices, then carve validation and SMOTE the fit rows. Returns the
-    features and {partition: (X, y, ids)}."""
+    their matrices, take the clean rows, carve validation and SMOTE the fit
+    rows. Returns the features and {partition: (X, y, positions)}, for every
+    partition a model may read."""
     labels = np.asarray(table.column(spec.label))
     train_idx, test_idx = stratified_indices(labels, pp["test_fraction"], rng.child("split"))
     train, test = select_rows(table, train_idx), select_rows(table, test_idx)
@@ -484,8 +486,9 @@ def two_copy_tabular(spec, table, pp, rng):
         scaler = fit_scaler(train, train.names_of_kind("numeric"))
         train, test = apply_scaler(scaler, train), apply_scaler(scaler, test)
     features = train.names_of_kind("numeric", "binary")
-    parts = {name: (matrix(part, features), np.asarray(part.column(spec.label)), part.row_ids)
+    parts = {name: (matrix(part, features), np.asarray(part.column(spec.label)), positions(part))
              for name, part in (("train", train), ("test", test))}
+    parts["clean"] = tuple(a[parts["train"][1] == 0] for a in parts["train"])
     if spec.validation:
         fit_idx, val_idx = stratified_indices(train.column(spec.label), pp["validation_fraction"], rng.child("val"))
         parts["fit"], parts["val"] = (tuple(a[idx] for a in parts["train"]) for idx in (fit_idx, val_idx))
@@ -502,7 +505,7 @@ def one_pass_tabular(domain, table, pp, audit=None, spec=None):
     """`_prepare_tabular` on `table` for `domain`, or for `spec` if given."""
     rng = RngStream(42, f"pipeline/{domain}")
     spec = spec or pipeline.DOMAIN_SPECS[domain]
-    return pipeline._prepare_tabular(spec, [table], pp, rng, pipeline._StageRecorder(), audit)
+    return pipeline._prepare_tabular(spec, [table], pp, rng, pipeline._StageRecorder(audit))
 
 
 def attachment_table(n_legit=40, n_phish=12, seed=0):
@@ -523,8 +526,9 @@ def attachment_table(n_legit=40, n_phish=12, seed=0):
 
 class TestOnePassTabular:
     """`_prepare_tabular` against the two-copy oracle: the same matrix bytes,
-    labels, row ids and feature names for every partition, and the same
-    leakage-audit ids."""
+    labels, table positions and feature names for every partition it builds,
+    and the same leakage-audit positions. It builds only the partitions its
+    models read, and "test"."""
 
     @staticmethod
     def check(domain, make_table, pp, spec=None):
@@ -533,20 +537,25 @@ class TestOnePassTabular:
         audit = LeakageAudit()
         features, parts, extra = one_pass_tabular(domain, make_table(), pp, audit, spec)
         assert features == want_features and extra == {}
-        assert set(parts) == set(want)
-        for name, arrays in want.items():
-            for field, a, b in zip(("X", "y", "ids"), (parts[name].X, parts[name].y, parts[name].ids), arrays):
+        assert set(parts) == spec.partitions and set(parts) <= set(want)
+        for name, part in parts.items():
+            for field, a, b in zip(("X", "y", "ids"), (part.X, part.y, part.ids), want[name]):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (name, field)
         assert np.array_equal(audit.test_rows, np.sort(want["test"][2]))
         for stage in ("fit_one_hot", "fit_scaler") if spec.scale else ("fit_one_hot",):
             assert np.array_equal(audit.consumed[stage], np.sort(want["train"][2])), stage
         return parts
 
-    @pytest.mark.parametrize("domain", ["intrusion", "malware", "phishing"])
-    def test_small_config(self, domain):
+    @pytest.mark.parametrize("domain, built", [
+        ("intrusion", {"train", "clean", "test"}),
+        ("malware", {"fit", "val", "test"}),
+        ("phishing", {"train", "fit", "val", "test"}),
+    ], ids=["intrusion", "malware", "phishing"])
+    def test_small_config(self, domain, built):
         checked = small_config(domain).validate()
         config = GeneratorConfig(**checked["generator"], seed=42)
-        self.check(domain, lambda: pipeline.GENERATORS[domain](config), checked["preprocess"])
+        parts = self.check(domain, lambda: pipeline.GENERATORS[domain](config), checked["preprocess"])
+        assert set(parts) == built
 
     def test_hand_built_table(self):
         pp = {"test_fraction": 0.25, "validation_fraction": 0.3, "downsample_ratio": 2.0}
@@ -708,6 +717,18 @@ class TestLeakage:
         assert audit.leaked() == {"fit": [9], "calibrate": [22]}
         assert all(type(i) is int for ids in audit.leaked().values() for i in ids)
         assert LeakageAudit().leaked() == {}
+
+    @pytest.mark.parametrize("audit", [None, LeakageAudit()])
+    def test_rows_are_recorded_only_inside_a_stage(self, audit):
+        rec = pipeline._StageRecorder(audit)
+        with pytest.raises(RuntimeError, match="outside an open stage"):
+            rec.record(np.arange(3))
+        with rec.stage("fit"):
+            rec.record(np.arange(3), np.array([7]))
+        with pytest.raises(RuntimeError, match="outside an open stage"):
+            rec.record(np.arange(3))
+        if audit:
+            assert audit.consumed["fit"].tolist() == [0, 1, 2, 7] and list(audit.consumed) == ["fit"]
 
     def test_no_fit_stage_consumes_test_rows(self, small_reports):
         for domain, (_, audit) in small_reports.items():
@@ -926,6 +947,14 @@ class TestConfigWalk:
         assert type(pp["downsample_ratio"]) is float
         assert type(models["boosting"]["n_rounds"]) is int
         assert cfg.models["boosting"]["learning_rate"] == 1 and type(cfg.models["boosting"]["learning_rate"]) is int
+
+    def test_zero_penalties_are_legal(self):
+        cfg = default_config("malware")
+        cfg.models["boosting"].update(lam=0.0, gamma=0.0)
+        cfg.models["logistic"]["l2"] = 0
+        cfg.models["dense_ae"]["l1"] = 0.0
+        checked = cfg.validate()
+        assert checked["models"]["boosting"]["lam"] == checked["models"]["logistic"]["l2"] == 0.0
 
     def test_int_learning_rate_writes_the_float_model(self, tmp_path):
         # At an int for a float key the walk passes float(v) on, so the model

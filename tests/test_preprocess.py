@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import apply_one_hot, apply_scaler, matrix, per_event_sessionize, segment_offsets, select_rows, traced_peak
+from conftest import (
+    apply_one_hot,
+    apply_scaler,
+    matrix,
+    per_event_sessionize,
+    positions,
+    segment_offsets,
+    select_rows,
+    traced_peak,
+)
 from threatbench import preprocess
 from threatbench.errors import DataError
 from threatbench.preprocess import (
@@ -302,13 +311,14 @@ def session_dataset(user, day, v, label):
 
 class TestSessionizeOracle:
     """`sessionize` against the per-event oracle: the same tensor bytes,
-    lengths, labels, keys (signs included) and event row ids."""
+    lengths, labels, keys (signs included) and event positions."""
 
     @staticmethod
     def check(events, time_steps):
         want = per_event_sessionize(events, time_steps)
         copy = select_rows(events, np.arange(events.n))  # sessionize consumes its table
         got, = sessionize(copy, time_steps, [group_sessions(copy)])
+        got.event_row_ids = positions(copy)[got.event_row_ids]  # positions in the table the oracle numbers
         for name in ("data", "lengths", "labels", "event_row_ids", "event_bounds"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
