@@ -7,6 +7,7 @@ anomaly threshold alongside the weights.
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -89,7 +90,7 @@ _CLASS_WEIGHTS = (
     lambda docs: {int(k): float(v) for k, v in docs.items()},
 )
 
-# Document kind -> (model type, {payload field: (encode, decode)}). save_model
+# Document kind -> (model type, {payload field: (encode, decode)}). model_json
 # and load_model both read this one table, so writer and reader cannot drift.
 KINDS = {
     "random_forest": (RandomForestModel, {"n_features": _INT, "config": _config(ForestConfig), "trees": _TREES}),
@@ -114,7 +115,8 @@ KINDS = {
 }
 
 
-def save_model(model, path, threshold: AnomalyThreshold | None = None) -> None:
+def model_json(model, threshold: AnomalyThreshold | None = None) -> bytes:
+    """The model's versioned document, as the UTF-8 JSON text `save_model` writes."""
     kind = next((k for k, (cls, _) in KINDS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise DataError(f"cannot serialize model of type {type(model).__name__}")
@@ -126,10 +128,19 @@ def save_model(model, path, threshold: AnomalyThreshold | None = None) -> None:
             "percentile": threshold.percentile,
             "sample_size": threshold.sample_size,
         }
+    # json.dump hands over the text piece by piece, and the wrapper encodes
+    # each few KB into one buffer; json.dumps would hold every piece at once.
+    text = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    json.dump(doc, text, sort_keys=True, indent=1)
+    text.write("\n")
+    return text.detach().getvalue()
+
+
+def save_model(document: bytes, path) -> None:
+    """Write a `model_json` document to `path`."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        with open(path, "wb") as fh:
+            fh.write(document)
     except OSError as exc:
         raise DataError(f"cannot write model to {path}: {exc}") from exc
 

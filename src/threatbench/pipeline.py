@@ -10,6 +10,12 @@ are fit on the train rows (`_fit_encoding`), and `preprocess.fill_features`
 fills the matrix (tabular domains) or session tensor (ueba) of each partition
 `_plan` names straight from the table, so no copy of the table is made.
 
+Each model then runs as one chain (`_run_model`): fit, calibration, scoring
+of the test rows and explanation, handed back as one record with the model
+documents to save. The chains share nothing but the partitions, so
+`_run_chains` runs all but the last in forked workers when the process may
+use a second CPU.
+
 Each run is a pure function of (PipelineConfig, toolkit version): reports
 carry no timestamps or host identifiers and artifact paths are stored relative
 to the report, so identical configs produce byte-identical output trees. Every
@@ -22,6 +28,8 @@ from __future__ import annotations
 import copy
 import json
 import os
+import pickle
+import signal
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -43,8 +51,9 @@ from .forest import (
     iforest_score,
 )
 from .linear import fit_logistic, fit_platt, predict_proba as logistic_proba
-from .modelio import save_model
+from .modelio import model_json, save_model
 from .neural import (
+    AnomalyThreshold,
     calibrate_threshold,
     detect_anomalies,
     fit_dense_autoencoder,
@@ -263,6 +272,7 @@ class _StageRecorder:
         self.stages = []
         self.audit = audit
         self.open = None
+        self.failed = None  # the stage an error left
 
     @contextmanager
     def stage(self, name: str):
@@ -274,6 +284,7 @@ class _StageRecorder:
             # Reworded in place: calling type(exc)(...) fails for exception
             # classes whose constructors take other arguments.
             exc.args = (f"stage {name!r}: {exc}",)
+            self.failed = name
             raise
         finally:
             self.open = outer
@@ -491,7 +502,9 @@ def _prepare_sessions(spec, held, pp, rng, rec):
 
 # The fits and scorers below reach every kernel through this module's globals
 # at call time; the table never stores a kernel function object. Rebinding a
-# global here (perfbench/tracer.py does) thus reaches every call of a run.
+# global here (perfbench/tracer.py does) thus reaches every call of a run,
+# though a chain run in a forked worker makes its calls, and keeps whatever a
+# wrapper records of them, in the worker.
 
 
 def _fit_iforest(mc, rng, rows):
@@ -600,16 +613,186 @@ DOMAIN_SPECS = {
 }
 
 
+# -- per-model chains, and the workers that run them ------------------------------------
+
+# The sequential order of a run's model stages: every fit and Platt fit, model
+# by model, then the percentile thresholds, then evaluation. A failure outside
+# any stage (serialising a model document) comes last.
+_PHASES = {"calibrate_threshold": 1, "calibrate_thresholds": 1, "evaluate": 2, None: 3}
+
+
+class _ModelRecord(NamedTuple):
+    """All one model's chain hands back: the stages it went through and, if
+    audited, the table positions each consumed; its classification report,
+    top importances, flagged test rows and threshold (percentile models only);
+    and each document to save, by artifact name: its (model, threshold) pair,
+    or its JSON text once `_serialised`."""
+
+    stages: list
+    consumed: dict
+    report: dict
+    importances: list
+    flags: list | None
+    threshold: AnomalyThreshold | None
+    documents: dict
+
+
+def _run_model(spec, mc, percentile, rng, parts, features, save, m, rec) -> _ModelRecord:
+    """Model `m`'s chain: fit it, Platt-calibrate it or calibrate its
+    percentile threshold on training rows, score the test rows and explain
+    them, and, if `save`, keep the model and its calibrator to save
+    (`_serialised` turns them into text). It reads only `parts` and its own
+    RNG children, so chains may run in any order, or at once."""
+    with rec.stage(m.stage):
+        rows = [parts[name] for name in m.rows]
+        model = m.fit(mc, rng, *rows)
+        rec.record(*(part.ids for part in rows))
+    calibrator = threshold = flags = None
+    if m.threshold == "platt" and mc["calibrate_boosting"]:
+        with rec.stage("calibrate_boosting"):
+            val = parts["val"]
+            calibrator = fit_platt(model.predict_margin(val.X), val.y)
+            rec.record(val.ids)
+    if m.threshold == "percentile":
+        by_percentile = sum(other.threshold == "percentile" for other in spec.models)
+        with rec.stage("calibrate_thresholds" if by_percentile > 1 else "calibrate_threshold"):
+            calibration = parts[m.rows[0]]
+            threshold = calibrate_threshold(m.score(model, calibration.X), percentile)
+            rec.record(calibration.ids)
+
+    test = parts["test"]
+    with rec.stage("evaluate"):
+        if calibrator is not None:
+            scores = calibrator.apply(model.predict_margin(test.X))
+        # A tree model's scorer remembers its walk of the test rows; it is
+        # dropped once the importance is computed.
+        score = model.scorer(test.X) if isinstance(model, TreeEnsemble) else partial(m.score, model)
+        if calibrator is None:
+            scores = score(test.X)
+        if threshold is not None:
+            predicted = detect_anomalies(scores, threshold)
+            flags = [int(i) for i in np.flatnonzero(predicted)]
+        else:
+            predicted = (scores >= 0.5).astype(int)
+        report = classification_report(test.y, predicted, scores=scores, positive_label=spec.threat).to_dict()
+        X, score = test.importance_inputs(score)
+        # Uncalibrated `scores` came from `score`: the importance baseline.
+        importance = permutation_importance(
+            score, X, test.y, "auc", mc["importance_repeats"], rng.child(f"imp/{m.tag}"), features,
+            baseline_scores=None if calibrator is not None else scores,
+        )
+        del score
+
+    documents = {}
+    if save:
+        documents[m.name] = (model, threshold)
+        if calibrator is not None:
+            documents["boosting_calibrator"] = (calibrator, None)
+    return _ModelRecord(
+        rec.stages, rec.audit.consumed if rec.audit else {}, report,
+        [[name, value] for name, value in importance.top(10)], flags, threshold, documents,
+    )
+
+
+def _serialised(record: _ModelRecord) -> _ModelRecord:
+    return record._replace(documents={name: model_json(*doc) for name, doc in record.documents.items()})
+
+
+def _attempt(run, audited, catch=Exception):
+    """(run(recorder), None) if it completes, else (None, (error, the stage
+    it failed in or None))."""
+    rec = _StageRecorder(LeakageAudit() if audited else None)
+    try:
+        return run(rec), None
+    except catch as exc:
+        return None, (exc, rec.failed)
+
+
+def _fork(chain, m, audited):
+    """Start a worker process that runs the chain of `m`, serialises its
+    documents, and writes the pickled `_attempt` to a pipe; returns (pid, the
+    pipe's read end). The worker never returns into the caller: it leaves by
+    `os._exit`, so it flushes no inherited stdout buffer and runs no atexit
+    handler."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    code = 1
+    try:
+        os.close(read)
+        outcome = _attempt(lambda rec: _serialised(chain(m, rec)), audited, catch=BaseException)
+        outcome = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(outcome)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_chains(chain, models, audited) -> list:
+    """The record of each model's chain, in `models` order.
+
+    The last model's chain runs in this process and every other in a worker
+    made by `os.fork`, which needs fork and a second CPU this process may use;
+    otherwise every chain runs here, one after another, up to the first that
+    fails in a fit stage. Each chain runs to its end or its first failure,
+    and every worker is reaped before this returns or raises. Of the
+    failures, the one raised is the one the sequential order (`_PHASES`, then
+    model order) reaches first; a worker that exits without sending its
+    outcome is an internal error.
+
+    A worker serialises its documents before it sends them. The chains run
+    here serialise theirs only once every chain has succeeded: building a
+    large model's document leaves memory behind that would otherwise add to
+    the peak of every later chain."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    n_forked = len(models) - 1 if forks else 0
+    outcomes = [(None, None)] * len(models)
+    workers = {}  # model index -> (pid, pipe) of each worker not yet reaped
+    try:
+        for i in range(n_forked):
+            workers[i] = _fork(chain, models[i], audited)
+        for i in range(n_forked, len(models)):
+            outcomes[i] = _attempt(partial(chain, models[i]), audited)
+            if outcomes[i][1] and outcomes[i][1][1] not in _PHASES:
+                break  # a failed fit: no later chain can fail before it
+        for i in range(n_forked):
+            with workers[i][1] as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(workers.pop(i)[0], 0)
+            try:
+                outcomes[i] = pickle.loads(data)
+            except Exception:
+                raise RuntimeError(f"model {models[i].name!r}: its worker exited with status "
+                                   f"{os.waitstatus_to_exitcode(status)} and sent no record") from None
+    finally:
+        for pid, pipe in workers.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = {(_PHASES.get(failure[1], 0), i): failure[0] for i, (_, failure) in enumerate(outcomes) if failure}
+    if failures:
+        raise failures[min(failures)]
+    return [record if i < n_forked else _serialised(record) for i, (record, _) in enumerate(outcomes)]
+
+
 def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None = None) -> RunReport:
     """Run one domain as its DOMAIN_SPECS entry says: generate the table and,
     given out_dir, write it to `data/` before any fit; prepare the partitions
-    it builds, fit each model on its rows, calibrate on training rows only,
-    then score, explain and, given out_dir, save the models.
+    it builds; then run each model's chain (`_run_model`: fit, calibrate on
+    training rows only, score and explain), the last model's in
+    this process and, with a second CPU to use, every other's in a forked
+    worker (`_run_chains`). Given out_dir, the models are written once every
+    chain has succeeded.
 
     What the report needs of the generated table (its dataset block and
     histograms) is taken right after `generate`, and the table is handed to
     the domain's `_prepare_*` function, which frees it once it is split. A run
-    that fails in a later stage thus leaves `data/` but no models or report."""
+    that fails in a later stage thus leaves `data/` but no models or report,
+    and raises the error the stages run one after another would raise first.
+    The report's stages and the leakage ledger keep that sequential order."""
     checked = config.validate()
     domain, seed, pp, mc = checked["domain"], checked["seed"], checked["preprocess"], checked["models"]
     spec = DOMAIN_SPECS[domain]
@@ -624,61 +807,23 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
     prepare = _prepare_sessions if spec.sessions else _prepare_tabular
     features, parts, dataset_extra = prepare(spec, held, pp, rng, rec)
 
-    fitted, calibrators, thresholds = {}, {}, {}
-    for m in spec.models:
-        with rec.stage(m.stage):
-            rows = [parts[name] for name in m.rows]
-            fitted[m.name] = m.fit(mc, rng, *rows)
-            rec.record(*(part.ids for part in rows))
-        if m.threshold == "platt" and mc["calibrate_boosting"]:
-            with rec.stage("calibrate_boosting"):
-                val = parts["val"]
-                calibrators[m.name] = fit_platt(fitted[m.name].predict_margin(val.X), val.y)
-                rec.record(val.ids)
-    by_percentile = [m for m in spec.models if m.threshold == "percentile"]
-    if by_percentile:
-        with rec.stage("calibrate_thresholds" if len(by_percentile) > 1 else "calibrate_threshold"):
-            for m in by_percentile:
-                rows = parts[m.rows[0]]
-                thresholds[m.name] = calibrate_threshold(m.score(fitted[m.name], rows.X), checked["threshold_percentile"])
-                rec.record(rows.ids)
-
-    test = parts["test"]
-    models, importances, flags = {}, {}, {}
-    with rec.stage("evaluate"):
-        for m in spec.models:
-            model = fitted[m.name]
-            if m.name in calibrators:
-                scores = calibrators[m.name].apply(model.predict_margin(test.X))
-            # A tree model's scorer remembers its walk of the test rows; it is
-            # dropped once this model's importance is computed.
-            score = model.scorer(test.X) if isinstance(model, TreeEnsemble) else partial(m.score, model)
-            if m.name not in calibrators:
-                scores = score(test.X)
-            if m.name in thresholds:
-                predicted = detect_anomalies(scores, thresholds[m.name])
-                flags[m.name] = [int(i) for i in np.flatnonzero(predicted)]
-            else:
-                predicted = (scores >= 0.5).astype(int)
-            models[m.name] = classification_report(test.y, predicted, scores=scores, positive_label=spec.threat).to_dict()
-            X, score = test.importance_inputs(score)
-            # Uncalibrated `scores` came from `score`: the importance baseline.
-            importance = permutation_importance(
-                score, X, test.y, "auc", mc["importance_repeats"], rng.child(f"imp/{m.tag}"), features,
-                baseline_scores=None if m.name in calibrators else scores,
-            )
-            del score
-            importances[m.name] = [[name, value] for name, value in importance.top(10)]
+    chain = partial(_run_model, spec, mc, checked["threshold_percentile"], rng, parts, features, bool(out_dir))
+    records = dict(zip((m.name for m in spec.models), _run_chains(chain, spec.models, audit is not None)))
+    stages = sorted((_PHASES.get(stage, 0), i, j, stage) for i, r in enumerate(records.values())
+                    for j, stage in enumerate(r.stages))
+    for stage in dict.fromkeys(stage for *_, stage in stages):
+        rec.stages.append(stage)
+        for r in records.values():
+            if stage in r.consumed:
+                audit.record(stage, r.consumed[stage])
 
     artifacts = {}
     if out_dir:
         os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
-        saved = {m.name: (fitted[m.name], thresholds.get(m.name)) for m in spec.models}
-        for calibrator in calibrators.values():
-            saved["boosting_calibrator"] = (calibrator, None)
-        for name, (model, threshold) in saved.items():
-            paths[name] = os.path.join(out_dir, "models", f"{name}.json")
-            save_model(model, paths[name], threshold=threshold)
+        for r in records.values():
+            for name, document in r.documents.items():
+                paths[name] = os.path.join(out_dir, "models", f"{name}.json")
+                save_model(document, paths[name])
         artifacts = {name: os.path.relpath(path, out_dir) for name, path in paths.items()}
     return RunReport(
         domain=domain,
@@ -686,10 +831,10 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
         toolkit_version=__version__,
         dataset={**described, **dataset_extra},
         stages=rec.stages,
-        models=models,
-        thresholds={name: asdict(t) for name, t in thresholds.items()},
-        importances=importances,
-        flags=flags,
+        models={name: r.report for name, r in records.items()},
+        thresholds={name: asdict(r.threshold) for name, r in records.items() if r.threshold is not None},
+        importances={name: r.importances for name, r in records.items()},
+        flags={name: r.flags for name, r in records.items() if r.flags is not None},
         histograms=histograms,
         artifacts=artifacts,
     )

@@ -50,9 +50,6 @@ class RngStream:
             raise AttributeError(name)
         return getattr(self.gen, name)
 
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, label={self.label!r})"
-
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
@@ -138,9 +135,6 @@ class Dataset:
 
     def names_of_kind(self, *kinds):
         return [n for n, k in self.columns if k in kinds]
-
-    def __repr__(self):
-        return f"Dataset(n={self.n}, columns={self.column_names})"
 
 
 # -- CSV writing -------------------------------------------------------------

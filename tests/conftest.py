@@ -80,6 +80,14 @@ def segment_offsets(rows, X, slack=1e-12):
 
 
 @pytest.fixture
+def one_cpu(monkeypatch):
+    """The run sees one CPU it may use, so `pipeline` runs every model's
+    chain in this process. A test that spies on kernel calls in-process needs
+    this: a chain run in a forked worker makes its calls in the worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+@pytest.fixture
 def np_rng():
     return np.random.default_rng(12345)
 

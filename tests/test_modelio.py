@@ -13,7 +13,7 @@ from threatbench.forest import (
     iforest_score,
 )
 from threatbench.linear import CalibratorSpec, LogisticModel, fit_logistic, predict_proba
-from threatbench.modelio import load_model, save_model
+from threatbench.modelio import load_model, model_json, save_model
 from threatbench.neural import (
     AnomalyThreshold,
     fit_dense_autoencoder,
@@ -29,7 +29,7 @@ def assert_resaves_identically(model, path, tmp_path, threshold=None):
     """save -> load -> save gives the same bytes, every node field included."""
     loaded, thr = load_model(path)
     again = tmp_path / "again.json"
-    save_model(loaded, again, threshold=thr)
+    save_model(model_json(loaded, thr), again)
     assert again.read_bytes() == path.read_bytes()
     assert thr == threshold
 
@@ -45,7 +45,7 @@ def test_random_forest_bit_exact(tmp_path, xy):
     X, y = xy
     model = fit_random_forest(X, y, ForestConfig(n_trees=8), RngStream(1, "rf"))
     path = tmp_path / "rf.json"
-    save_model(model, path)
+    save_model(model_json(model), path)
     loaded, thr = load_model(path)
     assert thr is None
     assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
@@ -56,7 +56,7 @@ def test_gradient_boosting_bit_exact(tmp_path, xy):
     X, y = xy
     model = fit_gradient_boosting(X, y, BoostConfig(n_rounds=10, subsample=1.0), validation=(X, y), rng=RngStream(2, "gb"))
     path = tmp_path / "gb.json"
-    save_model(model, path)
+    save_model(model_json(model), path)
     loaded, _ = load_model(path)
     assert np.array_equal(loaded.predict_margin(X), model.predict_margin(X))
     assert loaded.best_iteration == model.best_iteration
@@ -68,7 +68,7 @@ def test_isolation_forest_bit_exact_with_threshold(tmp_path, xy):
     model = fit_isolation_forest(X, 20, 64, RngStream(3, "if"))
     thr = AnomalyThreshold(value=0.62, percentile=95.0, sample_size=80)
     path = tmp_path / "if.json"
-    save_model(model, path, threshold=thr)
+    save_model(model_json(model, thr), path)
     loaded, thr2 = load_model(path)
     assert thr2 == thr
     assert np.array_equal(iforest_score(loaded, X), iforest_score(model, X))
@@ -83,7 +83,7 @@ class TestMalformedTreeDocuments:
     def saved(self, tmp_path, xy):
         X, _ = xy
         path = tmp_path / "if.json"
-        save_model(fit_isolation_forest(X, 3, 64, RngStream(3, "if")), path)
+        save_model(model_json(fit_isolation_forest(X, 3, 64, RngStream(3, "if"))), path)
         return path, json.loads(path.read_text())
 
     def check(self, path, doc, match):
@@ -120,7 +120,7 @@ class TestMalformedTreeDocuments:
         model = fit_gradient_boosting(X, y, BoostConfig(n_rounds=5, subsample=1.0), validation=(X, y), rng=RngStream(2, "gb"))
         assert len(model.trees) == 5
         path = tmp_path / "gb.json"
-        save_model(model, path)
+        save_model(model_json(model), path)
         return path, json.loads(path.read_text())
 
     # past the last tree (rebuilt node table on every walk); negative (drops
@@ -143,7 +143,7 @@ def test_logistic_bit_exact(tmp_path, xy):
     X, y = xy
     model = fit_logistic(X, y, epochs=50)
     path = tmp_path / "lr.json"
-    save_model(model, path)
+    save_model(model_json(model), path)
     loaded, _ = load_model(path)
     assert np.array_equal(predict_proba(loaded, X), predict_proba(model, X))
     assert loaded.class_weights == model.class_weights
@@ -152,7 +152,7 @@ def test_logistic_bit_exact(tmp_path, xy):
 def test_platt_round_trip(tmp_path):
     cal = CalibratorSpec(A=1.25, B=-0.4)
     path = tmp_path / "cal.json"
-    save_model(cal, path)
+    save_model(model_json(cal), path)
     loaded, _ = load_model(path)
     assert loaded.A == cal.A and loaded.B == cal.B
 
@@ -161,7 +161,7 @@ def test_dense_autoencoder_bit_exact(tmp_path, np_rng):
     X = np_rng.normal(size=(20, 4))
     model, _ = fit_dense_autoencoder(X, [4, 2, 4], epochs=5, rng=RngStream(4, "ae"))
     path = tmp_path / "ae.json"
-    save_model(model, path, threshold=AnomalyThreshold(0.1, 95.0, 20))
+    save_model(model_json(model, AnomalyThreshold(0.1, 95.0, 20)), path)
     loaded, thr = load_model(path)
     assert thr.percentile == 95.0
     assert np.array_equal(reconstruction_errors(loaded, X), reconstruction_errors(model, X))
@@ -172,7 +172,7 @@ def test_lstm_autoencoder_bit_exact(tmp_path, np_rng):
     tensor = SessionTensor(data=data, lengths=np.full(6, 4), labels=np.zeros(6, dtype=int), feature_names=["a", "b"])
     model, _ = fit_lstm_autoencoder(tensor, hidden=5, latent=2, epochs=3, rng=RngStream(5, "l"))
     path = tmp_path / "lstm.json"
-    save_model(model, path)
+    save_model(model_json(model), path)
     loaded, _ = load_model(path)
     assert lstm_loss(loaded, data, tensor.lengths) == lstm_loss(model, data, tensor.lengths)
     for key in model.params:
@@ -181,7 +181,7 @@ def test_lstm_autoencoder_bit_exact(tmp_path, np_rng):
 
 def test_unsupported_object_rejected(tmp_path):
     with pytest.raises(DataError, match="serialize"):
-        save_model(object(), tmp_path / "x.json")
+        model_json(object())
 
 
 def test_format_and_version_checked(tmp_path):
@@ -191,7 +191,7 @@ def test_format_and_version_checked(tmp_path):
         load_model(path)
     model = LogisticModel(weights=np.zeros(2), bias=0.0)
     good = tmp_path / "good.json"
-    save_model(model, good)
+    save_model(model_json(model), good)
     doc = json.loads(good.read_text())
     doc["version"] = 99
     good.write_text(json.dumps(doc))

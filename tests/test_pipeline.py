@@ -1,7 +1,10 @@
+import copy
 import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -19,7 +22,7 @@ from conftest import (
     traced_peak,
 )
 from threatbench import pipeline
-from threatbench.errors import ConfigError, DataError
+from threatbench.errors import ConfigError, DataError, NumericError
 from threatbench.evalx import classification_report, permutation_importance
 from threatbench.forest import _RememberedWalk, fit_gradient_boosting
 from threatbench.modelio import save_model
@@ -59,6 +62,13 @@ SMALL = {
         models={"lstm_ae": {"hidden": 8, "latent": 4, "epochs": 3}, "importance_repeats": 2},
     ),
 }
+
+
+# `SMALL["phishing"]` as `threatbench run` overrides.
+PHISHING_OVERRIDES = [
+    "--override", "generator.n=500", "--override", "models.forest.n_trees=15", "--override", "models.boosting.n_rounds=20",
+    "--override", "models.logistic.epochs=100", "--override", "models.importance_repeats=2",
+]
 
 
 def small_config(domain, seed=42):
@@ -146,6 +156,7 @@ class TestStructure:
                 assert 1 <= len(report.importances[model_name]) <= 10
 
 
+@pytest.mark.usefixtures("one_cpu")
 @pytest.mark.parametrize("domain, expected", [
     ("malware", {"fit_random_forest": 1, "fit_gradient_boosting": 1, "smote_oversample": 1, "permutation_importance": 2}),
     ("phishing", {"fit_logistic": 1}),
@@ -170,6 +181,7 @@ def test_kernels_called_through_module_globals(domain, expected, monkeypatch):
     assert calls == expected
 
 
+@pytest.mark.usefixtures("one_cpu")
 @pytest.mark.parametrize("domain, scorers", [("phishing", 2), ("intrusion", 1)])
 def test_no_remembered_walk_outlives_its_importance_call(domain, scorers, monkeypatch, tmp_path):
     """A tree model's scorer is gone by the next model's importance call and
@@ -262,6 +274,7 @@ def test_ueba_builds_only_the_tensors_it_reads(monkeypatch):
     assert len(built) == 2
 
 
+@pytest.mark.usefixtures("one_cpu")
 @pytest.mark.parametrize("domain, kernel", [
     ("ueba", "fit_lstm_autoencoder"), ("malware", "fit_random_forest"), ("phishing", "fit_logistic"),
 ])
@@ -1027,3 +1040,114 @@ class TestConfigWalk:
         cfg.generator["overrides"] = overrides
         with pytest.raises(ConfigError, match=f"^generator.overrides.{key} must "):
             cfg.validate()
+
+
+# -- the per-model chains, forked and inline ---------------------------------------------
+
+
+def see_cpus(monkeypatch, n):
+    """Make a run see `n` CPUs it may use: with more than one, every model's
+    chain but the last runs in a forked worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def tree_digests(root):
+    return {
+        os.path.relpath(os.path.join(d, f), root): hashlib.sha256(open(os.path.join(d, f), "rb").read()).hexdigest()
+        for d, _, files in os.walk(root) for f in files
+    }
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("domain", pipeline.DOMAINS)
+    def test_forked_and_inline_runs_are_identical(self, domain, monkeypatch, tmp_path):
+        """Report, output tree, stages and leakage ledger are the same whether
+        the chains run in forked workers or one after another here."""
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        runs = []
+        for cpus in (1, 2):
+            see_cpus(monkeypatch, cpus)
+            audit, out = LeakageAudit(), tmp_path / str(cpus)
+            report = run_domain(small_config(domain), out_dir=str(out), audit=audit)
+            emit_report(report, str(out))
+            assert_no_worker_left()
+            runs.append((report.to_dict(), tree_digests(out), audit))
+        assert len(forks) == len(pipeline.DOMAIN_SPECS[domain].models) - 1
+        (inline, inline_tree, inline_audit), (forked, forked_tree, forked_audit) = runs
+        assert inline == forked and inline_tree == forked_tree
+        assert list(inline_audit.consumed) == list(forked_audit.consumed)
+        for stage, ids in inline_audit.consumed.items():
+            assert np.array_equal(ids, forked_audit.consumed[stage]), stage
+        assert np.array_equal(inline_audit.test_rows, forked_audit.test_rows)
+
+    @pytest.mark.parametrize("patches, code, line", [
+        # A forked chain (the forest) fails.
+        ({"fit_random_forest": DataError("forest broke")}, 3, "data error: stage 'fit_random_forest': forest broke"),
+        # Two forked chains fail; the forest's fit comes before the logistic evaluation.
+        ({"fit_random_forest": DataError("forest broke"), "logistic_proba": ConfigError("scores broke")},
+         3, "data error: stage 'fit_random_forest': forest broke"),
+        # The logistic chain (forked) fails in evaluation, the boosting chain
+        # (run here) in its Platt fit, which the sequential order reaches first.
+        ({"logistic_proba": DataError("scores broke"), "fit_platt": NumericError("platt broke")},
+         4, "numeric failure: stage 'calibrate_boosting': platt broke"),
+        # The forest (forked) fails in its fit, before the Platt fit of the boosting chain.
+        ({"fit_random_forest": RuntimeError("forest broke"), "fit_platt": NumericError("platt broke")},
+         5, "internal error: RuntimeError: stage 'fit_random_forest': forest broke"),
+    ])
+    def test_failure_is_the_one_the_sequential_order_meets_first(self, patches, code, line, monkeypatch, tmp_path, capsys):
+        """Forked or inline, a failing run exits with the same code and stderr
+        line, that of the failure the stages run one after another would
+        raise first; it leaves `data/` but no models and no report."""
+        def raising(error):
+            def kernel(*args, **kwargs):
+                raise copy.copy(error)
+
+            return kernel
+
+        for name, error in patches.items():
+            monkeypatch.setattr(pipeline, name, raising(error))
+        for cpus in (1, 2):
+            see_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            assert main(["run", "phishing", "--out", str(out)] + PHISHING_OVERRIDES) == code
+            assert capsys.readouterr().err == line + "\n"
+            assert_no_worker_left()
+            assert (out / "data").exists() and not (out / "models").exists() and not (out / "report.json").exists()
+
+    def test_worker_that_exits_without_a_record_is_an_internal_error(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(pipeline, "fit_random_forest", lambda *args, **kwargs: os._exit(3))
+        see_cpus(monkeypatch, 2)
+        assert main(["run", "phishing", "--out", str(tmp_path)] + PHISHING_OVERRIDES) == 5
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: model 'random_forest': its worker exited with status 3 and sent no record\n"
+        assert_no_worker_left()
+        assert not (tmp_path / "models").exists()
+
+    def test_interrupted_run_leaves_no_worker(self, monkeypatch):
+        """An interrupt in this process's chain kills and reaps the workers."""
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "fit_gradient_boosting", interrupted)
+        see_cpus(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            run_domain(small_config("phishing"))
+        assert_no_worker_left()
+
+    def test_piped_run_prints_its_summary_once(self, tmp_path):
+        """The workers leave without flushing the stdout buffer they inherit."""
+        out = tmp_path / "stdout.txt"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (os.path.dirname(os.path.dirname(pipeline.__file__)), os.environ.get("PYTHONPATH")) if p)}
+        with open(out, "w") as fh:
+            subprocess.run([sys.executable, "-m", "threatbench.cli", "run", "phishing", "--out", str(tmp_path / "run")]
+                           + PHISHING_OVERRIDES, stdout=fh, env=env, check=True, timeout=120)
+        text = out.read_text()
+        assert text.count("threatbench run report") == 1 and text.count("\nreport: ") == 1
