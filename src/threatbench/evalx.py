@@ -135,7 +135,6 @@ class AttributionReport:
     global_importances: dict | None = None  # feature -> importance
     global_std: dict | None = None
     baseline_metric: float | None = None
-    metric: str | None = None
     contributions: dict | None = None  # feature -> signed value
     baseline: float | None = None
     output: float | None = None  # baseline + sum(contributions)
@@ -145,16 +144,9 @@ class AttributionReport:
         return items[:k]
 
 
-_METRICS = {
-    "accuracy": lambda y, s: float(np.mean((s >= 0.5).astype(int) == y)),
-    "f1": lambda y, s: classification_report(y, (s >= 0.5).astype(int)).per_class["1"]["f1"],
-    "auc": lambda y, s: roc_auc(s, y),
-}
-
-
-def permutation_importance(predict_fn, X, y, metric: str = "auc", repeats: int = 5, rng: RngStream | None = None,
+def permutation_importance(predict_fn, X, y, repeats: int = 5, rng: RngStream | None = None,
                            feature_names=None, baseline_scores=None) -> AttributionReport:
-    """Metric drop when one feature column is permuted, averaged over repeats.
+    """ROC-AUC drop when one feature column is permuted, averaged over repeats.
 
     `predict_fn` maps X to positive-class scores. X may be 2-D (rows x
     features) or 3-D (sessions x steps x features); in the 3-D case a
@@ -167,17 +159,14 @@ def permutation_importance(predict_fn, X, y, metric: str = "auc", repeats: int =
     """
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")
-    if metric not in _METRICS:
-        raise DataError(f"unknown metric {metric!r}; choose from {sorted(_METRICS)}")
     rng = rng or RngStream(0, "perm-importance")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     d = X.shape[-1]
     names = list(feature_names) if feature_names is not None else [f"f{j}" for j in range(d)]
-    score = _METRICS[metric]
     if baseline_scores is None:
         baseline_scores = predict_fn(X)
-    baseline = score(y, np.asarray(baseline_scores, dtype=np.float64))
+    baseline = roc_auc(np.asarray(baseline_scores, dtype=np.float64), y)
 
     drops = np.zeros((repeats, d))
     Xp = X.copy()  # one working copy; each feature's column is restored after scoring
@@ -186,14 +175,13 @@ def permutation_importance(predict_fn, X, y, metric: str = "auc", repeats: int =
         for j in range(d):
             perm = rr.permutation(X.shape[0])
             Xp[..., j] = X[perm, ..., j]
-            drops[r, j] = baseline - score(y, np.asarray(predict_fn(Xp), dtype=np.float64))
+            drops[r, j] = baseline - roc_auc(np.asarray(predict_fn(Xp), dtype=np.float64), y)
             Xp[..., j] = X[..., j]
     return AttributionReport(
         feature_names=names,
         global_importances={names[j]: float(drops[:, j].mean()) for j in range(d)},
         global_std={names[j]: float(drops[:, j].std()) for j in range(d)},
         baseline_metric=baseline,
-        metric=metric,
     )
 
 

@@ -154,7 +154,7 @@ def load_model(path):
         raise DataError(f"model file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    if doc.get("format") != FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise DataError(f"{path} is not a {FORMAT} document")
     if doc.get("version") != VERSION:
         raise DataError(f"unsupported model document version {doc.get('version')}")

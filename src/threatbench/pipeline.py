@@ -19,8 +19,9 @@ use a second CPU.
 Each run is a pure function of (PipelineConfig, toolkit version): reports
 carry no timestamps or host identifiers and artifact paths are stored relative
 to the report, so identical configs produce byte-identical output trees. Every
-fit or calibration stage consumes training-partition rows only; pass a
-LeakageAudit to record exactly which table positions each stage touched.
+fit or calibration stage consumes training-partition rows only. Every run
+keeps a ledger, a LeakageAudit, of its stages and the table positions each
+touched; pass one to `run_domain` to read it.
 """
 
 from __future__ import annotations
@@ -232,16 +233,20 @@ def generator_config(config: PipelineConfig) -> GeneratorConfig:
 
 
 class LeakageAudit:
-    """Records the table positions every fit/calibration stage consumed,
-    plus those of the held-out test partition, so a test can assert the two
-    never intersect. Each set is a sorted unique int64 array; synthetic rows
-    (position -1) are left out. An array that is already sorted and unique
-    is kept as it is, not copied, so callers hand over arrays they no longer
-    change."""
+    """A run's ledger: the stages it went through, in order; the table
+    positions every fit/calibration stage consumed, and those of the held-out
+    test partition, so a test can assert the two never intersect; and the
+    stage an error left. Each set is a sorted unique int64 array; synthetic
+    rows (position -1) are left out. An array that is already sorted and
+    unique is kept as it is, not copied, so callers hand over arrays they no
+    longer change."""
 
     def __init__(self):
+        self.stages = []
         self.consumed = {}  # stage -> table positions
         self.test_rows = np.empty(0, dtype=np.int64)
+        self.open = None
+        self.failed = None
 
     @staticmethod
     def _ids(row_ids) -> np.ndarray:
@@ -263,17 +268,6 @@ class LeakageAudit:
         overlaps = {stage: np.intersect1d(ids, self.test_rows, assume_unique=True) for stage, ids in self.consumed.items()}
         return {stage: ids.tolist() for stage, ids in overlaps.items() if ids.size}
 
-
-class _StageRecorder:
-    """The stages a run went through, in order; `record` charges table
-    positions to the open stage in `audit`, the leakage ledger, if given."""
-
-    def __init__(self, audit: LeakageAudit | None = None):
-        self.stages = []
-        self.audit = audit
-        self.open = None
-        self.failed = None  # the stage an error left
-
     @contextmanager
     def stage(self, name: str):
         self.stages.append(name)
@@ -289,15 +283,12 @@ class _StageRecorder:
         finally:
             self.open = outer
 
-    def record(self, *positions) -> None:
+    def consume(self, *positions) -> None:
+        """Charge each array of table positions to the open stage."""
         if self.open is None:
             raise RuntimeError("rows recorded outside an open stage")
-        for rows in positions if self.audit else ():
-            self.audit.record(self.open, rows)
-
-    def mark_test(self, positions) -> None:
-        if self.audit:
-            self.audit.mark_test(positions)
+        for rows in positions:
+            self.record(self.open, rows)
 
 
 @dataclass
@@ -401,36 +392,36 @@ class _Sessions(_Rows):
         )
 
 
-def _fit_encoding(spec, table: Dataset, train, test, rec):
+def _fit_encoding(spec, table: Dataset, train, test, audit):
     """Fit the one-hot encoder, and the scaler if the spec scales, on the
     table rows `train` (in their order). A test category that train lacks is
     an error of the fit_one_hot stage, named by its position in `test`."""
-    with rec.stage("fit_one_hot"):
+    with audit.stage("fit_one_hot"):
         encoder = fit_one_hot(table, list(spec.categoricals), rows=train)
-        rec.record(train)
+        audit.consume(train)
         for name in encoder.categories:
             one_hot_codes(encoder, name, table.column(name), test)
     scaler = None
     if spec.scale:
-        with rec.stage("fit_scaler"):
+        with audit.stage("fit_scaler"):
             numeric = [n for n in table.names_of_kind("numeric") if n not in SESSION_KEYS]
             scaler = fit_scaler(table, numeric, rows=train)
-            rec.record(train)
+            audit.consume(train)
     return encoder, scaler
 
 
-def _plan(spec, labels, train, test, pp, rng, rec) -> dict:
+def _plan(spec, labels, train, test, pp, rng, audit) -> dict:
     """The partitions `spec` builds, as positions into `labels`, of "train",
     "test", "clean" (train labelled 0) and, carving validation, "fit" and "val"."""
     rows = {"train": train, "clean": train[labels[train] == 0], "test": test}
     if spec.validation:
-        with rec.stage("carve_validation"):
+        with audit.stage("carve_validation"):
             fit, val = stratified_indices(labels[train], pp["validation_fraction"], rng.child("val"))
             rows["fit"], rows["val"] = train[fit], train[val]
     return {name: r for name, r in rows.items() if name in spec.partitions}
 
 
-def _prepare_tabular(spec, held, pp, rng, rec):
+def _prepare_tabular(spec, held, pp, rng, audit):
     """Split -> downsample train -> fit encoding on train -> plan the
     partitions -> fill their matrices -> SMOTE on the fit rows. Returns
     (features, partitions, dataset extras).
@@ -440,27 +431,27 @@ def _prepare_tabular(spec, held, pp, rng, rec):
     `held` is a one-item list holding the table; it is popped, and the table
     is consumed by the fill."""
     table = held.pop()
-    with rec.stage("split"):
+    with audit.stage("split"):
         labels = np.asarray(table.column(spec.label))
         train, test = stratified_indices(labels, pp["test_fraction"], rng.child("split"))
-        rec.mark_test(test)
+        audit.mark_test(test)
     if spec.resample == "downsample":
-        with rec.stage("downsample_majority"):
+        with audit.stage("downsample_majority"):
             train = train[downsample_majority(labels[train], pp["downsample_ratio"], rng.child("downsample"))]
-    encoder, scaler = _fit_encoding(spec, table, train, test, rec)
-    rows = _plan(spec, labels, train, test, pp, rng, rec)
+    encoder, scaler = _fit_encoding(spec, table, train, test, audit)
+    rows = _plan(spec, labels, train, test, pp, rng, audit)
 
     plan = feature_plan(table, encoder)
     features = [f for _, names in plan for f in names]
     parts = {name: _Rows(np.zeros((len(r), len(features))), labels[r], r) for name, r in rows.items()}
     fill_features(table, plan, [(part.X, slice(None), part.ids) for part in parts.values()], encoder, scaler)
     if spec.resample == "smote":
-        with rec.stage("smote_oversample"):
+        with audit.stage("smote_oversample"):
             fit = parts["fit"]
             minority = fit.X[fit.y == 1]
             n_synthetic = max(0, int((fit.y == 0).sum()) - minority.shape[0])
             synthetic = smote_oversample(minority, pp["smote_k"], n_synthetic, rng.child("smote"))
-            rec.record(fit.ids[fit.y == 1])
+            audit.consume(fit.ids[fit.y == 1])
             parts["fit"] = _Rows(
                 np.vstack([fit.X, synthetic]),
                 np.concatenate([fit.y, np.ones(synthetic.shape[0], dtype=np.int64)]),
@@ -469,7 +460,7 @@ def _prepare_tabular(spec, held, pp, rng, rec):
     return features, parts, {}
 
 
-def _prepare_sessions(spec, held, pp, rng, rec):
+def _prepare_sessions(spec, held, pp, rng, audit):
     """One pass over the event log: group it into (user, day) sessions once,
     split at session level, fit the encoder and scaler on the train sessions'
     events, then fill each planned partition's tensor straight from the log.
@@ -482,18 +473,18 @@ def _prepare_sessions(spec, held, pp, rng, rec):
     column of the log once used.
     """
     events = held.pop()
-    with rec.stage("session_split"):
+    with audit.stage("session_split"):
         sessions = group_sessions(events, label_column=spec.label)
         labels = sessions.labels
         train, test = stratified_indices(labels, pp["test_fraction"], rng.child("split"))
-        planned = _plan(spec, labels, train, test, pp, rng, rec)
+        planned = _plan(spec, labels, train, test, pp, rng, audit)
         partitions = [sessions.select(idx) for idx in planned.values()]
         train_rows, test_rows = (np.sort(sessions.select(idx).order) for idx in (train, test))
         del sessions
-        rec.mark_test(test_rows)
-    encoder, scaler = _fit_encoding(spec, events, train_rows, test_rows, rec)
+        audit.mark_test(test_rows)
+    encoder, scaler = _fit_encoding(spec, events, train_rows, test_rows, audit)
     del train_rows, test_rows
-    with rec.stage("sessionize"):
+    with audit.stage("sessionize"):
         tensors = sessionize(events, pp["time_steps"], partitions, encoder, scaler)
     counts = {str(c): int((labels == c).sum()) for c in (0, 1)}
     extra = {"n_sessions": len(labels), "session_label_counts": counts}
@@ -622,14 +613,13 @@ _PHASES = {"calibrate_threshold": 1, "calibrate_thresholds": 1, "evaluate": 2, N
 
 
 class _ModelRecord(NamedTuple):
-    """All one model's chain hands back: the stages it went through and, if
-    audited, the table positions each consumed; its classification report,
+    """All one model's chain hands back: its ledger (the stages it went
+    through and the table positions each consumed); its classification report,
     top importances, flagged test rows and threshold (percentile models only);
     and each document to save, by artifact name: its (model, threshold) pair,
     or its JSON text once `_serialised`."""
 
-    stages: list
-    consumed: dict
+    audit: LeakageAudit
     report: dict
     importances: list
     flags: list | None
@@ -637,31 +627,31 @@ class _ModelRecord(NamedTuple):
     documents: dict
 
 
-def _run_model(spec, mc, percentile, rng, parts, features, save, m, rec) -> _ModelRecord:
+def _run_model(spec, mc, percentile, rng, parts, features, save, m, audit) -> _ModelRecord:
     """Model `m`'s chain: fit it, Platt-calibrate it or calibrate its
     percentile threshold on training rows, score the test rows and explain
     them, and, if `save`, keep the model and its calibrator to save
     (`_serialised` turns them into text). It reads only `parts` and its own
     RNG children, so chains may run in any order, or at once."""
-    with rec.stage(m.stage):
+    with audit.stage(m.stage):
         rows = [parts[name] for name in m.rows]
         model = m.fit(mc, rng, *rows)
-        rec.record(*(part.ids for part in rows))
+        audit.consume(*(part.ids for part in rows))
     calibrator = threshold = flags = None
     if m.threshold == "platt" and mc["calibrate_boosting"]:
-        with rec.stage("calibrate_boosting"):
+        with audit.stage("calibrate_boosting"):
             val = parts["val"]
             calibrator = fit_platt(model.predict_margin(val.X), val.y)
-            rec.record(val.ids)
+            audit.consume(val.ids)
     if m.threshold == "percentile":
         by_percentile = sum(other.threshold == "percentile" for other in spec.models)
-        with rec.stage("calibrate_thresholds" if by_percentile > 1 else "calibrate_threshold"):
+        with audit.stage("calibrate_thresholds" if by_percentile > 1 else "calibrate_threshold"):
             calibration = parts[m.rows[0]]
             threshold = calibrate_threshold(m.score(model, calibration.X), percentile)
-            rec.record(calibration.ids)
+            audit.consume(calibration.ids)
 
     test = parts["test"]
-    with rec.stage("evaluate"):
+    with audit.stage("evaluate"):
         if calibrator is not None:
             scores = calibrator.apply(model.predict_margin(test.X))
         # A tree model's scorer remembers its walk of the test rows; it is
@@ -678,7 +668,7 @@ def _run_model(spec, mc, percentile, rng, parts, features, save, m, rec) -> _Mod
         X, score = test.importance_inputs(score)
         # Uncalibrated `scores` came from `score`: the importance baseline.
         importance = permutation_importance(
-            score, X, test.y, "auc", mc["importance_repeats"], rng.child(f"imp/{m.tag}"), features,
+            score, X, test.y, mc["importance_repeats"], rng.child(f"imp/{m.tag}"), features,
             baseline_scores=None if calibrator is not None else scores,
         )
         del score
@@ -688,27 +678,24 @@ def _run_model(spec, mc, percentile, rng, parts, features, save, m, rec) -> _Mod
         documents[m.name] = (model, threshold)
         if calibrator is not None:
             documents["boosting_calibrator"] = (calibrator, None)
-    return _ModelRecord(
-        rec.stages, rec.audit.consumed if rec.audit else {}, report,
-        [[name, value] for name, value in importance.top(10)], flags, threshold, documents,
-    )
+    return _ModelRecord(audit, report, [[name, value] for name, value in importance.top(10)], flags, threshold, documents)
 
 
 def _serialised(record: _ModelRecord) -> _ModelRecord:
     return record._replace(documents={name: model_json(*doc) for name, doc in record.documents.items()})
 
 
-def _attempt(run, audited, catch=Exception):
-    """(run(recorder), None) if it completes, else (None, (error, the stage
-    it failed in or None))."""
-    rec = _StageRecorder(LeakageAudit() if audited else None)
+def _attempt(run, catch=Exception):
+    """(run(a fresh ledger), None) if it completes, else (None, (error, the
+    stage it failed in or None))."""
+    audit = LeakageAudit()
     try:
-        return run(rec), None
+        return run(audit), None
     except catch as exc:
-        return None, (exc, rec.failed)
+        return None, (exc, audit.failed)
 
 
-def _fork(chain, m, audited):
+def _fork(chain, m):
     """Start a worker process that runs the chain of `m`, serialises its
     documents, and writes the pickled `_attempt` to a pipe; returns (pid, the
     pipe's read end). The worker never returns into the caller: it leaves by
@@ -722,7 +709,7 @@ def _fork(chain, m, audited):
     code = 1
     try:
         os.close(read)
-        outcome = _attempt(lambda rec: _serialised(chain(m, rec)), audited, catch=BaseException)
+        outcome = _attempt(lambda audit: _serialised(chain(m, audit)), catch=BaseException)
         outcome = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
         with os.fdopen(write, "wb") as pipe:
             pipe.write(outcome)
@@ -731,7 +718,7 @@ def _fork(chain, m, audited):
         os._exit(code)
 
 
-def _run_chains(chain, models, audited) -> list:
+def _run_chains(chain, models) -> list:
     """The record of each model's chain, in `models` order.
 
     The last model's chain runs in this process and every other in a worker
@@ -753,9 +740,9 @@ def _run_chains(chain, models, audited) -> list:
     workers = {}  # model index -> (pid, pipe) of each worker not yet reaped
     try:
         for i in range(n_forked):
-            workers[i] = _fork(chain, models[i], audited)
+            workers[i] = _fork(chain, models[i])
         for i in range(n_forked, len(models)):
-            outcomes[i] = _attempt(partial(chain, models[i]), audited)
+            outcomes[i] = _attempt(partial(chain, models[i]))
             if outcomes[i][1] and outcomes[i][1][1] not in _PHASES:
                 break  # a failed fit: no later chain can fail before it
         for i in range(n_forked):
@@ -792,30 +779,35 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
     the domain's `_prepare_*` function, which frees it once it is split. A run
     that fails in a later stage thus leaves `data/` but no models or report,
     and raises the error the stages run one after another would raise first.
-    The report's stages and the leakage ledger keep that sequential order."""
+
+    Every run keeps a ledger; `audit`, if given, is that ledger, handed to the
+    caller. Each chain keeps its own, which a worker sends back whole, and
+    they are merged into the run's in that sequential order, as the report's
+    stages are."""
     checked = config.validate()
     domain, seed, pp, mc = checked["domain"], checked["seed"], checked["preprocess"], checked["models"]
     spec = DOMAIN_SPECS[domain]
-    rec = _StageRecorder(audit)
+    audit = audit or LeakageAudit()
+    first = len(audit.stages)  # a ledger handed to an earlier run holds its stages
     rng = RngStream(seed, f"pipeline/{domain}")
-    with rec.stage("generate"):
+    with audit.stage("generate"):
         dataset = GENERATORS[domain](GeneratorConfig(**checked["generator"], seed=seed))
     paths = write_dataset(dataset, domain, os.path.join(out_dir, "data")) if out_dir else {}
     described, histograms = _dataset_block(dataset), _histograms(dataset)
     held = [dataset]  # `prepare` pops the table and drops it once it is split
     del dataset
     prepare = _prepare_sessions if spec.sessions else _prepare_tabular
-    features, parts, dataset_extra = prepare(spec, held, pp, rng, rec)
+    features, parts, dataset_extra = prepare(spec, held, pp, rng, audit)
 
     chain = partial(_run_model, spec, mc, checked["threshold_percentile"], rng, parts, features, bool(out_dir))
-    records = dict(zip((m.name for m in spec.models), _run_chains(chain, spec.models, audit is not None)))
+    records = dict(zip((m.name for m in spec.models), _run_chains(chain, spec.models)))
     stages = sorted((_PHASES.get(stage, 0), i, j, stage) for i, r in enumerate(records.values())
-                    for j, stage in enumerate(r.stages))
+                    for j, stage in enumerate(r.audit.stages))
     for stage in dict.fromkeys(stage for *_, stage in stages):
-        rec.stages.append(stage)
+        audit.stages.append(stage)
         for r in records.values():
-            if stage in r.consumed:
-                audit.record(stage, r.consumed[stage])
+            if stage in r.audit.consumed:
+                audit.record(stage, r.audit.consumed[stage])
 
     artifacts = {}
     if out_dir:
@@ -830,7 +822,7 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
         config=checked,
         toolkit_version=__version__,
         dataset={**described, **dataset_extra},
-        stages=rec.stages,
+        stages=audit.stages[first:],
         models={name: r.report for name, r in records.items()},
         thresholds={name: asdict(r.threshold) for name, r in records.items() if r.threshold is not None},
         importances={name: r.importances for name, r in records.items()},

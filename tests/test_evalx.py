@@ -174,7 +174,7 @@ class TestPermutationImportance:
     def test_constant_column_importance_exactly_zero(self, np_rng):
         X = np.column_stack([np_rng.normal(size=60), np.full(60, 3.0)])
         y = (X[:, 0] > 0).astype(int)
-        rep = permutation_importance(lambda A: A[:, 0], X, y, "auc", repeats=3, rng=RngStream(0, "p"))
+        rep = permutation_importance(lambda A: A[:, 0], X, y, repeats=3, rng=RngStream(0, "p"))
         assert rep.global_importances["f1"] == 0.0
 
     def test_informative_feature_dominates(self, np_rng):
@@ -182,7 +182,7 @@ class TestPermutationImportance:
             X = np.column_stack([np_rng.normal(size=100), np_rng.normal(size=100)])
             y = (X[:, 0] > 0).astype(int)
             rep = permutation_importance(
-                lambda A: 1.0 / (1.0 + np.exp(-3 * A[:, 0])), X, y, "auc", repeats=3, rng=RngStream(seed, "p")
+                lambda A: 1.0 / (1.0 + np.exp(-3 * A[:, 0])), X, y, repeats=3, rng=RngStream(seed, "p")
             )
             assert rep.global_importances["f0"] > rep.global_importances["f1"]
 
@@ -190,8 +190,8 @@ class TestPermutationImportance:
         X = np_rng.normal(size=(50, 3))
         y = (X.sum(axis=1) > 0).astype(int)
         fn = lambda A: A.sum(axis=1)
-        a = permutation_importance(fn, X, y, "auc", 4, RngStream(7, "p"))
-        b = permutation_importance(fn, X, y, "auc", 4, RngStream(7, "p"))
+        a = permutation_importance(fn, X, y, 4, RngStream(7, "p"))
+        b = permutation_importance(fn, X, y, 4, RngStream(7, "p"))
         assert a.global_importances == b.global_importances
         assert a.global_std == b.global_std
 
@@ -218,7 +218,7 @@ class TestPermutationImportance:
             X = np_rng.normal(size=shape)
             y = (X.reshape(len(X), -1).sum(axis=1) > 0).astype(int)
             before = X.copy()
-            rep = permutation_importance(fn, X, y, "auc", 2, RngStream(3, "p"))
+            rep = permutation_importance(fn, X, y, 2, RngStream(3, "p"))
             assert np.array_equal(X, before)
             drops = fresh_copy_drops(fn, X, y, 2, RngStream(3, "p"))
             assert rep.global_importances == {f"f{j}": float(drops[:, j].mean()) for j in range(shape[-1])}
@@ -228,13 +228,11 @@ class TestPermutationImportance:
                 assert set(changed) <= {j % shape[-1]}
             seen.clear()
 
-    def test_bad_repeats_and_metric(self, np_rng):
+    def test_bad_repeats(self, np_rng):
         X = np_rng.normal(size=(10, 2))
         y = np.array([0, 1] * 5)
         with pytest.raises(DataError, match="repeats"):
-            permutation_importance(lambda A: A[:, 0], X, y, "auc", 0, RngStream(0, "p"))
-        with pytest.raises(DataError, match="metric"):
-            permutation_importance(lambda A: A[:, 0], X, y, "gini", 2, RngStream(0, "p"))
+            permutation_importance(lambda A: A[:, 0], X, y, 0, RngStream(0, "p"))
 
 
 class TestLinearContributions:

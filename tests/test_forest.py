@@ -449,8 +449,8 @@ class TestRememberedWalk:
         gb = fit_gradient_boosting(X[:200], y[:200], BoostConfig(n_rounds=20), validation=(X[200:300], y[200:300]),
                                    rng=RngStream(0, "gb"))
         for model in (rf, gb):
-            via_scorer = permutation_importance(model.scorer(X[300:]), X[300:], y[300:], "auc", 3, RngStream(1, "imp"))
-            plain = permutation_importance(lambda M: model.predict_proba(M)[:, 1], X[300:], y[300:], "auc", 3,
+            via_scorer = permutation_importance(model.scorer(X[300:]), X[300:], y[300:], 3, RngStream(1, "imp"))
+            plain = permutation_importance(lambda M: model.predict_proba(M)[:, 1], X[300:], y[300:], 3,
                                            RngStream(1, "imp"))
             assert via_scorer.baseline_metric == plain.baseline_metric
             assert via_scorer.global_importances == plain.global_importances

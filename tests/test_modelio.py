@@ -114,6 +114,10 @@ class TestMalformedTreeDocuments:
         doc["payload"]["trees"][0]["right"] = 5
         self.check(path, doc, "malformed isolation_forest")
 
+    @pytest.mark.parametrize("doc", [[1, 2], "x"])
+    def test_document_that_is_not_an_object(self, tmp_path, doc):
+        self.check(tmp_path / "doc.json", doc, "is not a threatbench-model document")
+
     @pytest.fixture
     def boosted(self, tmp_path, xy):
         X, y = xy

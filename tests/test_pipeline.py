@@ -348,7 +348,7 @@ def one_pass_prepare(events, pp, rows=None, audit=None):
     if rows:
         spec = spec._replace(models=(spec.models[0]._replace(rows=rows),))
     rng = RngStream(42, "pipeline/ueba")
-    return pipeline._prepare_sessions(spec, [events], pp, rng, pipeline._StageRecorder(audit))
+    return pipeline._prepare_sessions(spec, [events], pp, rng, audit or LeakageAudit())
 
 
 ACTIVITIES = ("cmd", "login", "mail")
@@ -518,7 +518,7 @@ def one_pass_tabular(domain, table, pp, audit=None, spec=None):
     """`_prepare_tabular` on `table` for `domain`, or for `spec` if given."""
     rng = RngStream(42, f"pipeline/{domain}")
     spec = spec or pipeline.DOMAIN_SPECS[domain]
-    return pipeline._prepare_tabular(spec, [table], pp, rng, pipeline._StageRecorder(audit))
+    return pipeline._prepare_tabular(spec, [table], pp, rng, audit or LeakageAudit())
 
 
 def attachment_table(n_legit=40, n_phish=12, seed=0):
@@ -731,17 +731,26 @@ class TestLeakage:
         assert all(type(i) is int for ids in audit.leaked().values() for i in ids)
         assert LeakageAudit().leaked() == {}
 
-    @pytest.mark.parametrize("audit", [None, LeakageAudit()])
-    def test_rows_are_recorded_only_inside_a_stage(self, audit):
-        rec = pipeline._StageRecorder(audit)
+    def test_rows_are_recorded_only_inside_a_stage(self):
+        audit = LeakageAudit()
         with pytest.raises(RuntimeError, match="outside an open stage"):
-            rec.record(np.arange(3))
-        with rec.stage("fit"):
-            rec.record(np.arange(3), np.array([7]))
+            audit.consume(np.arange(3))
+        with audit.stage("fit"):
+            audit.consume(np.arange(3), np.array([7]))
         with pytest.raises(RuntimeError, match="outside an open stage"):
-            rec.record(np.arange(3))
-        if audit:
-            assert audit.consumed["fit"].tolist() == [0, 1, 2, 7] and list(audit.consumed) == ["fit"]
+            audit.consume(np.arange(3))
+        assert audit.consumed["fit"].tolist() == [0, 1, 2, 7] and list(audit.consumed) == ["fit"]
+        assert audit.stages == ["fit"] and audit.open is None and audit.failed is None
+
+    def test_a_supplied_ledger_changes_no_report(self, small_reports):
+        """Every run keeps a ledger; one the caller supplies only hands it
+        over, so the report is the same with or without it."""
+        for domain, (report, audit) in small_reports.items():
+            assert run_domain(small_config(domain)).to_dict() == report.to_dict(), domain
+            assert audit.stages == report.stages, domain
+        reused = LeakageAudit()
+        first, second = (run_domain(small_config("phishing"), audit=reused) for _ in range(2))
+        assert second.stages == first.stages and reused.stages == first.stages * 2
 
     def test_no_fit_stage_consumes_test_rows(self, small_reports):
         for domain, (_, audit) in small_reports.items():
@@ -840,10 +849,11 @@ class TestErrors:
                 super().__init__(f"{what}: {why}")
 
         original = TwoArgError("model", "broke")
+        audit = LeakageAudit()
         with pytest.raises(TwoArgError, match=r"^stage 'fit': model: broke$") as info:
-            with pipeline._StageRecorder().stage("fit"):
+            with audit.stage("fit"):
                 raise original
-        assert info.value is original
+        assert info.value is original and audit.failed == "fit"
 
     def test_unknown_domain(self):
         with pytest.raises(ConfigError, match="unknown domain"):
