@@ -29,6 +29,7 @@ from .pipeline import (
     write_dataset,
 )
 from .synthgen import GENERATORS
+from .tabular import read_json
 
 
 def _parse_override(text: str):
@@ -39,6 +40,8 @@ def _parse_override(text: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError as exc:
+        raise ConfigError(f"override {key.strip()!r} is nested too deeply to parse") from exc
     return key.strip(), value
 
 
@@ -56,13 +59,7 @@ def _apply_override(config_dict: dict, key: str, value) -> None:
 
 def _json_object(path, what: str) -> dict:
     """The JSON object in the `what` file at `path`, else a ConfigError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{what} file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, what, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} file {path} must hold a JSON object, got {doc!r:.80}")
     return doc
@@ -79,8 +76,11 @@ def _build_config(args) -> PipelineConfig:
         given["seed"] = args.seed
     for item in args.override or []:
         _apply_override(given, *_parse_override(item))
-    config = PipelineConfig.from_dict(given)
-    config.validate()
+    try:
+        config = PipelineConfig.from_dict(given)
+        config.validate()
+    except RecursionError as exc:
+        raise ConfigError("config is nested too deeply to check") from exc
     return config
 
 
@@ -178,10 +178,13 @@ def _cmd_report(args) -> int:
     with _reading(args.report):
         summary = render_summary(report)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "report.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(summary)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(summary)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}") from exc
         print(f"wrote {path}")
     else:
         print(summary, end="")

@@ -1,10 +1,11 @@
 """Evaluation metrics and model explanations.
 
+`classification_report` returns a model's metrics block of `report.json`, and
+`permutation_importance` its ranked [feature, mean ROC-AUC drop] pairs.
 Metrics follow the usual binary-classification definitions with
 zero-denominator cases defined as 0; ROC-AUC uses the rank-sum (Mann-Whitney)
-form with midranks for ties. Explanations come in two flavors: global
-permutation importance and exact additive per-instance attributions (linear
-term contributions, tree path deltas).
+form with midranks for ties. Per-instance explanations are exact additive
+attributions (linear term contributions, tree path deltas).
 """
 
 from __future__ import annotations
@@ -19,19 +20,16 @@ from .linear import LogisticModel
 from .tabular import RngStream
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
+def _prf(tp, fp, fn):
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f1
 
 
-def confusion(y_true, y_pred) -> ConfusionMatrix:
+def classification_report(y_true, y_pred, scores=None, positive_label: str = "1") -> dict:
+    """The metrics of binary predictions `y_pred` against `y_true`, class "1"
+    being the threat; "roc_auc" is that of `scores`, or None without them."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.size == 0:
@@ -41,66 +39,24 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
     for arr, name in ((y_true, "y_true"), (y_pred, "y_pred")):
         if not np.isin(arr, (0, 1)).all():
             raise DataError(f"{name} contains non-binary values")
-    return ConfusionMatrix(
-        tp=int(((y_true == 1) & (y_pred == 1)).sum()),
-        fp=int(((y_true == 0) & (y_pred == 1)).sum()),
-        fn=int(((y_true == 1) & (y_pred == 0)).sum()),
-        tn=int(((y_true == 0) & (y_pred == 0)).sum()),
-    )
-
-
-def _prf(tp, fp, fn):
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
-
-
-@dataclass
-class MetricsReport:
-    accuracy: float
-    per_class: dict  # class value -> {"precision": p, "recall": r, "f1": f}
-    macro_f1: float
-    confusion: ConfusionMatrix
-    positive_label: str = "1"
-    roc_auc: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "per_class": {str(k): dict(v) for k, v in self.per_class.items()},
-            "macro_f1": self.macro_f1,
-            "confusion": {"tp": self.confusion.tp, "fp": self.confusion.fp, "fn": self.confusion.fn, "tn": self.confusion.tn},
-            "positive_label": self.positive_label,
-            "roc_auc": self.roc_auc,
-        }
-
-
-def report_from_confusion(cm: ConfusionMatrix, scores=None, y_true=None, positive_label: str = "1") -> MetricsReport:
-    p1, r1, f1_1 = _prf(cm.tp, cm.fp, cm.fn)
-    p0, r0, f1_0 = _prf(cm.tn, cm.fn, cm.fp)  # negatives as the positive side
-    total = cm.total
-    auc = None
-    if scores is not None:
-        if y_true is None:
-            raise DataError("scores given without labels; cannot compute AUC")
-        auc = roc_auc(scores, y_true)
-    return MetricsReport(
-        accuracy=(cm.tp + cm.tn) / total if total else 0.0,
-        per_class={
+    tp = int(((y_true == 1) & (y_pred == 1)).sum())
+    fp = int(((y_true == 0) & (y_pred == 1)).sum())
+    fn = int(((y_true == 1) & (y_pred == 0)).sum())
+    tn = int(((y_true == 0) & (y_pred == 0)).sum())
+    p1, r1, f1_1 = _prf(tp, fp, fn)
+    p0, r0, f1_0 = _prf(tn, fn, fp)  # negatives as the positive side
+    total = tp + fp + fn + tn
+    return {
+        "accuracy": (tp + tn) / total,
+        "per_class": {
             "0": {"precision": p0, "recall": r0, "f1": f1_0},
             "1": {"precision": p1, "recall": r1, "f1": f1_1},
         },
-        macro_f1=(f1_0 + f1_1) / 2.0,
-        confusion=cm,
-        positive_label=positive_label,
-        roc_auc=auc,
-    )
-
-
-def classification_report(y_true, y_pred, scores=None, positive_label: str = "1") -> MetricsReport:
-    cm = confusion(y_true, y_pred)
-    return report_from_confusion(cm, scores=scores, y_true=y_true, positive_label=positive_label)
+        "macro_f1": (f1_0 + f1_1) / 2.0,
+        "confusion": {"tp": tp, "fp": fp, "fn": fn, "tn": tn},
+        "positive_label": positive_label,
+        "roc_auc": None if scores is None else roc_auc(scores, y_true),
+    }
 
 
 def roc_auc(scores, labels) -> float:
@@ -127,26 +83,11 @@ def roc_auc(scores, labels) -> float:
 # -- attributions -----------------------------------------------------------------
 
 
-@dataclass
-class AttributionReport:
-    """Global importances (with repeat spread) and/or per-instance contributions."""
-
-    feature_names: list
-    global_importances: dict | None = None  # feature -> importance
-    global_std: dict | None = None
-    baseline_metric: float | None = None
-    contributions: dict | None = None  # feature -> signed value
-    baseline: float | None = None
-    output: float | None = None  # baseline + sum(contributions)
-
-    def top(self, k: int = 10):
-        items = sorted(self.global_importances.items(), key=lambda kv: (-kv[1], kv[0]))
-        return items[:k]
-
-
 def permutation_importance(predict_fn, X, y, repeats: int = 5, rng: RngStream | None = None,
-                           feature_names=None, baseline_scores=None) -> AttributionReport:
-    """ROC-AUC drop when one feature column is permuted, averaged over repeats.
+                           feature_names=None, baseline_scores=None) -> list:
+    """[feature, mean ROC-AUC drop] pairs, largest drop first and ties by
+    name: each drop is that of one feature column permuted, averaged over
+    repeats.
 
     `predict_fn` maps X to positive-class scores. X may be 2-D (rows x
     features) or 3-D (sessions x steps x features); in the 3-D case a
@@ -177,12 +118,17 @@ def permutation_importance(predict_fn, X, y, repeats: int = 5, rng: RngStream | 
             Xp[..., j] = X[perm, ..., j]
             drops[r, j] = baseline - roc_auc(np.asarray(predict_fn(Xp), dtype=np.float64), y)
             Xp[..., j] = X[..., j]
-    return AttributionReport(
-        feature_names=names,
-        global_importances={names[j]: float(drops[:, j].mean()) for j in range(d)},
-        global_std={names[j]: float(drops[:, j].std()) for j in range(d)},
-        baseline_metric=baseline,
-    )
+    return sorted(([names[j], float(drops[:, j].mean())] for j in range(d)), key=lambda pair: (-pair[1], pair[0]))
+
+
+@dataclass
+class AttributionReport:
+    """One row's exact additive attribution: output = baseline + sum(contributions)."""
+
+    feature_names: list
+    contributions: dict  # feature -> signed value
+    baseline: float
+    output: float
 
 
 def linear_contributions(model: LogisticModel, x, feature_names=None) -> AttributionReport:

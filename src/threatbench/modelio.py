@@ -25,6 +25,7 @@ from .forest import (
 )
 from .linear import CalibratorSpec, LogisticModel
 from .neural import AnomalyThreshold, DenseAutoencoder, LstmAutoencoder
+from .tabular import read_json
 
 FORMAT = "threatbench-model"
 VERSION = 1
@@ -147,13 +148,7 @@ def save_model(document: bytes, path) -> None:
 
 def load_model(path):
     """Returns (model, threshold-or-None)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"model file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "model", DataError)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise DataError(f"{path} is not a {FORMAT} document")
     if doc.get("version") != VERSION:

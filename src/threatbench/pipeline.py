@@ -76,7 +76,7 @@ from .preprocess import (
     smote_oversample,
 )
 from .synthgen import GENERATORS, GeneratorConfig, save_events_jsonl
-from .tabular import Dataset, RngStream, check_finite, save_dataset, stratified_indices
+from .tabular import Dataset, RngStream, check_finite, read_json, save_dataset, stratified_indices
 
 DOMAINS = ("intrusion", "malware", "phishing", "ueba")
 REPORT_SCHEMA_VERSION = 1
@@ -349,10 +349,17 @@ def _dataset_block(dataset: Dataset) -> dict:
     }
 
 
+def _make_dir(directory) -> None:
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write under {directory}: {exc}") from exc
+
+
 def write_dataset(dataset: Dataset, domain: str, directory) -> dict:
     """Write `<domain>.csv` under `directory`, plus `events.jsonl` for a session
     domain's event log. Returns {"dataset": path} and, if written, "events"."""
-    os.makedirs(directory, exist_ok=True)
+    _make_dir(directory)
     paths = {"dataset": os.path.join(directory, f"{domain}.csv")}
     save_dataset(dataset, paths["dataset"])
     if DOMAIN_SPECS[domain].sessions:
@@ -664,7 +671,7 @@ def _run_model(spec, mc, percentile, rng, parts, features, save, m, audit) -> _M
             flags = [int(i) for i in np.flatnonzero(predicted)]
         else:
             predicted = (scores >= 0.5).astype(int)
-        report = classification_report(test.y, predicted, scores=scores, positive_label=spec.threat).to_dict()
+        report = classification_report(test.y, predicted, scores=scores, positive_label=spec.threat)
         X, score = test.importance_inputs(score)
         # Uncalibrated `scores` came from `score`: the importance baseline.
         importance = permutation_importance(
@@ -678,7 +685,7 @@ def _run_model(spec, mc, percentile, rng, parts, features, save, m, audit) -> _M
         documents[m.name] = (model, threshold)
         if calibrator is not None:
             documents["boosting_calibrator"] = (calibrator, None)
-    return _ModelRecord(audit, report, [[name, value] for name, value in importance.top(10)], flags, threshold, documents)
+    return _ModelRecord(audit, report, importance[:10], flags, threshold, documents)
 
 
 def _serialised(record: _ModelRecord) -> _ModelRecord:
@@ -811,7 +818,7 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
 
     artifacts = {}
     if out_dir:
-        os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
+        _make_dir(os.path.join(out_dir, "models"))
         for r in records.values():
             for name, document in r.documents.items():
                 paths[name] = os.path.join(out_dir, "models", f"{name}.json")
@@ -840,12 +847,10 @@ def report_to_json(report: RunReport) -> str:
 
 
 def parse_report(path) -> RunReport:
+    doc = read_json(path, "report", DataError)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return RunReport.from_dict(json.load(fh))
-    except FileNotFoundError as exc:
-        raise DataError(f"report file not found: {path}") from exc
-    except (json.JSONDecodeError, TypeError) as exc:
+        return RunReport.from_dict(doc)
+    except TypeError as exc:
         raise DataError(f"malformed report document {path}: {exc}") from exc
 
 

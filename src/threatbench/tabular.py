@@ -1,4 +1,4 @@
-"""Typed column tables, seeded randomness, CSV writing, nearest-rank quantiles and stratified splits.
+"""Typed column tables, seeded randomness, CSV writing, JSON reading, nearest-rank quantiles and stratified splits.
 
 Everything downstream (generators, preprocessing, models, pipelines) moves data
 around as a `Dataset`: an immutable-by-convention table whose columns carry one
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -171,6 +172,20 @@ def save_dataset(dataset: Dataset, path) -> None:
                 writer.writerows(zip(*cells))
     except OSError as exc:
         raise DataError(f"cannot write dataset to {path}: {exc}") from exc
+
+
+def read_json(path, what: str, error):
+    """The JSON document in the `what` file at `path`. A file that is missing,
+    unreadable, not UTF-8, not JSON or nested too deep to parse raises `error`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise error(f"{what} file not found: {path}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
 # -- quantiles ---------------------------------------------------------------

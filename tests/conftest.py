@@ -92,6 +92,20 @@ def np_rng():
     return np.random.default_rng(12345)
 
 
+# Input files that no JSON reader may turn into a traceback: a directory, a
+# file that is not UTF-8, and an array nested too deep for `json` to parse.
+UNREADABLE_JSON = ("directory", "not UTF-8", "too deep")
+
+
+def unreadable_json(tmp_path, kind):
+    path = tmp_path / f"{kind.replace(' ', '_')}.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"a": "\xff"}' if kind == "not UTF-8" else b"[" * 100_000 + b"]" * 100_000)
+    return path
+
+
 def edge_dataset(seed: int = 0) -> Dataset:
     """More than two writer blocks of awkward cells: signed zero, subnormal,
     huge and non-finite floats, 64-bit extreme ints, and strings with commas,

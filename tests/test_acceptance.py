@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference_check, relative_deviation, segment_offsets
-from threatbench.evalx import ConfusionMatrix, report_from_confusion, roc_auc
+from threatbench.evalx import classification_report, roc_auc
 from threatbench.forest import average_path_length, fit_isolation_forest, iforest_score
 from threatbench.linear import LogisticModel, logistic_gradient, logistic_loss
 from threatbench.neural import (
@@ -46,8 +46,9 @@ def test_criterion_1_metric_formulas():
         tp = p_pct * r_pct
         fp = r_pct * (100 - p_pct)
         fn = p_pct * (100 - r_pct)
-        rep = report_from_confusion(ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=1000))
-        threat = rep.per_class["1"]
+        y_true = np.repeat([1, 0, 1, 0], [tp, fp, fn, 1000])
+        y_pred = np.repeat([1, 1, 0, 0], [tp, fp, fn, 1000])
+        threat = classification_report(y_true, y_pred)["per_class"]["1"]
         ok &= abs(threat["precision"] - p_pct / 100) < 1e-12
         ok &= abs(threat["recall"] - r_pct / 100) < 1e-12
         ok &= round(threat["f1"], 2) == expected_f1

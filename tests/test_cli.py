@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from threatbench import pipeline
+from conftest import UNREADABLE_JSON, unreadable_json
+from threatbench import cli, pipeline
 from threatbench.cli import main
+from threatbench.evalx import classification_report
 
 FAST_OVERRIDES = [
     "--override", "generator.n=400",
@@ -177,6 +179,17 @@ class TestExitCodes:
         assert "internal error: RuntimeError: stage 'fit_isolation_forest': kernel broke" in err
         assert "Traceback" not in err
 
+    def test_too_deep_override_is_2(self, capsys):
+        assert run_cli(["run", "phishing", "--override", "generator.overrides=" + "[" * 5000]) == 2
+        assert "config error: override 'generator.overrides' is nested too deeply" in capsys.readouterr().err
+
+    def test_too_deep_config_is_2(self, tmp_path, capsys):
+        """Deep enough to parse, too deep for the config's copy and checks."""
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text('{"generator": {"overrides": {"users": ' + "[" * 600 + "]" * 600 + "}}}")
+        assert run_cli(["run", "ueba", "--config", str(cfg_path)]) == 2
+        assert "config error: config is nested too deeply" in capsys.readouterr().err
+
     def test_data_error_is_3(self, tmp_path):
         assert run_cli(["evaluate", "--report", str(tmp_path / "missing.json")]) == 3
 
@@ -261,3 +274,60 @@ class TestMalformedInput:
         args = ["--expectations", str(exp)] if command == "evaluate" else []
         assert run_cli([command, "--report", str(bad)] + args) == 3
         assert f"data error: malformed report document {bad}" in capsys.readouterr().err
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("kind", UNREADABLE_JSON)
+    @pytest.mark.parametrize("command, flag, code", [
+        ("run", "--config", 2),
+        ("evaluate", "--expectations", 2),
+        ("evaluate", "--report", 3),
+        ("report", "--report", 3),
+    ])
+    def test_exit_code(self, report_path, tmp_path, capsys, kind, command, flag, code):
+        bad = unreadable_json(tmp_path, kind)
+        args = {"run": ["run", "phishing"], "evaluate": ["evaluate", "--report", str(report_path)],
+                "report": ["report"]}[command]
+        capsys.readouterr()
+        assert run_cli(args + [flag, str(bad)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " if code == 2 else "data error: ") and str(bad) in err
+        assert "internal error" not in err
+
+
+class TestUnwritableOut:
+    def test_out_below_a_file_is_3(self, report_path, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for args in (["generate", "phishing"], ["run", "phishing"], ["report", "--report", str(report_path)]):
+            capsys.readouterr()
+            assert run_cli(args + ["--out", str(blocker / "sub")]) == 3, args
+            assert capsys.readouterr().err.startswith("data error: cannot write ")
+
+    def test_report_txt_that_is_a_directory_is_3(self, report_path, tmp_path, capsys):
+        (tmp_path / "report.txt").mkdir()
+        capsys.readouterr()
+        assert run_cli(["report", "--report", str(report_path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: cannot write {tmp_path / 'report.txt'}")
+
+    def test_models_dir_that_cannot_be_made_leaves_data_and_no_report(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "models").write_text("")
+        assert run_cli(["run", "intrusion", "--out", str(out)] + FAST_OVERRIDES) == 3
+        assert capsys.readouterr().err.startswith(f"data error: cannot write under {out / 'models'}")
+        assert (out / "data" / "intrusion.csv").exists()
+        assert not (out / "report.json").exists()
+
+
+def test_band_getters_and_summary_read_the_metrics_dict():
+    """`classification_report` returns the block a report holds per model."""
+    metrics = classification_report([0, 1, 1, 0, 1], [0, 1, 0, 0, 1], scores=[0.1, 0.9, 0.4, 0.2, 0.8],
+                                    positive_label="threat")
+    for label, getter in cli._BAND_METRICS.values():
+        assert type(getter(metrics)) is float, label
+    report = pipeline.RunReport(domain="intrusion", config={"seed": 1}, toolkit_version="0",
+                                dataset={"n": 5}, stages=["evaluate"], models={"m": metrics})
+    summary = pipeline.render_summary(report)
+    assert "model: m" in summary and "ROC-AUC: 1.0000" in summary
+    assert "confusion: tp=2 fp=0 fn=1 tn=2" in summary

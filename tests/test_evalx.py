@@ -3,13 +3,9 @@ import pytest
 
 from threatbench.errors import DataError
 from threatbench.evalx import (
-    AttributionReport,
-    ConfusionMatrix,
     classification_report,
-    confusion,
     linear_contributions,
     permutation_importance,
-    report_from_confusion,
     roc_auc,
     tree_path_attribution,
 )
@@ -42,26 +38,31 @@ def counts_for_rates(precision_pct, recall_pct):
     return tp, fp, fn
 
 
+def labels_for_counts(tp, fp, fn, tn):
+    """(y_true, y_pred) whose confusion counts are exactly tp, fp, fn and tn."""
+    return np.repeat([1, 0, 1, 0], [tp, fp, fn, tn]), np.repeat([1, 1, 0, 0], [tp, fp, fn, tn])
+
+
 class TestConfusion:
     def test_identity_predictions(self):
-        cm = confusion([1, 0, 1, 0], [1, 0, 1, 0])
-        assert cm.fp == 0 and cm.fn == 0 and cm.tp == 2 and cm.tn == 2
+        cm = classification_report([1, 0, 1, 0], [1, 0, 1, 0])["confusion"]
+        assert cm == {"tp": 2, "fp": 0, "fn": 0, "tn": 2}
 
     def test_enumeration_example(self):
-        cm = confusion((1, 1, 0, 0), (1, 0, 0, 1))
-        assert (cm.tp, cm.fn, cm.tn, cm.fp) == (1, 1, 1, 1)
+        cm = classification_report((1, 1, 0, 0), (1, 0, 0, 1))["confusion"]
+        assert (cm["tp"], cm["fn"], cm["tn"], cm["fp"]) == (1, 1, 1, 1)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            confusion([], [])
+            classification_report([], [])
 
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="mismatch"):
-            confusion([1, 0], [1])
+            classification_report([1, 0], [1])
 
     def test_non_binary_rejected(self):
         with pytest.raises(DataError, match="non-binary"):
-            confusion([1, 2], [1, 0])
+            classification_report([1, 2], [1, 0])
 
 
 class TestClassificationReport:
@@ -78,24 +79,22 @@ class TestClassificationReport:
     @pytest.mark.parametrize("p_pct,r_pct,f1_2dp", PAPER_TRIPLES)
     def test_f1_reproduces_reported_values(self, p_pct, r_pct, f1_2dp):
         tp, fp, fn = counts_for_rates(p_pct, r_pct)
-        cm = ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=10 * (tp + fp + fn))
-        rep = report_from_confusion(cm)
-        threat = rep.per_class["1"]
+        rep = classification_report(*labels_for_counts(tp, fp, fn, 10 * (tp + fp + fn)))
+        assert rep["confusion"] == {"tp": tp, "fp": fp, "fn": fn, "tn": 10 * (tp + fp + fn)}
+        threat = rep["per_class"]["1"]
         assert abs(threat["precision"] - p_pct / 100.0) < 1e-12
         assert abs(threat["recall"] - r_pct / 100.0) < 1e-12
         assert round(threat["f1"], 2) == f1_2dp
 
     def test_zero_denominators_are_zero(self):
-        rep = report_from_confusion(ConfusionMatrix(tp=0, fp=0, fn=5, tn=5))
-        assert rep.per_class["1"]["precision"] == 0.0
-        assert rep.per_class["1"]["recall"] == 0.0
-        assert rep.per_class["1"]["f1"] == 0.0
+        rep = classification_report(*labels_for_counts(0, 0, 5, 5))
+        assert rep["per_class"]["1"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
 
     def test_macro_f1_unweighted_mean(self):
         rep = classification_report([1, 1, 0, 0], [1, 0, 0, 1])
-        f0 = rep.per_class["0"]["f1"]
-        f1 = rep.per_class["1"]["f1"]
-        assert rep.macro_f1 == (f0 + f1) / 2.0
+        f0 = rep["per_class"]["0"]["f1"]
+        f1 = rep["per_class"]["1"]["f1"]
+        assert rep["macro_f1"] == (f0 + f1) / 2.0
 
     def test_f1_harmonic_of_own_precision_recall(self, np_rng):
         for _ in range(20):
@@ -103,16 +102,23 @@ class TestClassificationReport:
             p = np_rng.integers(0, 2, size=50)
             rep = classification_report(y, p)
             for cls in ("0", "1"):
-                pr, rc, f1 = (rep.per_class[cls][k] for k in ("precision", "recall", "f1"))
+                pr, rc, f1 = (rep["per_class"][cls][k] for k in ("precision", "recall", "f1"))
                 expect = 0.0 if pr + rc == 0 else 2 * pr * rc / (pr + rc)
                 assert abs(f1 - expect) < 1e-12
 
     def test_auc_included_iff_scores_given(self, np_rng):
         y = np.array([0, 1] * 10)
         pred = y.copy()
-        assert classification_report(y, pred).roc_auc is None
-        scored = classification_report(y, pred, scores=np_rng.random(20))
-        assert scored.roc_auc is not None
+        assert classification_report(y, pred)["roc_auc"] is None
+        scores = np_rng.random(20)
+        assert classification_report(y, pred, scores=scores)["roc_auc"] == roc_auc(scores, y)
+
+    def test_report_block_fields(self):
+        rep = classification_report([1, 1, 0, 0, 0], [1, 0, 0, 0, 1], positive_label="phish")
+        assert list(rep) == ["accuracy", "per_class", "macro_f1", "confusion", "positive_label", "roc_auc"]
+        assert rep["accuracy"] == 3 / 5
+        assert rep["positive_label"] == "phish"
+        assert list(rep["per_class"]) == ["0", "1"]
 
 
 class TestRocAuc:
@@ -174,26 +180,23 @@ class TestPermutationImportance:
     def test_constant_column_importance_exactly_zero(self, np_rng):
         X = np.column_stack([np_rng.normal(size=60), np.full(60, 3.0)])
         y = (X[:, 0] > 0).astype(int)
-        rep = permutation_importance(lambda A: A[:, 0], X, y, repeats=3, rng=RngStream(0, "p"))
-        assert rep.global_importances["f1"] == 0.0
+        pairs = permutation_importance(lambda A: A[:, 0], X, y, repeats=3, rng=RngStream(0, "p"))
+        assert dict(pairs)["f1"] == 0.0
 
     def test_informative_feature_dominates(self, np_rng):
         for seed in range(5):
             X = np.column_stack([np_rng.normal(size=100), np_rng.normal(size=100)])
             y = (X[:, 0] > 0).astype(int)
-            rep = permutation_importance(
+            pairs = permutation_importance(
                 lambda A: 1.0 / (1.0 + np.exp(-3 * A[:, 0])), X, y, repeats=3, rng=RngStream(seed, "p")
             )
-            assert rep.global_importances["f0"] > rep.global_importances["f1"]
+            assert [name for name, _ in pairs] == ["f0", "f1"] and pairs[0][1] > pairs[1][1]
 
     def test_same_seed_identical_report(self, np_rng):
         X = np_rng.normal(size=(50, 3))
         y = (X.sum(axis=1) > 0).astype(int)
         fn = lambda A: A.sum(axis=1)
-        a = permutation_importance(fn, X, y, 4, RngStream(7, "p"))
-        b = permutation_importance(fn, X, y, 4, RngStream(7, "p"))
-        assert a.global_importances == b.global_importances
-        assert a.global_std == b.global_std
+        assert permutation_importance(fn, X, y, 4, RngStream(7, "p")) == permutation_importance(fn, X, y, 4, RngStream(7, "p"))
 
     def test_working_copy_matches_a_fresh_copy_per_feature(self, np_rng):
         def fresh_copy_drops(predict_fn, X, y, repeats, rng):
@@ -218,15 +221,23 @@ class TestPermutationImportance:
             X = np_rng.normal(size=shape)
             y = (X.reshape(len(X), -1).sum(axis=1) > 0).astype(int)
             before = X.copy()
-            rep = permutation_importance(fn, X, y, 2, RngStream(3, "p"))
+            pairs = permutation_importance(fn, X, y, 2, RngStream(3, "p"))
             assert np.array_equal(X, before)
             drops = fresh_copy_drops(fn, X, y, 2, RngStream(3, "p"))
-            assert rep.global_importances == {f"f{j}": float(drops[:, j].mean()) for j in range(shape[-1])}
+            assert dict(pairs) == {f"f{j}": float(drops[:, j].mean()) for j in range(shape[-1])}
             # every scored matrix differs from X in at most the permuted column
             for j, A in enumerate(seen[1 : 1 + 2 * shape[-1]]):
                 changed = np.flatnonzero((A != X).reshape(-1, shape[-1]).any(axis=0))
                 assert set(changed) <= {j % shape[-1]}
             seen.clear()
+
+    def test_pairs_ranked_by_drop_then_name(self, np_rng):
+        X = np.column_stack([np.zeros(40), np_rng.normal(size=40), np.zeros(40)])
+        y = (X[:, 1] > 0).astype(int)
+        pairs = permutation_importance(lambda A: A[:, 1], X, y, 2, RngStream(0, "p"), feature_names=["c", "b", "a"])
+        assert [name for name, _ in pairs] == ["b", "a", "c"]
+        assert pairs[0][1] > 0.0 and pairs[1][1] == pairs[2][1] == 0.0
+        assert all(isinstance(pair, list) and type(pair[1]) is float for pair in pairs)
 
     def test_bad_repeats(self, np_rng):
         X = np_rng.normal(size=(10, 2))
@@ -307,10 +318,3 @@ class TestTreePathAttribution:
     def test_unsupported_model_rejected(self):
         with pytest.raises(DataError, match="unsupported"):
             tree_path_attribution(LogisticModel(weights=np.zeros(2), bias=0.0), np.zeros(2))
-
-    def test_top_helper_orders_by_score(self):
-        rep = AttributionReport(
-            feature_names=["a", "b", "c"],
-            global_importances={"a": 0.1, "b": 0.7, "c": 0.3},
-        )
-        assert [name for name, _ in rep.top(2)] == ["b", "c"]

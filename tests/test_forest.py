@@ -452,9 +452,7 @@ class TestRememberedWalk:
             via_scorer = permutation_importance(model.scorer(X[300:]), X[300:], y[300:], 3, RngStream(1, "imp"))
             plain = permutation_importance(lambda M: model.predict_proba(M)[:, 1], X[300:], y[300:], 3,
                                            RngStream(1, "imp"))
-            assert via_scorer.baseline_metric == plain.baseline_metric
-            assert via_scorer.global_importances == plain.global_importances
-            assert via_scorer.global_std == plain.global_std
+            assert via_scorer == plain
 
 
 class TestRandomForest:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import UNREADABLE_JSON, unreadable_json
 from threatbench.errors import DataError
 from threatbench.forest import (
     BoostConfig,
@@ -206,3 +207,10 @@ def test_format_and_version_checked(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_model(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_JSON)
+def test_unreadable_file(tmp_path, kind):
+    path = unreadable_json(tmp_path, kind)
+    with pytest.raises(DataError, match=f"(cannot read model file|model file .* is not valid JSON).*"):
+        load_model(path)

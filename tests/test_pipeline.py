@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -798,7 +799,7 @@ class TestDeterminismAndEmission:
             for root, _, files in os.walk(out):
                 for f in files:
                     p = os.path.join(root, f)
-                    tree[os.path.relpath(p, out)] = hashlib.sha256(open(p, "rb").read()).hexdigest()
+                    tree[os.path.relpath(p, out)] = hashlib.sha256(Path(p).read_bytes()).hexdigest()
             digests.append(tree)
         assert digests[0] == digests[1]
 
@@ -1068,7 +1069,7 @@ def assert_no_worker_left():
 
 def tree_digests(root):
     return {
-        os.path.relpath(os.path.join(d, f), root): hashlib.sha256(open(os.path.join(d, f), "rb").read()).hexdigest()
+        os.path.relpath(os.path.join(d, f), root): hashlib.sha256(Path(d, f).read_bytes()).hexdigest()
         for d, _, files in os.walk(root) for f in files
     }
 
