@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -29,7 +30,7 @@ from .pipeline import (
     write_dataset,
 )
 from .synthgen import GENERATORS
-from .tabular import read_json
+from .tabular import read_json, writing
 
 
 def _parse_override(text: str):
@@ -115,15 +116,15 @@ _BAND_METRICS = {
 
 def _load_expectations(path):
     """The bands document at `path`, or the packaged one: an object mapping
-    each domain key to model -> `_BAND_METRICS` key -> number. Keys that name
+    each domain key to model -> `_BAND_METRICS` key -> finite number. Keys that name
     no domain (its schema_version and description) are not read."""
     path = path or resources.files("threatbench") / "data" / "expectations.json"
     doc = _json_object(path, "expectations")
     for domain in DOMAINS:
         models = doc.get(domain, {})
         if not isinstance(models, dict) or not all(isinstance(bands, dict) and all(
-                key in _BAND_METRICS and type(bound) in (int, float) for key, bound in bands.items())
-                for bands in models.values()):
+                key in _BAND_METRICS and type(bound) in (int, float) and math.isfinite(bound)
+                for key, bound in bands.items()) for bands in models.values()):
             raise ConfigError(f"expectations file {path} must map {domain!r} to model -> band -> number, "
                               f"with bands from {sorted(_BAND_METRICS)}; got {models!r:.80}")
     return doc
@@ -179,12 +180,8 @@ def _cmd_report(args) -> int:
         summary = render_summary(report)
     if args.out:
         path = os.path.join(args.out, "report.txt")
-        try:
-            os.makedirs(args.out, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(summary)
-        except OSError as exc:
-            raise DataError(f"cannot write {path}: {exc}") from exc
+        with writing(path) as fh:
+            fh.write(summary)
         print(f"wrote {path}")
     else:
         print(summary, end="")

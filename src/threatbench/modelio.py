@@ -25,7 +25,7 @@ from .forest import (
 )
 from .linear import CalibratorSpec, LogisticModel
 from .neural import AnomalyThreshold, DenseAutoencoder, LstmAutoencoder
-from .tabular import read_json
+from .tabular import read_json, writing
 
 FORMAT = "threatbench-model"
 VERSION = 1
@@ -139,11 +139,8 @@ def model_json(model, threshold: AnomalyThreshold | None = None) -> bytes:
 
 def save_model(document: bytes, path) -> None:
     """Write a `model_json` document to `path`."""
-    try:
-        with open(path, "wb") as fh:
-            fh.write(document)
-    except OSError as exc:
-        raise DataError(f"cannot write model to {path}: {exc}") from exc
+    with writing(path, "wb") as fh:
+        fh.write(document)
 
 
 def load_model(path):

@@ -27,6 +27,7 @@ touched; pass one to `run_domain` to read it.
 from __future__ import annotations
 
 import copy
+import csv
 import json
 import os
 import pickle
@@ -76,7 +77,7 @@ from .preprocess import (
     smote_oversample,
 )
 from .synthgen import GENERATORS, GeneratorConfig, save_events_jsonl
-from .tabular import Dataset, RngStream, check_finite, read_json, save_dataset, stratified_indices
+from .tabular import Dataset, RngStream, check_finite, read_json, save_dataset, stratified_indices, writing
 
 DOMAINS = ("intrusion", "malware", "phishing", "ueba")
 REPORT_SCHEMA_VERSION = 1
@@ -349,17 +350,9 @@ def _dataset_block(dataset: Dataset) -> dict:
     }
 
 
-def _make_dir(directory) -> None:
-    try:
-        os.makedirs(directory, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot write under {directory}: {exc}") from exc
-
-
 def write_dataset(dataset: Dataset, domain: str, directory) -> dict:
     """Write `<domain>.csv` under `directory`, plus `events.jsonl` for a session
     domain's event log. Returns {"dataset": path} and, if written, "events"."""
-    _make_dir(directory)
     paths = {"dataset": os.path.join(directory, f"{domain}.csv")}
     save_dataset(dataset, paths["dataset"])
     if DOMAIN_SPECS[domain].sessions:
@@ -818,7 +811,6 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
 
     artifacts = {}
     if out_dir:
-        _make_dir(os.path.join(out_dir, "models"))
         for r in records.values():
             for name, document in r.documents.items():
                 paths[name] = os.path.join(out_dir, "models", f"{name}.json")
@@ -891,39 +883,24 @@ def render_summary(report: RunReport) -> str:
 
 
 def emit_report(report: RunReport, out_dir) -> dict:
-    """Write report.json, report.txt, and per-feature histogram tables.
+    """Write report.json, report.txt, and per-feature histogram tables, each
+    writer making its directory. Returns {name: path} for everything written.
 
-    Returns {name: path} for everything written. Histogram tables are
-    delimited text: numeric features get `bin_lo,bin_hi,count` rows (one per
-    bin), others `value,count` rows.
+    Histogram tables are CSV quoted like the dataset: numeric features get
+    `bin_lo,bin_hi,count` rows (one per bin), others `value,count` rows.
     """
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        hist_dir = os.path.join(out_dir, "histograms")
-        os.makedirs(hist_dir, exist_ok=True)
-        paths = {}
-        report_path = os.path.join(out_dir, "report.json")
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
-        paths["report_json"] = report_path
-        summary_path = os.path.join(out_dir, "report.txt")
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write(render_summary(report))
-        paths["report_txt"] = summary_path
-        for feature in sorted(report.histograms):
-            h = report.histograms[feature]
-            fpath = os.path.join(hist_dir, f"{feature}.csv")
-            with open(fpath, "w", encoding="utf-8") as fh:
-                if h["kind"] == "numeric":
-                    fh.write("bin_lo,bin_hi,count\n")
-                    edges, counts = h["edges"], h["counts"]
-                    for i, c in enumerate(counts):
-                        fh.write(f"{edges[i]!r},{edges[i + 1]!r},{c}\n")
-                else:
-                    fh.write("value,count\n")
-                    for value, count in h["values"].items():
-                        fh.write(f"{value},{count}\n")
-            paths[f"histogram/{feature}"] = fpath
-        return paths
-    except OSError as exc:
-        raise DataError(f"cannot write report files under {out_dir}: {exc}") from exc
+    paths = {"report_json": os.path.join(out_dir, "report.json"), "report_txt": os.path.join(out_dir, "report.txt")}
+    with writing(paths["report_json"]) as fh:
+        fh.write(report_to_json(report))
+    with writing(paths["report_txt"]) as fh:
+        fh.write(render_summary(report))
+    for feature in sorted(report.histograms):
+        h = report.histograms[feature]
+        if h["kind"] == "numeric":
+            rows = [("bin_lo", "bin_hi", "count"), *zip(map(repr, h["edges"]), map(repr, h["edges"][1:]), h["counts"])]
+        else:
+            rows = [("value", "count"), *h["values"].items()]
+        paths[f"histogram/{feature}"] = os.path.join(out_dir, "histograms", f"{feature}.csv")
+        with writing(paths[f"histogram/{feature}"]) as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    return paths

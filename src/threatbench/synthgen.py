@@ -17,8 +17,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .tabular import WRITE_BLOCK, Dataset, RngStream
+from .errors import ConfigError
+from .tabular import WRITE_BLOCK, Dataset, RngStream, writing
 
 NETWORK_SCHEMA = [
     ("src_port", "numeric"),
@@ -590,13 +590,10 @@ def save_events_jsonl(dataset: Dataset, path) -> None:
     keys = (encode_basestring_ascii(name).replace("%", "%%") for name in names)
     template = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
     columns = [dataset.column(name) for name in names]
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for start in range(0, dataset.n, WRITE_BLOCK):
-                cells = [_json_block(col[start:start + WRITE_BLOCK], kinds[name]) for col, name in zip(columns, names)]
-                fh.write("".join([template % row for row in zip(*cells)]))
-    except OSError as exc:
-        raise DataError(f"cannot write events to {path}: {exc}") from exc
+    with writing(path) as fh:
+        for start in range(0, dataset.n, WRITE_BLOCK):
+            cells = [_json_block(col[start:start + WRITE_BLOCK], kinds[name]) for col, name in zip(columns, names)]
+            fh.write("".join([template % row for row in zip(*cells)]))
 
 
 # Each domain's generator, the defaults its overrides are checked against and

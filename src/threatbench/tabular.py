@@ -1,10 +1,11 @@
-"""Typed column tables, seeded randomness, CSV writing, JSON reading, nearest-rank quantiles and stratified splits.
+"""Typed column tables, seeded randomness, the one file writer and JSON reader, nearest-rank quantiles and stratified splits.
 
 Everything downstream (generators, preprocessing, models, pipelines) moves data
 around as a `Dataset`: an immutable-by-convention table whose columns carry one
 of four kinds (numeric, categorical, binary, label). Randomness everywhere goes
 through `RngStream`, a splittable counter-based stream, so results depend only
-on (seed, label) and never on draw order elsewhere.
+on (seed, label) and never on draw order elsewhere. Every file written goes
+through `writing`, which makes its directory and maps `OSError` to `DataError`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -138,7 +141,7 @@ class Dataset:
         return [n for n, k in self.columns if k in kinds]
 
 
-# -- CSV writing -------------------------------------------------------------
+# -- file writing ------------------------------------------------------------
 
 
 WRITE_BLOCK = 512  # rows formatted per column slice by the dataset and event writers
@@ -155,7 +158,7 @@ def _format_block(values, kind: str) -> list:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write a Dataset as header + comma-separated rows.
+    """Write a Dataset as header + comma-separated rows, making its directory.
 
     Numeric cells use shortest round-trip float repr, so reading back is exact
     and two saves of the same table are byte-identical. Cells are formatted a
@@ -163,15 +166,29 @@ def save_dataset(dataset: Dataset, path) -> None:
     """
     kinds = [k for _, k in dataset.columns]
     columns = [dataset.column(n) for n in dataset.column_names]
+    with writing(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(dataset.column_names)
+        for start in range(0, dataset.n, WRITE_BLOCK):
+            cells = [_format_block(col[start:start + WRITE_BLOCK], kind) for col, kind in zip(columns, kinds)]
+            writer.writerows(zip(*cells))
+
+
+@contextmanager
+def writing(path, mode: str = "w"):
+    """The file at `path`, opened to write UTF-8 text with no newline translation
+    (or bytes, for mode "wb") once its directory is made. A directory that cannot
+    be made, or a file that cannot be opened or written, raises `DataError`."""
+    directory = os.path.dirname(path)
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(dataset.column_names)
-            for start in range(0, dataset.n, WRITE_BLOCK):
-                cells = [_format_block(col[start:start + WRITE_BLOCK], kind) for col, kind in zip(columns, kinds)]
-                writer.writerows(zip(*cells))
+        os.makedirs(directory or ".", exist_ok=True)
     except OSError as exc:
-        raise DataError(f"cannot write dataset to {path}: {exc}") from exc
+        raise DataError(f"cannot write under {directory}: {exc}") from exc
+    try:
+        with open(path, mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": ""})) as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def read_json(path, what: str, error):

@@ -246,6 +246,9 @@ class TestMalformedInput:
         {"intrusion": {"isolation_forest": {"min_auc": True}}},
         {"intrusion": {"isolation_forest": {"min_aucc": 0.5}}},
         {"malware": {"random_forest": {"min_accuracy": []}}},
+        {"intrusion": {"isolation_forest": {"min_auc": float("nan")}}},
+        {"intrusion": {"isolation_forest": {"min_auc": float("inf")}}},
+        {"intrusion": {"isolation_forest": {"min_auc": float("-inf")}}},
     ])
     def test_malformed_expectations_are_2(self, report_path, tmp_path, capsys, document):
         exp = tmp_path / "exp.json"

@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import json
 import os
@@ -715,6 +716,18 @@ class TestHistograms:
             for v in ds.column(name).tolist() if kind != "categorical" else ds.column(name):
                 counts[str(v)] = counts.get(str(v), 0) + 1
             assert list(h[name]["values"].items()) == sorted(counts.items()), name
+
+    def test_histogram_tables_quote_like_the_dataset(self, tmp_path):
+        odd = ["none", "p,df", 'do"cx', "zip", "html"]
+        out = tmp_path / "run"
+        overrides = ["--override", "generator.overrides=" + json.dumps({"attachment_types": odd})]
+        assert main(["run", "phishing", "--out", str(out)] + PHISHING_OVERRIDES + overrides) == 0
+        with open(out / "histograms" / "attachment_type.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["value", "count"] and all(len(row) == 2 for row in rows)
+        values = parse_report(out / "report.json").histograms["attachment_type"]["values"]
+        assert {value: int(count) for value, count in rows[1:]} == values
+        assert {"p,df", 'do"cx'} <= set(values)
 
 
 class TestLeakage:

@@ -1,11 +1,14 @@
+import ast
 import copy
 import csv
 import hashlib
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import threatbench
 from conftest import datasets_equal, edge_dataset, load_dataset
 from threatbench.errors import DataError
 from threatbench.tabular import (
@@ -14,6 +17,7 @@ from threatbench.tabular import (
     nearest_rank,
     save_dataset,
     stratified_indices,
+    writing,
 )
 
 SCHEMA = [("bytes", "numeric"), ("proto", "categorical"), ("flag", "binary"), ("y", "label")]
@@ -71,6 +75,57 @@ class TestRngStream:
             assert np.array_equal(b.normal(size=5), want)
 
 
+class TestWriting:
+    def test_missing_parent_directories_are_made(self, tmp_path):
+        path = tmp_path / "a" / "b" / "x.txt"
+        with writing(path) as fh:
+            fh.write("x\n")
+        assert path.read_bytes() == b"x\n"
+
+    def test_bytes_mode(self, tmp_path):
+        with writing(tmp_path / "m" / "x.json", "wb") as fh:
+            fh.write(b"{}\r\n")
+        assert (tmp_path / "m" / "x.json").read_bytes() == b"{}\r\n"
+
+    def test_parent_that_is_a_file_cannot_be_made(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(DataError) as err:
+            with writing(tmp_path / "file" / "x.txt"):
+                pass
+        assert str(err.value).startswith(f"cannot write under {tmp_path / 'file'}: ")
+
+    def test_target_that_is_a_directory_cannot_be_opened(self, tmp_path):
+        (tmp_path / "x.txt").mkdir()
+        with pytest.raises(DataError) as err:
+            with writing(tmp_path / "x.txt"):
+                pass
+        assert str(err.value).startswith(f"cannot write {tmp_path / 'x.txt'}: ")
+
+    def test_error_while_writing_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError) as err:
+            with writing(tmp_path / "x.txt"):
+                raise OSError(28, "No space left on device")
+        assert str(err.value) == f"cannot write {tmp_path / 'x.txt'}: [Errno 28] No space left on device"
+
+    def test_no_other_body_opens_a_file_or_makes_a_directory(self):
+        """Every file the package writes goes through `writing`, and it reads
+        files only through `read_json`; the forked workers' `os.fdopen` pipes
+        open no path."""
+        allowed = {("tabular.py", "read_json"), ("tabular.py", "writing")}
+        found = []
+        for path in sorted(Path(threatbench.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            exempt = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                      and (path.name, fn.name) in allowed for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and id(node) not in exempt and (
+                        isinstance(node.func, ast.Name) and node.func.id == "open"
+                        or isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("open", "makedirs", "mkdir", "write_text", "write_bytes")):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+
 class TestIO:
     def test_three_row_csv(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -125,8 +180,9 @@ class TestIO:
         assert d1 == d2
 
     def test_unwritable_path(self, tmp_path):
+        (tmp_path / "file").write_text("")
         with pytest.raises(DataError, match="cannot write"):
-            save_dataset(make_dataset(), tmp_path / "missing-dir" / "x.csv")
+            save_dataset(make_dataset(), tmp_path / "file" / "x.csv")
 
     def test_block_writer_matches_per_cell_reference(self, tmp_path):
         def cell(value, kind):
