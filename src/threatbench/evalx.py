@@ -1,22 +1,19 @@
-"""Evaluation metrics and model explanations.
+"""Evaluation metrics and the global model explanation.
 
 `classification_report` returns a model's metrics block of `report.json`, and
 `permutation_importance` its ranked [feature, mean ROC-AUC drop] pairs.
 Metrics follow the usual binary-classification definitions with
 zero-denominator cases defined as 0; ROC-AUC uses the rank-sum (Mann-Whitney)
-form with midranks for ties. Per-instance explanations are exact additive
-attributions (linear term contributions, tree path deltas).
+form with midranks for ties. Explanations are global only: no per-row
+attribution is computed, though tree nodes keep their training means in every
+model document (see forest.Tree).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError
-from .forest import GradientBoostingModel, RandomForestModel
-from .linear import LogisticModel
 from .tabular import RngStream
 
 
@@ -80,9 +77,6 @@ def roc_auc(scores, labels) -> float:
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-# -- attributions -----------------------------------------------------------------
-
-
 def permutation_importance(predict_fn, X, y, repeats: int = 5, rng: RngStream | None = None,
                            feature_names=None, baseline_scores=None) -> list:
     """[feature, mean ROC-AUC drop] pairs, largest drop first and ties by
@@ -119,74 +113,3 @@ def permutation_importance(predict_fn, X, y, repeats: int = 5, rng: RngStream | 
             drops[r, j] = baseline - roc_auc(np.asarray(predict_fn(Xp), dtype=np.float64), y)
             Xp[..., j] = X[..., j]
     return sorted(([names[j], float(drops[:, j].mean())] for j in range(d)), key=lambda pair: (-pair[1], pair[0]))
-
-
-@dataclass
-class AttributionReport:
-    """One row's exact additive attribution: output = baseline + sum(contributions)."""
-
-    feature_names: list
-    contributions: dict  # feature -> signed value
-    baseline: float
-    output: float
-
-
-def linear_contributions(model: LogisticModel, x, feature_names=None) -> AttributionReport:
-    """Exact additive margin decomposition: contribution_j = w_j * x_j, baseline = bias."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if len(x) != len(model.weights):
-        raise DataError(f"feature width {len(x)} does not match model width {len(model.weights)}")
-    names = list(feature_names) if feature_names is not None else [f"f{j}" for j in range(len(x))]
-    contributions = {names[j]: float(model.weights[j] * x[j]) for j in range(len(x))}
-    baseline = float(model.bias)
-    return AttributionReport(
-        feature_names=names,
-        contributions=contributions,
-        baseline=baseline,
-        output=baseline + sum(contributions.values()),
-    )
-
-
-def tree_path_attribution(model, x, feature_names=None) -> AttributionReport:
-    """Per-instance path-delta attribution for forest or boosted models.
-
-    Each split on x's path contributes the change in training-mean prediction
-    between the parent and the taken child, so contributions plus the root
-    baseline telescope exactly to the model output (averaged class-1 vote for
-    forests, margin for boosted trees).
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if isinstance(model, RandomForestModel):
-        trees = model.trees
-        scale = 1.0 / len(trees)
-        base_offset = 0.0
-    elif isinstance(model, GradientBoostingModel):
-        trees = model.trees[: model.best_iteration]
-        scale = model.config.learning_rate
-        base_offset = model.base_score
-    else:
-        raise DataError(f"unsupported model type for path attribution: {type(model).__name__}")
-    if len(x) != model.n_features:
-        raise DataError(f"feature width {len(x)} does not match model width {model.n_features}")
-    names = list(feature_names) if feature_names is not None else [f"f{j}" for j in range(len(x))]
-    for tree in trees:
-        if tree.n[0] == 0:
-            raise DataError("tree lacks node statistics; cannot attribute")
-
-    raw, baseline, output = np.zeros(len(x)), base_offset, base_offset
-    for tree in trees:
-        i, nodes = 0, [0]  # x's path; see forest.Tree for the node layout
-        while tree.feature[i] >= 0:
-            i = i + 1 if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
-            nodes.append(i)
-        deltas = np.zeros(len(x))
-        np.add.at(deltas, tree.feature[nodes[:-1]], np.diff(tree.mean[nodes]))  # child mean - parent mean
-        baseline += scale * tree.mean[0]
-        output += scale * tree.mean[nodes[-1]]
-        raw += scale * deltas
-    return AttributionReport(
-        feature_names=names,
-        contributions={names[j]: float(raw[j]) for j in range(len(x))},
-        baseline=float(baseline),
-        output=float(output),
-    )

@@ -3,13 +3,13 @@ boosting, and isolation forest.
 
 Every tree is a `Tree` of pre-order node arrays, grown depth first by
 `grow_tree` from one split rule per family. Each node keeps its training row
-count and training-mean prediction, so path attributions telescope exactly
-(see evalx.tree_path_attribution). Prediction runs over one flat node table
-per ensemble (`_FlatForest`), the trees' arrays end to end, with one walk: a
-branch-free walk, one vectorized level at a time, over a list of (tree, row)
-pairs. `predict` walks all pairs; a model's `scorer(X)`, made for permutation
-importance, re-walks only the pairs of the rows a change to X moved whose
-paths test a changed column (`_RememberedWalk`).
+count and training-mean prediction, which model documents carry; a parent's
+mean is the row-weighted mean of its children's. Prediction runs over one
+flat node table per ensemble (`_FlatForest`), the trees' arrays end to end,
+with one walk: a branch-free walk, one vectorized level at a time, over a
+list of (tree, row) pairs. `predict` walks all pairs; a model's `scorer(X)`,
+made for permutation importance, re-walks only the pairs of the rows a change
+to X moved whose paths test a changed column (`_RememberedWalk`).
 
 Splits are exact, over each column's distinct values (`_column_codes`). A
 boosting round sorts each feature's rows once (`_presort`); each child takes a

@@ -336,17 +336,14 @@ def _histograms(dataset: Dataset, bins: int = 20) -> dict:
     return out
 
 
-def _dataset_block(dataset: Dataset) -> dict:
+def _dataset_block(dataset: Dataset, histograms: dict) -> dict:
+    """The report's dataset block; label counts are the label column's histogram."""
     label = dataset.label_column()
-    counts = {}
-    if label:
-        vals, cnts = np.unique(np.asarray(dataset.column(label)), return_counts=True)
-        counts = {str(int(v)): int(c) for v, c in zip(vals, cnts)}
     return {
         "n": dataset.n,
         "columns": [[n, k] for n, k in dataset.columns],
         "label_column": label,
-        "label_counts": counts,
+        "label_counts": histograms[label]["values"] if label else {},
     }
 
 
@@ -412,9 +409,10 @@ def _fit_encoding(spec, table: Dataset, train, test, audit):
 
 def _plan(spec, labels, train, test, pp, rng, audit) -> dict:
     """The partitions `spec` builds, as positions into `labels`, of "train",
-    "test", "clean" (train labelled 0) and, carving validation, "fit" and "val"."""
+    "test", "clean" (train labelled 0) and, if a model trains on "fit", the
+    validation slice's "fit" and "val"."""
     rows = {"train": train, "clean": train[labels[train] == 0], "test": test}
-    if spec.validation:
+    if "fit" in spec.partitions:
         with audit.stage("carve_validation"):
             fit, val = stratified_indices(labels[train], pp["validation_fraction"], rng.child("val"))
             rows["fit"], rows["val"] = train[fit], train[val]
@@ -558,7 +556,6 @@ class DomainSpec(NamedTuple):
     categoricals: tuple
     scale: bool  # z-score numeric columns (tree models split on raw values)
     resample: str | None  # train-side step: "downsample" (before encoding), "smote" (on the fit rows) or None
-    validation: bool  # carve a validation slice off train: the "fit" and "val" partitions
     sessions: bool  # an event log, split and scored per (user, day) session
     models: tuple
 
@@ -570,7 +567,7 @@ class DomainSpec(NamedTuple):
 
 DOMAIN_SPECS = {
     "intrusion": DomainSpec(
-        "anomaly_label", "anomaly", ("protocol",), scale=True, resample=None, validation=False, sessions=False,
+        "anomaly_label", "anomaly", ("protocol",), scale=True, resample=None, sessions=False,
         models=(
             ModelSpec("isolation_forest", "fit_isolation_forest", _fit_iforest, ("train",), "percentile", "if",
                       lambda m, X: iforest_score(m, X)),
@@ -579,14 +576,14 @@ DOMAIN_SPECS = {
         ),
     ),
     "malware": DomainSpec(
-        "label", "malicious", ("file_type",), scale=False, resample="smote", validation=True, sessions=False,
+        "label", "malicious", ("file_type",), scale=False, resample="smote", sessions=False,
         models=(
             ModelSpec("random_forest", "fit_random_forest", _fit_forest, ("fit",), "0.5", "rf"),
             ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, ("fit", "val"), "platt", "gb"),
         ),
     ),
     "phishing": DomainSpec(
-        "label", "phishing", ("attachment_type",), scale=True, resample="downsample", validation=True, sessions=False,
+        "label", "phishing", ("attachment_type",), scale=True, resample="downsample", sessions=False,
         models=(
             ModelSpec("logistic_regression", "fit_logistic", _fit_logistic, ("train",), "0.5", "lr",
                       lambda m, X: logistic_proba(m, X)),
@@ -595,7 +592,7 @@ DOMAIN_SPECS = {
         ),
     ),
     "ueba": DomainSpec(
-        "anomaly_label", "threat_session", ("activity_type",), scale=True, resample=None, validation=False, sessions=True,
+        "anomaly_label", "threat_session", ("activity_type",), scale=True, resample=None, sessions=True,
         models=(
             ModelSpec("lstm_autoencoder", "fit_lstm_autoencoder", _fit_lstm_ae, ("clean",), "percentile", "lstm",
                       lambda m, X: score_sessions(m, X)),
@@ -793,7 +790,8 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
     with audit.stage("generate"):
         dataset = GENERATORS[domain](GeneratorConfig(**checked["generator"], seed=seed))
     paths = write_dataset(dataset, domain, os.path.join(out_dir, "data")) if out_dir else {}
-    described, histograms = _dataset_block(dataset), _histograms(dataset)
+    histograms = _histograms(dataset)
+    described = _dataset_block(dataset, histograms)
     held = [dataset]  # `prepare` pops the table and drops it once it is split
     del dataset
     prepare = _prepare_sessions if spec.sessions else _prepare_tabular

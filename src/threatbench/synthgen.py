@@ -80,6 +80,10 @@ SCHEMAS = {
     "ueba": USER_EVENT_SCHEMA,
 }
 
+# The most rows a generator may draw: a tabular `n`, or ueba's expected event
+# count at users x days x max(1, events_per_day_mean).
+MAX_ROWS = 1 << 24
+
 # Service ports clean traffic clusters on, most common first.
 SERVICE_PORTS = np.array([443, 80, 53, 22, 25, 3389, 8080, 110, 143, 21])
 SERVICE_PORT_WEIGHTS = np.array([0.30, 0.28, 0.12, 0.08, 0.06, 0.05, 0.04, 0.03, 0.02, 0.02])
@@ -191,12 +195,16 @@ class GeneratorConfig:
     def params(self, domain: str) -> dict:
         """`domain`'s distribution parameters: `GENERATOR_PARAMS[domain]` with
         the overrides laid over them, once `n` and `anomaly_rate` are checked
-        against `GENERATOR_MIN_N[domain]` and (0, 0.5). An override must name
-        a default, have its type (see `like`) and lie in its `PARAM_RANGES`
-        range, and a mix must weight each entry of its `MIXES` category list."""
+        against [`GENERATOR_MIN_N[domain]`, MAX_ROWS] and (0, 0.5). An override
+        must name a default, have its type (see `like`) and lie in its
+        `PARAM_RANGES` range, and a mix must weight each entry of its `MIXES`
+        category list. ueba's users x days x max(1, events_per_day_mean) must
+        not exceed MAX_ROWS either."""
         min_n = GENERATOR_MIN_N[domain]
         if min_n is not None and self.n < min_n:
             raise ConfigError(f"generator.n must be >= {min_n}, got {self.n}")
+        if min_n is not None and self.n > MAX_ROWS:
+            raise ConfigError(f"generator.n must be <= {MAX_ROWS}, got {self.n}")
         if not 0.0 < self.anomaly_rate < 0.5:
             raise ConfigError(f"generator.anomaly_rate must be in (0, 0.5), got {self.anomaly_rate}")
         merged = dict(GENERATOR_PARAMS[domain])
@@ -215,6 +223,11 @@ class GeneratorConfig:
             test, text = PARAM_RANGES.get(key, (None, None))
             if test and not test(value):
                 raise ConfigError(f"generator.overrides.{key} must be {text}, got {value!r}")
+        if "users" in merged:
+            user_days, mean = merged["users"] * merged["days"], merged["events_per_day_mean"]
+            if user_days > MAX_ROWS or user_days * max(1.0, mean) > MAX_ROWS:  # an int too big for a float fails first
+                raise ConfigError(f"generator.overrides users x days x max(1, events_per_day_mean) must be "
+                                  f"<= {MAX_ROWS}, got {merged['users']} x {merged['days']} x max(1, {mean!r})")
         return merged
 
 
@@ -444,8 +457,8 @@ def generate_email_corpus(config: GeneratorConfig) -> Dataset:
 
 def _event_capacity(users: int, days: int, events_per_day_mean: float) -> int:
     """The expected event count of users x days blocks of max(1, Poisson(mean))
-    events, capped at 2**24: the size the event columns start at."""
-    return min(int(users * days * (events_per_day_mean + math.exp(-events_per_day_mean))), 1 << 24)
+    events, capped at MAX_ROWS: the size the event columns start at."""
+    return min(int(users * days * (events_per_day_mean + math.exp(-events_per_day_mean))), MAX_ROWS)
 
 
 def generate_user_activity(config: GeneratorConfig) -> Dataset:

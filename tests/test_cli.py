@@ -148,6 +148,9 @@ class TestExitCodes:
              "generator.overrides.legit_attachment_mix must hold one weight per entry"),
             ("intrusion", "generator.anomaly_rate=0.9", "generator.anomaly_rate must be in (0, 0.5), got 0.9"),
             ("intrusion", "generator.n=50", "generator.n must be >= 100, got 50"),
+            ("malware", "generator.n=100000000000", "generator.n must be <= 16777216, got 100000000000"),
+            ("ueba", 'generator.overrides={"users": 100000, "days": 1000}',
+             "generator.overrides users x days x max(1, events_per_day_mean) must be <= 16777216"),
             ("malware", "models.forest.max_depth=0", "models.forest.max_depth must be >= 1"),
             ("malware", "models.forest.min_samples_split=1", "models.forest.min_samples_split must be >= 2"),
             ("malware", "models.boosting.early_stopping_rounds=0", "models.boosting.early_stopping_rounds must be >= 1"),

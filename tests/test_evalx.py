@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from threatbench.errors import DataError
-from threatbench.evalx import (
-    classification_report,
-    linear_contributions,
-    permutation_importance,
-    roc_auc,
-    tree_path_attribution,
-)
-from threatbench.forest import BoostConfig, ForestConfig, fit_gradient_boosting, fit_random_forest
-from threatbench.linear import LogisticModel
+from threatbench.evalx import classification_report, permutation_importance, roc_auc
 from threatbench.tabular import RngStream
 
 
@@ -244,77 +236,3 @@ class TestPermutationImportance:
         y = np.array([0, 1] * 5)
         with pytest.raises(DataError, match="repeats"):
             permutation_importance(lambda A: A[:, 0], X, y, 0, RngStream(0, "p"))
-
-
-class TestLinearContributions:
-    def test_worked_example(self):
-        model = LogisticModel(weights=np.array([2.0, -1.0]), bias=0.5)
-        rep = linear_contributions(model, np.array([1.0, 3.0]))
-        assert rep.contributions == {"f0": 2.0, "f1": -3.0}
-        assert rep.baseline == 0.5
-        assert rep.output == -0.5
-
-    def test_zero_vector(self):
-        model = LogisticModel(weights=np.array([2.0, -1.0]), bias=0.3)
-        rep = linear_contributions(model, np.zeros(2))
-        assert all(v == 0.0 for v in rep.contributions.values())
-
-    def test_additivity_sweep(self, np_rng):
-        model = LogisticModel(weights=np_rng.normal(size=5), bias=float(np_rng.normal()))
-        for _ in range(100):
-            x = np_rng.normal(size=5)
-            rep = linear_contributions(model, x)
-            margin = float(x @ model.weights + model.bias)
-            assert abs(rep.baseline + sum(rep.contributions.values()) - margin) <= 1e-12
-
-    def test_width_mismatch(self):
-        model = LogisticModel(weights=np.zeros(2), bias=0.0)
-        with pytest.raises(DataError, match="width"):
-            linear_contributions(model, np.zeros(3))
-
-
-class TestTreePathAttribution:
-    def fitted_forest(self, np_rng, n=120, d=4):
-        X = np_rng.normal(size=(n, d))
-        y = ((X[:, 0] + 0.5 * X[:, 1]) > 0).astype(int)
-        model = fit_random_forest(X, y, ForestConfig(n_trees=12), RngStream(1, "rf"))
-        return model, X
-
-    def test_single_depth_one_tree(self, np_rng):
-        X = np.array([[0.0], [0.0], [1.0], [1.0]])
-        y = np.array([0, 0, 1, 1])
-        model = fit_random_forest(X, y, ForestConfig(n_trees=1, max_depth=1), RngStream(3, "rf"))
-        tree = model.trees[0]
-        assert tree.feature.tolist() == [0, -1, -1]
-        rep = tree_path_attribution(model, np.array([5.0]))
-        leaf = tree.right[0]  # 5.0 goes right
-        assert abs(rep.contributions["f0"] - (tree.mean[leaf] - tree.mean[0])) <= 1e-12
-        assert abs(rep.baseline - tree.mean[0]) <= 1e-12
-
-    def test_forest_additivity(self, np_rng):
-        model, X = self.fitted_forest(np_rng)
-        for i in range(0, 100):
-            rep = tree_path_attribution(model, X[i])
-            total = rep.baseline + sum(rep.contributions.values())
-            assert abs(total - model.predict_proba(X[i : i + 1])[0, 1]) <= 1e-9
-
-    def test_boosting_additivity(self, np_rng):
-        X = np_rng.normal(size=(150, 3))
-        y = ((X[:, 0] - X[:, 2]) > 0).astype(int)
-        model = fit_gradient_boosting(
-            X, y, BoostConfig(n_rounds=20, subsample=1.0), validation=(X, y), rng=RngStream(2, "gb")
-        )
-        for i in range(0, 100):
-            rep = tree_path_attribution(model, X[i])
-            total = rep.baseline + sum(rep.contributions.values())
-            assert abs(total - model.predict_margin(X[i : i + 1])[0]) <= 1e-9
-
-    def test_attribution_determined_by_structure(self, np_rng):
-        model, X = self.fitted_forest(np_rng)
-        a = tree_path_attribution(model, X[0]).contributions
-        b = tree_path_attribution(model, X[0]).contributions
-        assert a == b
-
-    def test_unsupported_model_rejected(self):
-        with pytest.raises(DataError, match="unsupported"):
-            tree_path_attribution(LogisticModel(weights=np.zeros(2), bias=0.0), np.zeros(2))

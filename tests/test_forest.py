@@ -628,6 +628,34 @@ class TestGradientBoosting:
             fit_gradient_boosting(X, np.ones(10), BoostConfig(), validation=(X, np.ones(10)), rng=RngStream(0, "gb"))
 
 
+class TestNodeMeans:
+    """A leaf's mean is its value, and an internal node's is the row-weighted
+    mean of its two children's, as model documents carry them."""
+
+    def assert_means_add_up(self, trees):
+        internal = 0
+        for tree in trees:
+            leaves = tree.feature < 0
+            assert np.array_equal(tree.mean[leaves], tree.value[leaves])
+            for i in np.flatnonzero(~leaves):
+                (nl, ml), (nr, mr) = ((tree.n[c], tree.mean[c]) for c in (i + 1, tree.right[i]))
+                assert abs(tree.mean[i] - (nl * ml + nr * mr) / (nl + nr)) <= 1e-12
+                internal += 1
+        assert internal > len(trees)
+
+    def test_forest(self, np_rng):
+        X = np_rng.normal(size=(120, 4))
+        y = ((X[:, 0] + 0.5 * X[:, 1]) > 0).astype(int)
+        self.assert_means_add_up(fit_random_forest(X, y, ForestConfig(n_trees=12), RngStream(1, "rf")).trees)
+
+    def test_boosting(self, np_rng):
+        X = np_rng.normal(size=(150, 3))
+        y = ((X[:, 0] - X[:, 2]) > 0).astype(int)
+        model = fit_gradient_boosting(X, y, BoostConfig(n_rounds=20, subsample=1.0), validation=(X, y),
+                                      rng=RngStream(2, "gb"))
+        self.assert_means_add_up(model.trees)
+
+
 class TestIsolationForest:
     def test_exact_harmonic_normalizer(self):
         assert average_path_length(2) == 1.0

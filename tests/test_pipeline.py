@@ -504,7 +504,7 @@ def two_copy_tabular(spec, table, pp, rng):
     parts = {name: (matrix(part, features), np.asarray(part.column(spec.label)), positions(part))
              for name, part in (("train", train), ("test", test))}
     parts["clean"] = tuple(a[parts["train"][1] == 0] for a in parts["train"])
-    if spec.validation:
+    if "fit" in spec.partitions:
         fit_idx, val_idx = stratified_indices(train.column(spec.label), pp["validation_fraction"], rng.child("val"))
         parts["fit"], parts["val"] = (tuple(a[idx] for a in parts["train"]) for idx in (fit_idx, val_idx))
     if spec.resample == "smote":

@@ -125,6 +125,21 @@ class TestWriting:
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
 
+    def test_every_imported_name_is_read(self):
+        """No module of the package imports a name it never reads, so a
+        deletion cannot leave its imports behind."""
+        unused = []
+        for path in sorted(Path(threatbench.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        if name not in read:
+                            unused.append(f"{path.name}:{node.lineno} {name}")
+        assert unused == []
+
 
 class TestIO:
     def test_three_row_csv(self, tmp_path):
