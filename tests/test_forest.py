@@ -655,6 +655,23 @@ class TestNodeMeans:
                                       rng=RngStream(2, "gb"))
         self.assert_means_add_up(model.trees)
 
+    def test_depth_one_forest_worked_example(self):
+        # the bootstrap draws two rows of each class: pure leaves, root mean 2/4
+        X = np.array([[0.0], [0.0], [1.0], [1.0]])
+        y = np.array([0, 0, 1, 1])
+        tree = fit_random_forest(X, y, ForestConfig(n_trees=1, max_depth=1), RngStream(3, "rf")).trees[0]
+        assert tree.feature.tolist() == [0, -1, -1] and tree.n.tolist() == [4, 2, 2]
+        assert tree.mean.tolist() == [0.5, 0.0, 1.0]
+
+    def test_depth_one_boosting_worked_example(self):
+        # leaf weights -+1/1.5 (see test_leaf_weights_closed_form) on two rows each
+        X = np.array([[0.0], [0.0], [1.0], [1.0]])
+        y = np.array([0, 0, 1, 1])
+        cfg = BoostConfig(n_rounds=1, max_depth=1, lam=1.0, subsample=1.0)
+        tree = fit_gradient_boosting(X, y, cfg, validation=(X, y), rng=RngStream(0, "gb")).trees[0]
+        assert tree.n.tolist() == [4, 2, 2]
+        assert np.allclose(tree.mean, [0.0, -1.0 / 1.5, 1.0 / 1.5], rtol=0, atol=1e-12)
+
 
 class TestIsolationForest:
     def test_exact_harmonic_normalizer(self):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -10,6 +11,7 @@ from threatbench.errors import ConfigError
 from threatbench.linear import fit_logistic, predict_proba
 from threatbench.synthgen import (
     EMAIL_SCHEMA,
+    MAX_ROWS,
     USER_EVENT_SCHEMA,
     GeneratorConfig,
     _event_capacity,
@@ -437,6 +439,38 @@ class TestUserActivity:
         assert {acts[i] for i, t in tags.items() if t == "failed_spike"} == {"login"}
         assert {acts[i] for i, t in tags.items() if t == "sensitive_file"} == {"file_access"}
         assert set(acts) == {"ab", "cd", "login", "file_access"}
+
+
+class TestRunSizeBound:
+    """`GeneratorConfig.params` refuses, before anything is drawn, a run larger
+    than MAX_ROWS rows or expected events."""
+
+    @pytest.mark.parametrize("domain, config", [
+        ("malware", GeneratorConfig(n=100_000)),
+        ("intrusion", GeneratorConfig(n=80_000)),
+        ("ueba", GeneratorConfig(overrides={"users": 1000})),
+    ], ids=["malware", "intrusion", "ueba"])
+    def test_ten_times_the_default_size_validates(self, domain, config):
+        assert config.params(domain)
+
+    @pytest.mark.parametrize("domain", ["intrusion", "malware", "phishing"])
+    def test_tabular_n_bound_is_inclusive(self, domain):
+        assert GeneratorConfig(n=MAX_ROWS).params(domain)
+        with pytest.raises(ConfigError, match=f"generator.n must be <= {MAX_ROWS}, got {MAX_ROWS + 1}$"):
+            GeneratorConfig(n=MAX_ROWS + 1).params(domain)
+
+    def test_ueba_bound_is_inclusive_and_counts_a_low_mean_as_one(self):
+        side = 1 << 12  # side x side user-days is MAX_ROWS
+        for mean in (1.0, 0.25, 0.0):
+            assert GeneratorConfig(n=MAX_ROWS + 1, overrides={"users": side, "days": side,
+                                                              "events_per_day_mean": mean}).params("ueba")
+        for over in ({"days": side + 1, "events_per_day_mean": 0.25}, {"days": side, "events_per_day_mean": 1.5}):
+            with pytest.raises(ConfigError, match="users x days x max\\(1, events_per_day_mean\\) must be <="):
+                GeneratorConfig(overrides={"users": side, **over}).params("ueba")
+
+    def test_event_capacity_is_capped_at_max_rows(self):
+        assert _event_capacity(10, 6, 4.0) == int(60 * (4.0 + math.exp(-4.0)))
+        assert _event_capacity(1 << 12, 1 << 12, 1.0) == MAX_ROWS
 
 
 def test_schema_matches_column_order():
