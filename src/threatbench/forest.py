@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .linear import sigmoid
-from .tabular import RngStream, check_finite
+from .tabular import RngStream, check_finite, round_half_up
 
 
 class Tree(NamedTuple):
@@ -560,7 +560,7 @@ def fit_gradient_boosting(X, y, config: BoostConfig | None = None, validation=No
     val_margins = np.full(X_val.shape[0], base)
 
     trees, val_losses, best_loss, best_round = [], [], math.inf, 0
-    n_sub = max(1, int(math.floor(n * config.subsample + 0.5)))
+    n_sub = max(1, round_half_up(n * config.subsample))
     Xc, codes = _column_codes(X)
     ids, side = np.min_scalar_type(n - 1), np.zeros(n, dtype=bool)
     for t in range(config.n_rounds):

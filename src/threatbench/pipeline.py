@@ -1,8 +1,8 @@
 """The domain spec table and its runner, run reports, and report emission.
 
-A domain is one DOMAIN_SPECS entry: its label and categorical columns, its
-preprocessing, and per model the fit, the scorer, the training rows and the
-threshold policy. `run_domain` executes any entry.
+A domain is one DOMAIN_SPECS entry: its default size, threat name, preprocessing
+and per model the fit, scorer, training rows and threshold policy. Its label and
+categorical columns are the generated table's. `run_domain` executes any entry.
 
 Data preparation has one path for both shapes of data. A row is its position
 in the generated table: the table is split by position, the encoder and scaler
@@ -79,15 +79,7 @@ from .preprocess import (
 from .synthgen import GENERATORS, GeneratorConfig, save_events_jsonl
 from .tabular import Dataset, RngStream, check_finite, read_json, save_dataset, stratified_indices, writing
 
-DOMAINS = ("intrusion", "malware", "phishing", "ueba")
 REPORT_SCHEMA_VERSION = 1
-
-_GENERATOR_DEFAULTS = {
-    "intrusion": {"n": 8000, "anomaly_rate": 0.05, "overrides": {}},
-    "malware": {"n": 10000, "anomaly_rate": 0.10, "overrides": {}},
-    "phishing": {"n": 10000, "anomaly_rate": 0.20, "overrides": {}},
-    "ueba": {"n": 0, "anomaly_rate": 0.02, "overrides": {}},
-}
 
 _PREPROCESS_DEFAULTS = {
     "test_fraction": 0.3,
@@ -119,6 +111,9 @@ _MODEL_DEFAULTS = {
 # The one key a config section may hold that its defaults leave out.
 _OPTIONAL = "models.dense_ae.layers"
 
+# The widest a layer may be (lstm_ae.hidden, dense_ae.layers); a wider one outgrows a desk machine.
+MAX_WIDTH = 1024
+
 # The legal range of a config value, as (predicate, text), by dotted key. A
 # predicate sees only a value of its default's type. Below 1 a count or size
 # fits no model, or fails after earlier stages have run; a zero-epoch fit
@@ -142,6 +137,7 @@ _RANGES = {
         "models.boosting.lam", "models.boosting.gamma", "models.logistic.l2", "models.dense_ae.l1",
     ), (lambda v: 0 <= v < np.inf, "a finite number >= 0")),
     "models.boosting.subsample": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "models.lstm_ae.hidden": (lambda v: v <= MAX_WIDTH, f"<= {MAX_WIDTH}"),
     "preprocess.test_fraction": _FRACTION,
     "preprocess.validation_fraction": _FRACTION,
     "threshold_percentile": (lambda v: 0 < v < 100, "a number in (0, 100)"),
@@ -162,16 +158,21 @@ class PipelineConfig:
     def validate(self) -> dict:
         """The whole config, checked and typed: each field laid over its
         `default_config` value (see `_checked`). Raises ConfigError on the first
-        value out of type or range."""
+        value out of type or range, a session tensor of over `synthgen.MAX_ROWS`
+        (users x days x time_steps) cells, or a layer wider than `MAX_WIDTH`."""
         defaults = default_config(self.domain).to_dict()
         checked = {name: _checked(name, value, defaults[name]) for name, value in self.to_dict().items()}
-        GeneratorConfig(**checked["generator"]).params(self.domain)
+        params = GeneratorConfig(**checked["generator"]).params(self.domain)
+        time_steps = checked["preprocess"]["time_steps"]
+        if DOMAIN_SPECS[self.domain].sessions and params["users"] * params["days"] * time_steps > synthgen.MAX_ROWS:
+            raise ConfigError(f"generator.overrides users x days x preprocess.time_steps must be <= {synthgen.MAX_ROWS}, "
+                              f"got {params['users']} x {params['days']} x {time_steps}")
         layers = checked["models"]["dense_ae"].get("layers")
         if layers is not None and not (
             isinstance(layers, list) and len(layers) >= 3 and layers == layers[::-1]
-            and all(synthgen.like(s, 1) and s >= 1 for s in layers)
+            and all(synthgen.like(s, 1) and 1 <= s <= MAX_WIDTH for s in layers)
         ):
-            raise ConfigError(f"models.dense_ae.layers must be a symmetric list of at least 3 positive ints, got {layers!r}")
+            raise ConfigError(f"models.dense_ae.layers must be a symmetric list of at least 3 ints in [1, {MAX_WIDTH}], got {layers!r}")
         lstm = checked["models"]["lstm_ae"]
         if not lstm["latent"] < lstm["hidden"]:
             raise ConfigError("models.lstm_ae.latent must be below models.lstm_ae.hidden, "
@@ -197,7 +198,7 @@ def default_config(domain: str, seed: int = 42) -> PipelineConfig:
     return PipelineConfig(
         domain=domain,
         seed=seed,
-        generator=copy.deepcopy(_GENERATOR_DEFAULTS[domain]),
+        generator={"n": DOMAIN_SPECS[domain].n, "anomaly_rate": DOMAIN_SPECS[domain].anomaly_rate, "overrides": {}},
         preprocess=copy.deepcopy(_PREPROCESS_DEFAULTS),
         models=copy.deepcopy(_MODEL_DEFAULTS),
         threshold_percentile=95.0,
@@ -394,7 +395,7 @@ def _fit_encoding(spec, table: Dataset, train, test, audit):
     table rows `train` (in their order). A test category that train lacks is
     an error of the fit_one_hot stage, named by its position in `test`."""
     with audit.stage("fit_one_hot"):
-        encoder = fit_one_hot(table, list(spec.categoricals), rows=train)
+        encoder = fit_one_hot(table, table.names_of_kind("categorical"), rows=train)
         audit.consume(train)
         for name in encoder.categories:
             one_hot_codes(encoder, name, table.column(name), test)
@@ -430,7 +431,7 @@ def _prepare_tabular(spec, held, pp, rng, audit):
     is consumed by the fill."""
     table = held.pop()
     with audit.stage("split"):
-        labels = np.asarray(table.column(spec.label))
+        labels = np.asarray(table.column(table.label_column()))
         train, test = stratified_indices(labels, pp["test_fraction"], rng.child("split"))
         audit.mark_test(test)
     if spec.resample == "downsample":
@@ -472,7 +473,7 @@ def _prepare_sessions(spec, held, pp, rng, audit):
     """
     events = held.pop()
     with audit.stage("session_split"):
-        sessions = group_sessions(events, label_column=spec.label)
+        sessions = group_sessions(events, label_column=events.label_column())
         labels = sessions.labels
         train, test = stratified_indices(labels, pp["test_fraction"], rng.child("split"))
         planned = _plan(spec, labels, train, test, pp, rng, audit)
@@ -549,11 +550,13 @@ class ModelSpec(NamedTuple):
 
 
 class DomainSpec(NamedTuple):
-    """How one domain's data is prepared, and the models it runs."""
+    """What a domain's generated table cannot say: its default generator size
+    (`n`, which ueba ignores, and `anomaly_rate`), how its data is prepared,
+    and the models it runs."""
 
-    label: str
+    n: int
+    anomaly_rate: float
     threat: str  # report name of the positive class
-    categoricals: tuple
     scale: bool  # z-score numeric columns (tree models split on raw values)
     resample: str | None  # train-side step: "downsample" (before encoding), "smote" (on the fit rows) or None
     sessions: bool  # an event log, split and scored per (user, day) session
@@ -567,7 +570,7 @@ class DomainSpec(NamedTuple):
 
 DOMAIN_SPECS = {
     "intrusion": DomainSpec(
-        "anomaly_label", "anomaly", ("protocol",), scale=True, resample=None, sessions=False,
+        8000, 0.05, "anomaly", scale=True, resample=None, sessions=False,
         models=(
             ModelSpec("isolation_forest", "fit_isolation_forest", _fit_iforest, ("train",), "percentile", "if",
                       lambda m, X: iforest_score(m, X)),
@@ -576,14 +579,14 @@ DOMAIN_SPECS = {
         ),
     ),
     "malware": DomainSpec(
-        "label", "malicious", ("file_type",), scale=False, resample="smote", sessions=False,
+        10000, 0.10, "malicious", scale=False, resample="smote", sessions=False,
         models=(
             ModelSpec("random_forest", "fit_random_forest", _fit_forest, ("fit",), "0.5", "rf"),
             ModelSpec("gradient_boosting", "fit_gradient_boosting", _fit_boosting, ("fit", "val"), "platt", "gb"),
         ),
     ),
     "phishing": DomainSpec(
-        "label", "phishing", ("attachment_type",), scale=True, resample="downsample", sessions=False,
+        10000, 0.20, "phishing", scale=True, resample="downsample", sessions=False,
         models=(
             ModelSpec("logistic_regression", "fit_logistic", _fit_logistic, ("train",), "0.5", "lr",
                       lambda m, X: logistic_proba(m, X)),
@@ -592,13 +595,14 @@ DOMAIN_SPECS = {
         ),
     ),
     "ueba": DomainSpec(
-        "anomaly_label", "threat_session", ("activity_type",), scale=True, resample=None, sessions=True,
+        0, 0.02, "threat_session", scale=True, resample=None, sessions=True,
         models=(
             ModelSpec("lstm_autoencoder", "fit_lstm_autoencoder", _fit_lstm_ae, ("clean",), "percentile", "lstm",
                       lambda m, X: score_sessions(m, X)),
         ),
     ),
 }
+DOMAINS = tuple(DOMAIN_SPECS)
 
 
 # -- per-model chains, and the workers that run them ------------------------------------

@@ -11,14 +11,13 @@ of a table is ever made.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
 from .errors import DataError
-from .tabular import Dataset, RngStream
+from .tabular import Dataset, RngStream, round_half_up
 
 # The columns that group an event log's events into sessions; they are no feature.
 SESSION_KEYS = ("user_id", "day")
@@ -177,7 +176,7 @@ def downsample_majority(labels, target_majority_ratio: float, rng: RngStream) ->
     majority_cls = classes[np.argmax(counts)]
     n_min = int(counts.min())
     n_maj = int(counts.max())
-    target = int(math.floor(n_min * target_majority_ratio + 0.5))
+    target = round_half_up(n_min * target_majority_ratio)
     if target_majority_ratio <= 0 or target < 1:
         raise DataError(f"target majority ratio {target_majority_ratio} leaves no majority rows")
     if target > n_maj:

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import ConfigError
-from .tabular import WRITE_BLOCK, Dataset, RngStream, writing
+from .tabular import WRITE_BLOCK, Dataset, RngStream, round_half_up, writing
 
 NETWORK_SCHEMA = [
     ("src_port", "numeric"),
@@ -72,13 +72,6 @@ USER_EVENT_SCHEMA = [
     ("is_admin_action", "binary"),
     ("anomaly_label", "label"),
 ]
-
-SCHEMAS = {
-    "intrusion": NETWORK_SCHEMA,
-    "malware": MALWARE_SCHEMA,
-    "phishing": EMAIL_SCHEMA,
-    "ueba": USER_EVENT_SCHEMA,
-}
 
 # The most rows a generator may draw: a tabular `n`, or ueba's expected event
 # count at users x days x max(1, events_per_day_mean).
@@ -247,26 +240,20 @@ def like(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-def _exact_positive_count(n: int, rate: float) -> int:
-    return int(np.floor(n * rate + 0.5))
-
-
-def _interleave(rng: RngStream, blocks: list[dict], columns, patterns: list[str | None]):
-    """Concatenate row blocks and shuffle them into one Dataset.
-
-    `patterns` holds one injection tag per row (None for clean rows); the tags
-    survive the shuffle in meta["injection_pattern"] for diagnostics only.
-    """
-    names = [n for n, _ in columns]
-    merged = {n: np.concatenate([np.asarray(b[n]) for b in blocks]) for n in names}
-    total = len(merged[names[0]])
-    order = rng.permutation(total)
-    data = {}
-    for name, kind in columns:
-        col = merged[name][order]
-        data[name] = [str(v) for v in col] if kind == "categorical" else col
-    tags = [patterns[i] for i in order]
-    meta = {"injection_pattern": {i: t for i, t in enumerate(tags) if t is not None}}
+def _interleave(rng: RngStream, blocks, columns):
+    """Shuffle (tag, block) pairs into one Dataset. A block maps every column
+    but the label to its rows, all injected by the pattern `tag`, or clean if
+    it is None: a row's label is 1 exactly when its tag is not None. The tags
+    survive the shuffle in meta["injection_pattern"], for diagnostics."""
+    label = next(name for name, kind in columns if kind == "label")
+    names = [name for name, _ in columns if name != label]
+    sizes = [len(block[names[0]]) for _, block in blocks]
+    order = rng.permutation(sum(sizes))
+    data = {name: np.concatenate([np.asarray(block[name]) for _, block in blocks])[order] for name in names}
+    source = np.repeat(np.arange(len(blocks)), sizes)[order]
+    data[label] = np.array([tag is not None for tag, _ in blocks])[source]
+    injected = np.flatnonzero(data[label])
+    meta = {"injection_pattern": dict(zip(injected.tolist(), [blocks[b][0] for b in source[injected].tolist()]))}
     return Dataset(columns, data, meta=meta)
 
 
@@ -285,7 +272,7 @@ def generate_network_flows(config: GeneratorConfig) -> Dataset:
     """
     p = config.params("intrusion")
     rng = RngStream(config.seed, "network")
-    n_anom = _exact_positive_count(config.n, config.anomaly_rate)
+    n_anom = round_half_up(config.n * config.anomaly_rate)
     n_clean = config.n - n_anom
 
     r = rng.child("clean")
@@ -302,7 +289,6 @@ def generate_network_flows(config: GeneratorConfig) -> Dataset:
         "duration": r.lognormal(p["duration_log_mean"], p["duration_log_sigma"], size=n_clean),
         "packet_count": np.maximum(1, np.round(r.normal(p["packet_mean"], p["packet_std"], size=n_clean))),
         "is_internal": (r.random(n_clean) < p["internal_rate"]).astype(int),
-        "anomaly_label": np.zeros(n_clean, dtype=int),
     }
 
     counts = [n_anom // 3 + (1 if i < n_anom % 3 else 0) for i in range(3)]
@@ -317,7 +303,6 @@ def generate_network_flows(config: GeneratorConfig) -> Dataset:
         "duration": ra.uniform(0.0, 0.05, size=n_scan),
         "packet_count": ra.integers(1, 4, size=n_scan).astype(float),
         "is_internal": np.ones(n_scan, dtype=int),
-        "anomaly_label": np.ones(n_scan, dtype=int),
     }
     # Inbound SYN probes: a single packet, never completed, external origin.
     half = {
@@ -328,7 +313,6 @@ def generate_network_flows(config: GeneratorConfig) -> Dataset:
         "duration": ra.uniform(0.0, 0.005, size=n_half),
         "packet_count": np.ones(n_half),
         "is_internal": np.zeros(n_half, dtype=int),
-        "anomaly_label": np.ones(n_half, dtype=int),
     }
     burst = {
         "src_port": ra.integers(1024, 65536, size=n_burst).astype(float),
@@ -338,10 +322,9 @@ def generate_network_flows(config: GeneratorConfig) -> Dataset:
         "duration": ra.lognormal(2.0, 0.5, size=n_burst),
         "packet_count": np.maximum(1, np.round(ra.normal(400.0, 80.0, size=n_burst))),
         "is_internal": (ra.random(n_burst) < 0.5).astype(int),
-        "anomaly_label": np.ones(n_burst, dtype=int),
     }
-    patterns = [None] * n_clean + ["port_scan"] * n_scan + ["half_open"] * n_half + ["burst"] * n_burst
-    return _interleave(rng.child("shuffle"), [clean, scan, half, burst], NETWORK_SCHEMA, patterns)
+    blocks = [(None, clean), ("port_scan", scan), ("half_open", half), ("burst", burst)]
+    return _interleave(rng.child("shuffle"), blocks, NETWORK_SCHEMA)
 
 
 # -- malware file metadata ------------------------------------------------------
@@ -351,7 +334,7 @@ def generate_malware_corpus(config: GeneratorConfig) -> Dataset:
     """File metadata table: benign majority, packed/high-entropy malicious minority."""
     p = config.params("malware")
     rng = RngStream(config.seed, "malware")
-    n_mal = _exact_positive_count(config.n, config.anomaly_rate)
+    n_mal = round_half_up(config.n * config.anomaly_rate)
     n_ben = config.n - n_mal
 
     rb = rng.child("benign")
@@ -367,7 +350,6 @@ def generate_malware_corpus(config: GeneratorConfig) -> Dataset:
         "is_packed": (rb.random(n_ben) < p["benign_packed_rate"]).astype(int),
         "packer_entropy_ratio": rb.lognormal(-1.5, 0.5, size=n_ben),
         "file_type": rb.choice(p["file_types"], size=n_ben, p=_probabilities(p["benign_file_type_mix"])),
-        "label": np.zeros(n_ben, dtype=int),
     }
 
     rm = rng.child("malicious")
@@ -386,10 +368,8 @@ def generate_malware_corpus(config: GeneratorConfig) -> Dataset:
         "is_packed": (rm.random(n_mal) < p["malicious_packed_rate"]).astype(int),
         "packer_entropy_ratio": rm.lognormal(0.0, 0.5, size=n_mal),
         "file_type": rm.choice(p["file_types"], size=n_mal, p=_probabilities(p["malicious_file_type_mix"])),
-        "label": np.ones(n_mal, dtype=int),
     }
-    patterns = [None] * n_ben + ["malicious"] * n_mal
-    return _interleave(rng.child("shuffle"), [benign, malicious], MALWARE_SCHEMA, patterns)
+    return _interleave(rng.child("shuffle"), [(None, benign), ("malicious", malicious)], MALWARE_SCHEMA)
 
 
 # -- phishing emails -------------------------------------------------------------
@@ -411,7 +391,6 @@ def _email_block(r: RngStream, n: int, p: dict, phishing: bool) -> dict:
         "has_login_form": (r.random(n) < p[f"{side}_login_form_rate"]).astype(int),
         "hour_sent": r.integers(0, 24, size=n).astype(float),
         "attachment_type": r.choice(p["attachment_types"], size=n, p=_probabilities(p[f"{side}_attachment_mix"])),
-        "label": np.full(n, 1 if phishing else 0, dtype=int),
     }
 
 
@@ -426,15 +405,15 @@ def generate_email_corpus(config: GeneratorConfig) -> Dataset:
     """
     p = config.params("phishing")
     rng = RngStream(config.seed, "email")
-    n_phish = _exact_positive_count(config.n, config.anomaly_rate)
+    n_phish = round_half_up(config.n * config.anomaly_rate)
     n_legit = config.n - n_phish
 
     legit = _email_block(rng.child("legit"), n_legit, p, phishing=False)
     phish = _email_block(rng.child("phish"), n_phish, p, phishing=True)
 
     rx = rng.child("cross")
-    n_cross_legit = _exact_positive_count(n_legit, p["noise_fraction"])
-    n_cross_phish = _exact_positive_count(n_phish, p["noise_fraction"])
+    n_cross_legit = round_half_up(n_legit * p["noise_fraction"])
+    n_cross_phish = round_half_up(n_phish * p["noise_fraction"])
     cross_legit = rx.choice(n_legit, size=n_cross_legit, replace=False)
     for i in cross_legit:
         legit["has_spf_fail"][i] = 1
@@ -448,8 +427,7 @@ def generate_email_corpus(config: GeneratorConfig) -> Dataset:
         phish["num_links"][i] = float(rx.poisson(p["legit_links_mean"]))
         phish["has_login_form"][i] = 0
 
-    patterns = [None] * n_legit + ["phishing"] * n_phish
-    return _interleave(rng.child("shuffle"), [legit, phish], EMAIL_SCHEMA, patterns)
+    return _interleave(rng.child("shuffle"), [(None, legit), ("phishing", phish)], EMAIL_SCHEMA)
 
 
 # -- user activity ----------------------------------------------------------------
@@ -524,7 +502,7 @@ def generate_user_activity(config: GeneratorConfig) -> Dataset:
     hour, act, failed, cmds, sens, admin = (c[:n] for c in (hour, act, failed, cmds, sens, admin))
     starts = np.cumsum(sizes) - sizes
 
-    target = _exact_positive_count(n, config.anomaly_rate)
+    target = round_half_up(n * config.anomaly_rate)
     ri = rng.child("inject")
     order = ri.permutation(len(sizes))
     tag = np.zeros(n, dtype=np.int8)  # 1 + pattern index on injected events
@@ -538,7 +516,7 @@ def generate_user_activity(config: GeneratorConfig) -> Dataset:
             if done >= target:
                 return
             m = sizes[b]
-            k = min(max(3, int(np.floor(p["anomalous_share_of_session"] * m + 0.5))), m, target - done)
+            k = min(max(3, round_half_up(p["anomalous_share_of_session"] * m)), m, target - done)
             yield from starts[b] + ri.choice(m, size=k, replace=False)
             done += k
         rows = np.concatenate([np.arange(starts[b], starts[b] + sizes[b]) for b in order])

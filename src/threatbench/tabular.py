@@ -55,7 +55,8 @@ class RngStream:
         return getattr(self.gen, name)
 
 
-def _round_half_up(x: float) -> int:
+def round_half_up(x: float) -> int:
+    """x rounded half up: how every count taken as a share of another is rounded."""
     return int(math.floor(x + 0.5))
 
 
@@ -233,7 +234,7 @@ def stratified_indices(labels, test_fraction: float, rng: RngStream):
         members = np.flatnonzero(labels == cls)
         if len(members) < 2:
             raise DataError(f"class {cls!r} has {len(members)} members; need at least 2")
-        take = _round_half_up(len(members) * test_fraction)
+        take = round_half_up(len(members) * test_fraction)
         shuffled = members[rng.permutation(len(members))]
         test_idx.extend(shuffled[:take].tolist())
     test_mask = np.zeros(len(labels), dtype=bool)

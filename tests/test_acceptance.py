@@ -26,7 +26,7 @@ from threatbench.neural import (
     lstm_loss,
     lstm_loss_and_grads,
 )
-from threatbench.pipeline import LeakageAudit, default_config, emit_report, run_domain
+from threatbench.pipeline import DOMAINS, LeakageAudit, default_config, emit_report, run_domain
 from threatbench.preprocess import smote_oversample
 from threatbench.tabular import RngStream
 
@@ -163,9 +163,6 @@ def test_criterion_6_isolation_forest_sanity():
 
 
 # -- criteria 7-9: pipelines at defaults (seed 42), determinism, leakage -----------------
-
-
-DOMAINS = ("intrusion", "malware", "phishing", "ueba")
 
 
 def _acceptance_config(domain):

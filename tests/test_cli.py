@@ -1,9 +1,13 @@
+import argparse
 import json
+from importlib import resources
 
 import pytest
 
+import test_acceptance
+import test_golden
 from conftest import UNREADABLE_JSON, unreadable_json
-from threatbench import cli, pipeline
+from threatbench import cli, pipeline, synthgen
 from threatbench.cli import main
 from threatbench.evalx import classification_report
 
@@ -104,7 +108,7 @@ class TestReportCommand:
 
 
 class TestExitCodes:
-    def test_config_error_is_2(self, capsys):
+    def test_config_error_is_2(self, tmp_path, capsys):
         assert run_cli(["run", "intrusion", "--override", "bogus.key=1"]) == 2
         assert run_cli(["run", "intrusion", "--override", "generator.anomaly_rate=0.9"]) == 2
         assert run_cli(["run", "intrusion", "--override", "no-equals-sign"]) == 2
@@ -166,11 +170,18 @@ class TestExitCodes:
             ("phishing", "models.logistic.l2=-1", "models.logistic.l2 must be a finite number >= 0"),
             ("intrusion", "models.dense_ae.l1=-1", "models.dense_ae.l1 must be a finite number >= 0"),
             ("intrusion", "models.dense_ae.l1=1e999", "models.dense_ae.l1 must be a finite number >= 0"),
+            # Sizes no machine can allocate, each refused whatever the generator size.
+            ("ueba", "preprocess.time_steps=1000000000",
+             "generator.overrides users x days x preprocess.time_steps must be <= 16777216, got 100 x 30 x 1000000000"),
+            ("ueba", "models.lstm_ae.hidden=10000000", "models.lstm_ae.hidden must be <= 1024, got 10000000"),
+            ("intrusion", "models.dense_ae.layers=[12,1000000000,12]", "models.dense_ae.layers must be a symmetric list"),
         ):
             capsys.readouterr()
-            assert run_cli(["run", domain, "--override", override]) == 2
+            out = tmp_path / domain
+            assert run_cli(["run", domain, "--out", str(out), "--override", override]) == 2
             err = capsys.readouterr().err
             assert message in err and "stage" not in err  # raised before the first stage
+            assert not (out / "data").exists()
 
     def test_internal_error_is_5_without_traceback(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -337,3 +348,21 @@ def test_band_getters_and_summary_read_the_metrics_dict():
     summary = pipeline.render_summary(report)
     assert "model: m" in summary and "ROC-AUC: 1.0000" in summary
     assert "confusion: tp=2 fp=0 fn=1 tn=2" in summary
+
+
+def test_every_domain_list_names_the_same_domains():
+    """The domains, in order, wherever a list of them is kept: the spec table,
+    the generators, the CLI, the packaged bands and the pinned digests."""
+    subcommands = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    run_choices = next(a.choices for a in subcommands.choices["run"]._actions if a.dest == "domain")
+    bands = json.loads((resources.files("threatbench") / "data" / "expectations.json").read_text())
+    lists = {
+        "synthgen.GENERATORS": list(synthgen.GENERATORS),
+        "synthgen.GENERATOR_PARAMS": list(synthgen.GENERATOR_PARAMS),
+        "run choices": list(run_choices),
+        "expectations.json": [key for key, value in bands.items() if isinstance(value, dict)],
+        "test_golden.GOLDEN": list(test_golden.GOLDEN),
+        "test_acceptance.DEFAULT_DIGESTS": list(test_acceptance.DEFAULT_DIGESTS),
+    }
+    assert {name: domains for name, domains in lists.items() if domains != list(pipeline.DOMAINS)} == {}
+    assert pipeline.DOMAINS == tuple(pipeline.DOMAIN_SPECS)

@@ -489,23 +489,24 @@ def two_copy_tabular(spec, table, pp, rng):
     their matrices, take the clean rows, carve validation and SMOTE the fit
     rows. Returns the features and {partition: (X, y, positions)}, for every
     partition a model may read."""
-    labels = np.asarray(table.column(spec.label))
+    label = table.label_column()
+    labels = np.asarray(table.column(label))
     train_idx, test_idx = stratified_indices(labels, pp["test_fraction"], rng.child("split"))
     train, test = select_rows(table, train_idx), select_rows(table, test_idx)
     if spec.resample == "downsample":
-        keep = downsample_majority(train.column(spec.label), pp["downsample_ratio"], rng.child("downsample"))
+        keep = downsample_majority(train.column(label), pp["downsample_ratio"], rng.child("downsample"))
         train = select_rows(train, keep)
-    encoder = fit_one_hot(train, list(spec.categoricals))
+    encoder = fit_one_hot(train, train.names_of_kind("categorical"))
     train, test = apply_one_hot(encoder, train), apply_one_hot(encoder, test)
     if spec.scale:
         scaler = fit_scaler(train, train.names_of_kind("numeric"))
         train, test = apply_scaler(scaler, train), apply_scaler(scaler, test)
     features = train.names_of_kind("numeric", "binary")
-    parts = {name: (matrix(part, features), np.asarray(part.column(spec.label)), positions(part))
+    parts = {name: (matrix(part, features), np.asarray(part.column(label)), positions(part))
              for name, part in (("train", train), ("test", test))}
     parts["clean"] = tuple(a[parts["train"][1] == 0] for a in parts["train"])
     if "fit" in spec.partitions:
-        fit_idx, val_idx = stratified_indices(train.column(spec.label), pp["validation_fraction"], rng.child("val"))
+        fit_idx, val_idx = stratified_indices(train.column(label), pp["validation_fraction"], rng.child("val"))
         parts["fit"], parts["val"] = (tuple(a[idx] for a in parts["train"]) for idx in (fit_idx, val_idx))
     if spec.resample == "smote":
         X, y, ids = parts["fit"]
@@ -606,7 +607,7 @@ class TestOnePassTabular:
     def test_category_seen_only_in_test_is_rejected(self, domain):
         """The error names the value and its row in the test partition, as a
         test copy of the table numbers it, from the fit_one_hot stage."""
-        spec = pipeline.DOMAIN_SPECS[domain]._replace(categoricals=("attachment_type",))
+        spec = pipeline.DOMAIN_SPECS[domain]
         pp = {"test_fraction": 0.25, "validation_fraction": 0.3, "downsample_ratio": 2.0, "smote_k": 2}
         audit = LeakageAudit()
         one_pass_tabular(domain, attachment_table(), pp, audit, spec)
@@ -834,10 +835,10 @@ class TestDeterminismAndEmission:
         out = tmp_path / "arts"
         report = run_domain(small_config("ueba", seed=4), out_dir=str(out))
         from threatbench.modelio import load_model
-        from threatbench.synthgen import SCHEMAS
+        from threatbench.synthgen import USER_EVENT_SCHEMA
 
         assert not os.path.isabs(report.artifacts["dataset"])
-        ds = load_dataset(out / report.artifacts["dataset"], SCHEMAS["ueba"])
+        ds = load_dataset(out / report.artifacts["dataset"], USER_EVENT_SCHEMA)
         assert ds.n == report.dataset["n"]
         model, thr = load_model(out / report.artifacts["lstm_autoencoder"])
         assert thr is not None and thr.percentile == 95.0
@@ -894,17 +895,36 @@ class TestErrors:
         with pytest.raises(ConfigError, match="models.dense_ae.layer$"):
             cfg.validate()
 
-    @pytest.mark.parametrize("layers", [None, [12, 6, 12], [7, 3, 1, 3, 7]])
+    @pytest.mark.parametrize("layers", [None, [12, 6, 12], [7, 3, 1, 3, 7], [12, pipeline.MAX_WIDTH, 12]])
     def test_dense_ae_layers_accepted(self, layers):
         cfg = small_config("intrusion")
         cfg.models["dense_ae"]["layers"] = layers
         cfg.validate()
 
-    @pytest.mark.parametrize("layers", ["abc", [], [12, 12], [12, 6, 11], [12, 0, 12], [4, 2.0, 4], [1, True, 1], 12])
+    @pytest.mark.parametrize("layers", ["abc", [], [12, 12], [12, 6, 11], [12, 0, 12], [4, 2.0, 4], [1, True, 1], 12,
+                                        [12, pipeline.MAX_WIDTH + 1, 12]])
     def test_dense_ae_layers_rejected(self, layers):
         cfg = small_config("intrusion")
         cfg.models["dense_ae"]["layers"] = layers
         with pytest.raises(ConfigError, match="models.dense_ae.layers must be"):
+            cfg.validate()
+
+    def test_session_tensor_bound_is_inclusive(self):
+        """1000 users x 30 days x 559 steps is the largest padded tensor within MAX_ROWS cells."""
+        cfg = default_config("ueba")
+        cfg.generator["overrides"] = {"users": 1000}
+        cfg.preprocess["time_steps"] = 559
+        cfg.validate()
+        cfg.preprocess["time_steps"] = 560
+        with pytest.raises(ConfigError, match="^generator.overrides users x days x preprocess.time_steps must be <="):
+            cfg.validate()
+
+    def test_lstm_hidden_bound_is_inclusive(self):
+        cfg = default_config("ueba")
+        cfg.models["lstm_ae"]["hidden"] = pipeline.MAX_WIDTH
+        cfg.validate()
+        cfg.models["lstm_ae"]["hidden"] = pipeline.MAX_WIDTH + 1
+        with pytest.raises(ConfigError, match="^models.lstm_ae.hidden must be <= 1024, got 1025$"):
             cfg.validate()
 
     @pytest.mark.parametrize(

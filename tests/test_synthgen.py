@@ -15,14 +15,13 @@ from threatbench.synthgen import (
     USER_EVENT_SCHEMA,
     GeneratorConfig,
     _event_capacity,
-    _exact_positive_count,
     generate_email_corpus,
     generate_malware_corpus,
     generate_network_flows,
     generate_user_activity,
     save_events_jsonl,
 )
-from threatbench.tabular import Dataset, RngStream, save_dataset
+from threatbench.tabular import Dataset, RngStream, round_half_up, save_dataset
 
 # Nearest chi-square critical value for df=23 at alpha=0.01, frozen from the
 # inverse CDF (regularized incomplete gamma).
@@ -82,7 +81,7 @@ def per_event_user_activity(config: GeneratorConfig) -> Dataset:
             )
 
     total = sum(len(b["hour"]) for b in records)
-    target = _exact_positive_count(total, config.anomaly_rate)
+    target = round_half_up(total * config.anomaly_rate)
     ri = rng.child("inject")
     order = ri.permutation(len(records))
     pattern_cycle = ["off_hour", "failed_spike", "sensitive_file"]
@@ -476,3 +475,19 @@ class TestRunSizeBound:
 def test_schema_matches_column_order():
     ds = generate_email_corpus(GeneratorConfig(n=150, anomaly_rate=0.2, seed=0))
     assert ds.columns == [(n, k) for n, k in EMAIL_SCHEMA]
+
+
+@pytest.mark.parametrize("generate, config, patterns", [
+    (generate_network_flows, GeneratorConfig(n=600, anomaly_rate=0.1, seed=5), {"port_scan", "half_open", "burst"}),
+    (generate_malware_corpus, GeneratorConfig(n=600, anomaly_rate=0.1, seed=5), {"malicious"}),
+    (generate_email_corpus, GeneratorConfig(n=600, anomaly_rate=0.1, seed=5), {"phishing"}),
+    (generate_user_activity, GeneratorConfig(anomaly_rate=0.1, seed=5, overrides={"users": 5, "days": 5}),
+     {"off_hour", "failed_spike", "sensitive_file"}),
+], ids=["intrusion", "malware", "phishing", "ueba"])
+def test_tags_are_the_labels(generate, config, patterns):
+    """A row carries an injection tag exactly when its label is 1, and the
+    tags are the domain's injection patterns."""
+    ds = generate(config)
+    tags = ds.meta["injection_pattern"]
+    assert list(tags) == np.flatnonzero(ds.column(ds.label_column()) == 1).tolist()
+    assert set(tags.values()) == patterns
