@@ -78,7 +78,7 @@ def roc_auc(scores, labels) -> float:
 
 
 def permutation_importance(predict_fn, X, y, repeats: int = 5, rng: RngStream | None = None,
-                           feature_names=None, baseline_scores=None) -> list:
+                           feature_names=None, baseline_scores=None, map=map) -> list:
     """[feature, mean ROC-AUC drop] pairs, largest drop first and ties by
     name: each drop is that of one feature column permuted, averaged over
     repeats.
@@ -91,6 +91,13 @@ def permutation_importance(predict_fn, X, y, repeats: int = 5, rng: RngStream | 
     a tree model's `scorer(X)` (forest._RememberedWalk) serves as `predict_fn`
     and re-walks only the (tree, row) pairs that feature can move.
     `baseline_scores`, if given, must be `predict_fn(X)`; it spares that scan.
+
+    The (feature, permutation) cells are drawn lazily, repeat after repeat
+    and feature after feature, and scored through `map(score, cells)`, which
+    must return their ROC-AUCs in cell order. The builtin `map` scores them
+    one at a time; a map that scores them elsewhere (in another process)
+    gives the same floats, since each cell reads only X and its own
+    permutation.
     """
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")
@@ -103,13 +110,20 @@ def permutation_importance(predict_fn, X, y, repeats: int = 5, rng: RngStream | 
         baseline_scores = predict_fn(X)
     baseline = roc_auc(np.asarray(baseline_scores, dtype=np.float64), y)
 
-    drops = np.zeros((repeats, d))
+    def cells():
+        for r in range(repeats):
+            rr = rng.child(f"repeat/{r}")
+            for j in range(d):
+                yield j, rr.permutation(X.shape[0])
+
     Xp = X.copy()  # one working copy; each feature's column is restored after scoring
-    for r in range(repeats):
-        rr = rng.child(f"repeat/{r}")
-        for j in range(d):
-            perm = rr.permutation(X.shape[0])
-            Xp[..., j] = X[perm, ..., j]
-            drops[r, j] = baseline - roc_auc(np.asarray(predict_fn(Xp), dtype=np.float64), y)
-            Xp[..., j] = X[..., j]
+
+    def score(cell):
+        j, perm = cell
+        Xp[..., j] = X[perm, ..., j]
+        auc = roc_auc(np.asarray(predict_fn(Xp), dtype=np.float64), y)
+        Xp[..., j] = X[..., j]
+        return auc
+
+    drops = baseline - np.array(list(map(score, cells()))).reshape(repeats, d)
     return sorted(([names[j], float(drops[:, j].mean())] for j in range(d)), key=lambda pair: (-pair[1], pair[0]))

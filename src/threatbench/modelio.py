@@ -67,6 +67,23 @@ def _check_trees(model) -> None:
             raise DataError(f"tree {t} has a feature or child index out of range")
 
 
+def _check_arrays(model, path) -> None:
+    """DataError unless an autoencoder's `params` are exactly the arrays its
+    sizes call for (`param_shapes`), each of its shape and finite."""
+    shapes = model.param_shapes()
+    extra = [name for name in model.params if name not in shapes]
+    if extra:
+        raise DataError(f"array {extra[0]!r} in {path} is not one of the model's")
+    for name, shape in shapes.items():
+        arr = model.params.get(name)
+        if arr is None:
+            raise DataError(f"array {name!r} is missing from {path}")
+        if arr.shape != shape:
+            raise DataError(f"array {name!r} in {path} has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"array {name!r} in {path} holds a NaN or an infinity")
+
+
 def _same(value):
     return value
 
@@ -163,6 +180,8 @@ def load_model(path):
         raise DataError(f"malformed {doc['kind']} document {path}: {type(exc).__name__} {exc}") from exc
     if isinstance(model, TreeEnsemble):
         _check_trees(model)
+    if isinstance(model, (DenseAutoencoder, LstmAutoencoder)):
+        _check_arrays(model, path)
     if isinstance(model, GradientBoostingModel):
         # Prediction walks trees[:best_iteration]: any other value would drop
         # trees from the end, or rebuild the node table on every walk.

@@ -143,6 +143,13 @@ class DenseAutoencoder:
     def n_layers(self) -> int:
         return len(self.layer_sizes) - 1
 
+    def param_shapes(self) -> dict:
+        """The shape of each array of `params`, by name, in the order
+        `init_dense_autoencoder` draws them."""
+        sizes = self.layer_sizes
+        return {name: shape for l in range(len(sizes) - 1)
+                for name, shape in ((f"W{l}", (sizes[l], sizes[l + 1])), (f"b{l}", (sizes[l + 1],)))}
+
     def activations(self, X: np.ndarray) -> list:
         """The input and every layer's output; the last is the reconstruction."""
         out = [X]
@@ -163,13 +170,10 @@ def init_dense_autoencoder(layer_sizes, l1: float, rng: RngStream) -> DenseAutoe
     if len(sizes) < 3 or sizes != sizes[::-1]:
         raise DataError(f"layer sizes must be a symmetric encoder/decoder stack, got {sizes}")
     ri = rng.child("init")
-    params = {}
-    for l in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[l], sizes[l + 1]
-        scale = math.sqrt(2.0 / (fan_in + fan_out))
-        params[f"W{l}"] = ri.normal(0.0, scale, size=(fan_in, fan_out))
-        params[f"b{l}"] = np.zeros(fan_out)
-    return DenseAutoencoder(layer_sizes=sizes, params=params, l1=l1)
+    model = DenseAutoencoder(layer_sizes=sizes, params={}, l1=l1)
+    for name, shape in model.param_shapes().items():  # weights N(0, 2 / (fan_in + fan_out)), biases 0
+        model.params[name] = ri.normal(0.0, math.sqrt(2.0 / sum(shape)), size=shape) if len(shape) == 2 else np.zeros(shape)
+    return model
 
 
 def dense_loss_and_grads(model: DenseAutoencoder, X: np.ndarray):
@@ -241,30 +245,28 @@ class LstmAutoencoder:
     input_dim: int
     hidden: int
     latent: int
-    params: dict  # enc_Wx, enc_Wh, enc_b, lat_W, lat_b, dec_Wx, dec_Wh, dec_b, out_W, out_b
+    params: dict  # as `param_shapes` names them
+
+    def param_shapes(self) -> dict:
+        """The shape of each array of `params`, by name, in the order
+        `init_lstm_autoencoder` draws them."""
+        d, H, z = self.input_dim, self.hidden, self.latent
+        return {
+            "enc_Wx": (d, 4 * H), "enc_Wh": (H, 4 * H), "enc_b": (4 * H,),
+            "lat_W": (H, z), "lat_b": (z,),
+            "dec_Wx": (z, 4 * H), "dec_Wh": (H, 4 * H), "dec_b": (4 * H,),
+            "out_W": (H, d), "out_b": (d,),
+        }
 
 
 def init_lstm_autoencoder(input_dim: int, hidden: int, latent: int, rng: RngStream) -> LstmAutoencoder:
     if latent >= hidden:
         raise DataError(f"latent size {latent} must be smaller than hidden size {hidden}")
     ri = rng.child("init")
-
-    def mat(fan_in, fan_out):
-        return ri.normal(0.0, math.sqrt(1.0 / fan_in), size=(fan_in, fan_out))
-
-    params = {
-        "enc_Wx": mat(input_dim, 4 * hidden),
-        "enc_Wh": mat(hidden, 4 * hidden),
-        "enc_b": np.zeros(4 * hidden),
-        "lat_W": mat(hidden, latent),
-        "lat_b": np.zeros(latent),
-        "dec_Wx": mat(latent, 4 * hidden),
-        "dec_Wh": mat(hidden, 4 * hidden),
-        "dec_b": np.zeros(4 * hidden),
-        "out_W": mat(hidden, input_dim),
-        "out_b": np.zeros(input_dim),
-    }
-    return LstmAutoencoder(input_dim=input_dim, hidden=hidden, latent=latent, params=params)
+    model = LstmAutoencoder(input_dim=input_dim, hidden=hidden, latent=latent, params={})
+    for name, shape in model.param_shapes().items():  # weights N(0, 1 / fan_in), biases 0
+        model.params[name] = ri.normal(0.0, math.sqrt(1.0 / shape[0]), size=shape) if len(shape) == 2 else np.zeros(shape)
+    return model
 
 
 def _step_mask(lengths, T: int) -> np.ndarray:
@@ -293,7 +295,11 @@ class _LstmState:
 
     def step(self, t, xw, m, keep, Wh, b) -> np.ndarray:
         """Masked step t on the input projection xw, written through `out=`;
-        returns the new h. Rows with mask 0 carry h and c through unchanged."""
+        returns the new h. Rows with mask 0 carry h and c through unchanged.
+
+        `m` None says every row of the step is real: the masked formulas are
+        then computed with m = 1 and keep = 0, skipping their products with
+        1.0, each of which is its operand, so the bytes are the same."""
         n = len(self.h)
         h, c, h_out, c_out = self.h[t % n], self.c[t % n], self.h[(t + 1) % n], self.c[(t + 1) % n]
         cache = self.cache[t % len(self.cache)]
@@ -312,6 +318,12 @@ class _LstmState:
         np.multiply(i, g, out=tmp)
         np.add(c_new, tmp, out=c_new)
         np.tanh(c_new, out=tanh_c)
+        if m is None:  # c = c_new + 0 * c, h = o * tanh(c_new) + 0 * h; c_out, h_out may be c, h
+            np.multiply(c, 0.0, out=c_out)
+            np.add(c_new, c_out, out=c_out)
+            np.multiply(h, 0.0, out=h_out)
+            np.multiply(o, tanh_c, out=tmp)
+            return np.add(tmp, h_out, out=h_out)
         np.multiply(c_new, m, out=tmp)  # c = m * c_new + (1 - m) * c
         np.multiply(c, keep, out=c_out)
         np.add(tmp, c_out, out=c_out)
@@ -324,17 +336,19 @@ class _LstmState:
 def _lstm_forward(p: dict, x, mk, enc: _LstmState, dec: _LstmState, out) -> np.ndarray:
     """Forward pass over a block of sessions x (rows, steps, d) with step mask
     mk (rows, steps, 1). Writes (recon - x) * mk into `out` and returns the
-    latent z; the states keep what the backward pass reads."""
+    latent z; the states keep what the backward pass reads. A step on which
+    every row is real runs unmasked (`_LstmState.step` with m None)."""
     steps = x.shape[1]
     keep = 1.0 - mk
+    masks = [None if full else mk[:, t] for t, full in enumerate(mk.all(axis=0)[:, 0])]
     xw = np.empty(enc.pre.shape)
     for t in range(steps):
         np.matmul(x[:, t], p["enc_Wx"], out=xw)
-        enc.step(t, xw, mk[:, t], keep[:, t], p["enc_Wh"], p["enc_b"])
+        enc.step(t, xw, masks[t], keep[:, t], p["enc_Wh"], p["enc_b"])
     z = enc.h[-1] @ p["lat_W"] + p["lat_b"]
     zx = z @ p["dec_Wx"]  # the decoder input is z at every step
     for t in range(steps):
-        h = dec.step(t, zx, mk[:, t], keep[:, t], p["dec_Wh"], p["dec_b"])
+        h = dec.step(t, zx, masks[t], keep[:, t], p["dec_Wh"], p["dec_b"])
         r = out[:, t]
         np.matmul(h, p["out_W"], out=r)
         np.add(r, p["out_b"], out=r)

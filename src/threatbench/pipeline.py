@@ -12,9 +12,12 @@ fills the matrix (tabular domains) or session tensor (ueba) of each partition
 
 Each model then runs as one chain (`_run_model`): fit, calibration, scoring
 of the test rows and explanation, handed back as one record with the model
-documents to save. The chains share nothing but the partitions, so
-`_run_chains` runs all but the last in forked workers when the process may
-use a second CPU.
+documents to save. Work that shares nothing goes to forked workers when the
+process may use a second CPU, all through one helper, `_in_workers`: every
+chain but the last; the writing of `data/`, beside the rest of the run; and,
+where the chains leave a CPU free (ueba's one chain), half of a chain's
+permutation-importance cells (`_two_shards`). Forked or not, a run writes the
+same bytes and raises the same first failure.
 
 Each run is a pure function of (PipelineConfig, toolkit version): reports
 carry no timestamps or host identifiers and artifact paths are stored relative
@@ -77,7 +80,7 @@ from .preprocess import (
     smote_oversample,
 )
 from .synthgen import GENERATORS, GeneratorConfig, save_events_jsonl
-from .tabular import Dataset, RngStream, check_finite, read_json, save_dataset, stratified_indices, writing
+from .tabular import Dataset, RngStream, check_finite, make_dir, read_json, save_dataset, stratified_indices, writing
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -493,8 +496,9 @@ def _prepare_sessions(spec, held, pp, rng, audit):
 # The fits and scorers below reach every kernel through this module's globals
 # at call time; the table never stores a kernel function object. Rebinding a
 # global here (perfbench/tracer.py does) thus reaches every call of a run,
-# though a chain run in a forked worker makes its calls, and keeps whatever a
-# wrapper records of them, in the worker.
+# though what a forked worker runs (a chain, the `data/` writer, an importance
+# shard) makes its calls, and keeps whatever a wrapper records of them, in the
+# worker.
 
 
 def _fit_iforest(mc, rng, rows):
@@ -668,9 +672,11 @@ def _run_model(spec, mc, percentile, rng, parts, features, save, m, audit) -> _M
         report = classification_report(test.y, predicted, scores=scores, positive_label=spec.threat)
         X, score = test.importance_inputs(score)
         # Uncalibrated `scores` came from `score`: the importance baseline.
+        # Where the chains leave a CPU free, half the cells go to a worker.
         importance = permutation_importance(
             score, X, test.y, mc["importance_repeats"], rng.child(f"imp/{m.tag}"), features,
             baseline_scores=None if calibrator is not None else scores,
+            map=_two_shards if len(spec.models) < _usable_cpus() else map,
         )
         del score
 
@@ -696,12 +702,16 @@ def _attempt(run, catch=Exception):
         return None, (exc, audit.failed)
 
 
-def _fork(chain, m):
-    """Start a worker process that runs the chain of `m`, serialises its
-    documents, and writes the pickled `_attempt` to a pipe; returns (pid, the
-    pipe's read end). The worker never returns into the caller: it leaves by
-    `os._exit`, so it flushes no inherited stdout buffer and runs no atexit
-    handler."""
+def _usable_cpus() -> int:
+    """The CPUs this process may use; 1 where it cannot fork a worker."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+
+
+def _fork(task, send):
+    """Start a worker process that writes the pickled `_attempt` of `task`,
+    its result passed through `send`, to a pipe; returns (pid, the pipe's read
+    end). The worker never returns into the caller: it leaves by `os._exit`,
+    so it flushes no inherited stdout buffer and runs no atexit handler."""
     read, write = os.pipe()
     pid = os.fork()
     if pid:
@@ -710,7 +720,7 @@ def _fork(chain, m):
     code = 1
     try:
         os.close(read)
-        outcome = _attempt(lambda audit: _serialised(chain(m, audit)), catch=BaseException)
+        outcome = _attempt(lambda audit: send(task(audit)), catch=BaseException)
         outcome = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
         with os.fdopen(write, "wb") as pipe:
             pipe.write(outcome)
@@ -719,33 +729,34 @@ def _fork(chain, m):
         os._exit(code)
 
 
-def _run_chains(chain, models) -> list:
-    """The record of each model's chain, in `models` order.
+def _in_workers(tasks: dict, phase=lambda stage: 0, send=lambda result: result) -> list:
+    """The result of each task (a callable of a fresh ledger), in `tasks`
+    order; a task's name says whose worker failed to report.
 
-    The last model's chain runs in this process and every other in a worker
-    made by `os.fork`, which needs fork and a second CPU this process may use;
-    otherwise every chain runs here, one after another, up to the first that
-    fails in a fit stage. Each chain runs to its end or its first failure,
-    and every worker is reaped before this returns or raises. Of the
-    failures, the one raised is the one the sequential order (`_PHASES`, then
-    model order) reaches first; a worker that exits without sending its
-    outcome is an internal error.
+    The last task runs in this process and every other in a worker made by
+    `_fork`, which needs fork and a second CPU this process may use;
+    otherwise every task runs here, one after another, up to the first that
+    fails in a stage of phase 0 (`phase` maps the stage a task failed in, or
+    None, to its phase). Each task runs to its end or its first failure, and
+    every worker is reaped before this returns or raises, killed first if
+    this process is leaving early. Of the failures, the one raised is the
+    first by (phase, task order): the one the tasks run one after another
+    would meet first. A worker that exits without sending its outcome is an
+    internal error.
 
-    A worker serialises its documents before it sends them. The chains run
-    here serialise theirs only once every chain has succeeded: building a
-    large model's document leaves memory behind that would otherwise add to
-    the peak of every later chain."""
-    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-    n_forked = len(models) - 1 if forks else 0
-    outcomes = [(None, None)] * len(models)
-    workers = {}  # model index -> (pid, pipe) of each worker not yet reaped
+    A worker sends `send(result)`. The results of the tasks run here go
+    through `send` only once every task has succeeded."""
+    names, tasks = list(tasks), list(tasks.values())
+    n_forked = len(tasks) - 1 if _usable_cpus() > 1 else 0
+    outcomes = [(None, None)] * len(tasks)
+    workers = {}  # task index -> (pid, pipe) of each worker not yet reaped
     try:
         for i in range(n_forked):
-            workers[i] = _fork(chain, models[i])
-        for i in range(n_forked, len(models)):
-            outcomes[i] = _attempt(partial(chain, models[i]))
-            if outcomes[i][1] and outcomes[i][1][1] not in _PHASES:
-                break  # a failed fit: no later chain can fail before it
+            workers[i] = _fork(tasks[i], send)
+        for i in range(n_forked, len(tasks)):
+            outcomes[i] = _attempt(tasks[i])
+            if outcomes[i][1] and phase(outcomes[i][1][1]) == 0:
+                break  # no later task can fail before it
         for i in range(n_forked):
             with workers[i][1] as pipe:
                 data = pipe.read()
@@ -753,33 +764,44 @@ def _run_chains(chain, models) -> list:
             try:
                 outcomes[i] = pickle.loads(data)
             except Exception:
-                raise RuntimeError(f"model {models[i].name!r}: its worker exited with status "
+                raise RuntimeError(f"{names[i]}: its worker exited with status "
                                    f"{os.waitstatus_to_exitcode(status)} and sent no record") from None
     finally:
         for pid, pipe in workers.values():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    failures = {(_PHASES.get(failure[1], 0), i): failure[0] for i, (_, failure) in enumerate(outcomes) if failure}
+    failures = {(phase(failure[1]), i): failure[0] for i, (_, failure) in enumerate(outcomes) if failure}
     if failures:
         raise failures[min(failures)]
-    return [record if i < n_forked else _serialised(record) for i, (record, _) in enumerate(outcomes)]
+    return [result if i < n_forked else send(result) for i, (result, _) in enumerate(outcomes)]
+
+
+def _two_shards(fn, cells) -> list:
+    """`list(map(fn, cells))`, the first half of the cells scored in a
+    worker beside the second (`_in_workers`)."""
+    cells = list(cells)
+    first, second = cells[: len(cells) // 2], cells[len(cells) // 2 :]
+    shards = {"importance shard 1": lambda _: list(map(fn, first)), "importance shard 2": lambda _: list(map(fn, second))}
+    return [value for shard in _in_workers(shards) for value in shard]
 
 
 def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None = None) -> RunReport:
     """Run one domain as its DOMAIN_SPECS entry says: generate the table and,
-    given out_dir, write it to `data/` before any fit; prepare the partitions
-    it builds; then run each model's chain (`_run_model`: fit, calibrate on
-    training rows only, score and explain), the last model's in
-    this process and, with a second CPU to use, every other's in a forked
-    worker (`_run_chains`). Given out_dir, the models are written once every
-    chain has succeeded.
+    given out_dir, write it to `data/`; prepare the partitions it builds; then
+    run each model's chain (`_run_model`: fit, calibrate on training rows
+    only, score and explain). Given out_dir, the models are written once
+    every chain has succeeded and `data/` is complete.
 
-    What the report needs of the generated table (its dataset block and
+    With a second CPU to use, `data/` is written by a forked worker beside
+    the rest of the run, and every chain but the last runs in a worker of
+    its own (`_in_workers`); otherwise each runs here in that order. What
+    the report needs of the generated table (its dataset block and
     histograms) is taken right after `generate`, and the table is handed to
-    the domain's `_prepare_*` function, which frees it once it is split. A run
-    that fails in a later stage thus leaves `data/` but no models or report,
-    and raises the error the stages run one after another would raise first.
+    the domain's `_prepare_*` function, which frees it once it is split. A
+    run that fails after `generate` leaves a complete `data/` but no models
+    or report, and raises the error the stages run one after another would
+    raise first, a failure to write `data/` before any other.
 
     Every run keeps a ledger; `audit`, if given, is that ledger, handed to the
     caller. Each chain keeps its own, which a worker sends back whole, and
@@ -792,17 +814,26 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
     first = len(audit.stages)  # a ledger handed to an earlier run holds its stages
     rng = RngStream(seed, f"pipeline/{domain}")
     with audit.stage("generate"):
-        dataset = GENERATORS[domain](GeneratorConfig(**checked["generator"], seed=seed))
-    paths = write_dataset(dataset, domain, os.path.join(out_dir, "data")) if out_dir else {}
-    histograms = _histograms(dataset)
-    described = _dataset_block(dataset, histograms)
-    held = [dataset]  # `prepare` pops the table and drops it once it is split
-    del dataset
-    prepare = _prepare_sessions if spec.sessions else _prepare_tabular
-    features, parts, dataset_extra = prepare(spec, held, pp, rng, audit)
+        # `prepare` pops the table and drops it once it is split.
+        held = [GENERATORS[domain](GeneratorConfig(**checked["generator"], seed=seed))]
 
-    chain = partial(_run_model, spec, mc, checked["threshold_percentile"], rng, parts, features, bool(out_dir))
-    records = dict(zip((m.name for m in spec.models), _run_chains(chain, spec.models)))
+    def run(_):  # all that follows `generate` but writing `data/`; the last task, so run in this process
+        histograms = _histograms(held[0])
+        described = _dataset_block(held[0], histograms)
+        prepare = _prepare_sessions if spec.sessions else _prepare_tabular
+        features, parts, dataset_extra = prepare(spec, held, pp, rng, audit)
+        chain = partial(_run_model, spec, mc, checked["threshold_percentile"], rng, parts, features, bool(out_dir))
+        chains = {f"model {m.name!r}": partial(chain, m) for m in spec.models}
+        records = _in_workers(chains, phase=lambda stage: _PHASES.get(stage, 0), send=_serialised)
+        return {**described, **dataset_extra}, histograms, dict(zip((m.name for m in spec.models), records))
+
+    tasks = {}
+    if out_dir:
+        data = os.path.join(out_dir, "data")
+        make_dir(data)  # an `--out` that cannot be made fails before any preparation
+        tasks["the data/ writer"] = lambda _: write_dataset(held[0], domain, data)
+    tasks["the run"] = run
+    *written, (dataset_block, histograms, records) = _in_workers(tasks)
     stages = sorted((_PHASES.get(stage, 0), i, j, stage) for i, r in enumerate(records.values())
                     for j, stage in enumerate(r.audit.stages))
     for stage in dict.fromkeys(stage for *_, stage in stages):
@@ -813,6 +844,7 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
 
     artifacts = {}
     if out_dir:
+        paths = written[0]
         for r in records.values():
             for name, document in r.documents.items():
                 paths[name] = os.path.join(out_dir, "models", f"{name}.json")
@@ -822,7 +854,7 @@ def run_domain(config: PipelineConfig, out_dir=None, audit: LeakageAudit | None 
         domain=domain,
         config=checked,
         toolkit_version=__version__,
-        dataset={**described, **dataset_extra},
+        dataset=dataset_block,
         stages=audit.stages[first:],
         models={name: r.report for name, r in records.items()},
         thresholds={name: asdict(r.threshold) for name, r in records.items() if r.threshold is not None},

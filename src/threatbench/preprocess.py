@@ -17,7 +17,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DataError
-from .tabular import Dataset, RngStream, round_half_up
+from .tabular import Dataset, RngStream, check_finite, round_half_up
 
 # The columns that group an event log's events into sessions; they are no feature.
 SESSION_KEYS = ("user_id", "day")
@@ -129,12 +129,41 @@ def fill_features(table: Dataset, plan, fills, encoder: EncoderSpec | None = Non
 _SMOTE_BLOCK = 1 << 18
 
 
+def _neighbour_table(X: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k Euclidean nearest other rows of X, nearest first and
+    distance ties by row index: the first k entries of its stable distance
+    argsort, self left out.
+
+    A row's k-th smallest distance to the others is found by partial
+    selection, with self's distance set to +inf, which cannot lower it; every
+    other row at or below it is kept, in index order, and those are
+    stable-sorted by distance. X must be finite, so no distance is NaN."""
+    m = X.shape[0]
+    neighbors = np.empty((m, k), dtype=np.int64)
+    rows = max(1, _SMOTE_BLOCK // (m * max(1, X.shape[1])))
+    for i0 in range(0, m, rows):
+        i1 = min(m, i0 + rows)
+        diffs = X[i0:i1, None, :] - X[None, :, :]
+        dist = np.sqrt((diffs**2).sum(axis=2))
+        own = np.arange(i1 - i0), np.arange(i0, i1)
+        dist[own] = np.inf
+        close = dist <= np.partition(dist, k - 1, axis=1)[:, k - 1, None]
+        close[own] = False  # self ties with a k-th distance of +inf
+        row, col = np.nonzero(close)
+        order = np.argsort(dist[row, col], kind="stable")
+        order = order[np.argsort(row[order], kind="stable")]  # by row, then distance, then index
+        starts = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=i1 - i0))[:-1]])
+        neighbors[i0:i1] = col[order][starts[:, None] + np.arange(k)]
+    return neighbors
+
+
 def smote_oversample(minority_rows: np.ndarray, k: int, n_synthetic: int, rng: RngStream) -> np.ndarray:
     """Interpolated minority samples: x' = x + u * (nn - x), u ~ U[0,1].
 
     The parent is a uniformly chosen minority row, the neighbor one of its k
     Euclidean nearest minority neighbors (self excluded, distance ties broken
-    by row index). Returns exactly n_synthetic rows.
+    by row index; see `_neighbour_table`). Returns exactly n_synthetic rows.
+    Minority rows holding a NaN or an infinity are rejected.
     """
     X = np.asarray(minority_rows, dtype=np.float64)
     if X.ndim != 2:
@@ -144,16 +173,7 @@ def smote_oversample(minority_rows: np.ndarray, k: int, n_synthetic: int, rng: R
         raise DataError(f"minority count {m} must exceed neighbor count k={k}")
     if n_synthetic == 0:
         return np.empty((0, X.shape[1]))
-
-    neighbors = np.empty((m, k), dtype=np.int64)
-    rows = max(1, _SMOTE_BLOCK // (m * max(1, X.shape[1])))
-    for i0 in range(0, m, rows):
-        i1 = min(m, i0 + rows)
-        diffs = X[i0:i1, None, :] - X[None, :, :]
-        dist = np.sqrt((diffs**2).sum(axis=2))
-        order = np.argsort(dist, axis=1, kind="stable")  # index order breaks ties
-        others = order != np.arange(i0, i1)[:, None]
-        neighbors[i0:i1] = order[others].reshape(i1 - i0, m - 1)[:, :k]
+    neighbors = _neighbour_table(check_finite(X, "minority rows"), k)
 
     parents = rng.integers(0, m, size=n_synthetic)
     picks = rng.integers(0, k, size=n_synthetic)

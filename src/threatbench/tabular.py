@@ -5,7 +5,8 @@ around as a `Dataset`: an immutable-by-convention table whose columns carry one
 of four kinds (numeric, categorical, binary, label). Randomness everywhere goes
 through `RngStream`, a splittable counter-based stream, so results depend only
 on (seed, label) and never on draw order elsewhere. Every file written goes
-through `writing`, which makes its directory and maps `OSError` to `DataError`.
+through `writing`, which makes its directory (`make_dir`) and maps `OSError` to
+`DataError`.
 """
 
 from __future__ import annotations
@@ -175,16 +176,20 @@ def save_dataset(dataset: Dataset, path) -> None:
             writer.writerows(zip(*cells))
 
 
-@contextmanager
-def writing(path, mode: str = "w"):
-    """The file at `path`, opened to write UTF-8 text with no newline translation
-    (or bytes, for mode "wb") once its directory is made. A directory that cannot
-    be made, or a file that cannot be opened or written, raises `DataError`."""
-    directory = os.path.dirname(path)
+def make_dir(directory) -> None:
+    """Make `directory` and its parents; one that cannot be made raises `DataError`."""
     try:
         os.makedirs(directory or ".", exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot write under {directory}: {exc}") from exc
+
+
+@contextmanager
+def writing(path, mode: str = "w"):
+    """The file at `path`, opened to write UTF-8 text with no newline translation
+    (or bytes, for mode "wb") once its directory is made (`make_dir`). A directory
+    that cannot be made, or a file that cannot be opened or written, raises `DataError`."""
+    make_dir(os.path.dirname(path))
     try:
         with open(path, mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": ""})) as fh:
             yield fh

@@ -79,6 +79,18 @@ def segment_offsets(rows, X, slack=1e-12):
     return out
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test after which this process has a child, running or exited
+    and unreaped: every worker a run forks must be reaped on every exit path."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process ({'still running' if pid == 0 else f'pid {pid}, unreaped'})")
+
+
 @pytest.fixture
 def one_cpu(monkeypatch):
     """The run sees one CPU it may use, so `pipeline` runs every model's

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import threatbench.evalx
 from threatbench.errors import DataError
 from threatbench.evalx import classification_report, permutation_importance, roc_auc
 from threatbench.tabular import RngStream
@@ -231,8 +235,40 @@ class TestPermutationImportance:
         assert pairs[0][1] > 0.0 and pairs[1][1] == pairs[2][1] == 0.0
         assert all(isinstance(pair, list) and type(pair[1]) is float for pair in pairs)
 
+    def test_cells_reach_the_map_in_draw_order(self, np_rng):
+        """A map that lists the cells and scores them last to first gives the
+        same pairs as the builtin one: each cell is (feature, permutation),
+        drawn from each repeat's child stream, feature after feature."""
+        X = np_rng.normal(size=(40, 3))
+        y = (X.sum(axis=1) > 0).astype(int)
+        fn = lambda A: A @ np.array([1.0, 0.5, 0.25])
+        cells = []
+
+        def backwards(score, drawn):
+            cells.extend(drawn)
+            return [score(cell) for cell in cells[::-1]][::-1]
+
+        rng = RngStream(5, "p")
+        pairs = permutation_importance(fn, X, y, 2, rng, map=backwards)
+        assert pairs == permutation_importance(fn, X, y, 2, rng)
+        expected = []
+        for r in range(2):
+            rr = rng.child(f"repeat/{r}")
+            expected.extend((j, rr.permutation(40)) for j in range(3))
+        assert [j for j, _ in cells] == [j for j, _ in expected]
+        assert all(np.array_equal(perm, want) for (_, perm), (_, want) in zip(cells, expected))
+
     def test_bad_repeats(self, np_rng):
         X = np_rng.normal(size=(10, 2))
         y = np.array([0, 1] * 5)
         with pytest.raises(DataError, match="repeats"):
             permutation_importance(lambda A: A[:, 0], X, y, 0, RngStream(0, "p"))
+
+
+def test_evalx_starts_no_process():
+    """Importance only takes a map; whatever runs its cells elsewhere lives in
+    the pipeline, so evalx imports neither `os` nor `pickle`."""
+    tree = ast.parse(Path(threatbench.evalx.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"os", "pickle"}

@@ -19,6 +19,8 @@ from threatbench.neural import (
     AnomalyThreshold,
     fit_dense_autoencoder,
     fit_lstm_autoencoder,
+    init_dense_autoencoder,
+    init_lstm_autoencoder,
     lstm_loss,
     reconstruction_errors,
 )
@@ -182,6 +184,53 @@ def test_lstm_autoencoder_bit_exact(tmp_path, np_rng):
     assert lstm_loss(loaded, data, tensor.lengths) == lstm_loss(model, data, tensor.lengths)
     for key in model.params:
         assert np.array_equal(loaded.params[key], model.params[key])
+
+
+class TestMalformedAutoencoderDocuments:
+    """An autoencoder document loads only if its arrays are exactly those its
+    sizes call for, each of its shape and finite; otherwise DataError names
+    the array, before anything is scored."""
+
+    @pytest.fixture(params=["lstm", "dense"])
+    def saved(self, request, tmp_path):
+        if request.param == "lstm":
+            model = init_lstm_autoencoder(3, 5, 2, RngStream(1, "l"))
+        else:
+            model = init_dense_autoencoder([3, 2, 3], 0.0, RngStream(1, "d"))
+        path = tmp_path / "ae.json"
+        save_model(model_json(model), path)
+        return path, json.loads(path.read_text()), ("enc_Wh", "out_b") if request.param == "lstm" else ("W1", "b0")
+
+    def check(self, path, doc, message):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    def test_saved_model_loads(self, saved):
+        path, doc, _ = saved
+        model, _ = load_model(path)
+        assert model_json(model) == path.read_bytes()
+
+    def test_wrong_shape(self, saved):
+        path, doc, (matrix, _) = saved
+        doc["payload"]["params"][matrix].pop()
+        self.check(path, doc, f"^array '{matrix}' in .* has shape ")
+
+    def test_missing_array(self, saved):
+        path, doc, (_, vector) = saved
+        del doc["payload"]["params"][vector]
+        self.check(path, doc, f"^array '{vector}' is missing from ")
+
+    def test_extra_array(self, saved):
+        path, doc, (_, vector) = saved
+        doc["payload"]["params"]["extra"] = doc["payload"]["params"][vector]
+        self.check(path, doc, "^array 'extra' in .* is not one of the model's$")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value(self, saved, value):
+        path, doc, (matrix, _) = saved
+        doc["payload"]["params"][matrix][0][-1] = value
+        self.check(path, doc, f"^array '{matrix}' in .* holds a NaN or an infinity$")
 
 
 def test_unsupported_object_rejected(tmp_path):

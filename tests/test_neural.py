@@ -394,6 +394,49 @@ class TestBufferedScan:
         assert np.array_equal(_masked_sq_errors(model, data, lengths), _masked_sq_errors(model, clean, lengths))
 
 
+class TestFullStep:
+    """A step on which every row is real (m None) writes the bytes the masked
+    step writes with an all-ones mask, in both buffer layouts."""
+
+    @staticmethod
+    def states(rows, H, steps, rng):
+        """Two equal states: cell states of both signs, h zero on two rows,
+        -0.0 in both, and one infinite cell state, whose 0 * c is NaN."""
+        h = rng.normal(size=(rows, H))
+        h[:2] = 0.0
+        h[2, 0] = -0.0
+        c = rng.normal(scale=3.0, size=(rows, H))
+        c[3, 0] = -0.0
+        c[5, 1] = np.inf
+        pair = _LstmState(rows, H, steps), _LstmState(rows, H, steps)
+        for s in pair:
+            s.h[0], s.c[0] = h, c
+        return pair
+
+    # steps 3: every step kept (training); steps 0: one slot read and overwritten (scoring)
+    @pytest.mark.parametrize("steps", [3, 0])
+    def test_full_step_matches_the_masked_step(self, steps):
+        rng = np.random.default_rng(7)
+        rows, H = 9, 4
+        Wh, b = rng.normal(size=(H, 4 * H)), rng.normal(size=4 * H)
+        full, masked = self.states(rows, H, steps, rng)
+        ones, zeros = np.ones((rows, 1)), np.zeros((rows, 1))
+        for t in range(3):
+            xw = rng.normal(scale=4.0, size=(rows, 4 * H))
+            xw[: 2 + t, : 2 * H] = -60.0  # pre-activations <= -40: input and forget gates exactly 0.0
+            xw[4, 3 * H :] = -60.0  # an output gate exactly 0.0
+            with np.errstate(invalid="ignore"):
+                h_full = full.step(t, xw, None, zeros, Wh, b)
+                h_masked = masked.step(t, xw, ones, zeros, Wh, b)
+            slot = t % len(full.cache)
+            assert (full.cache[slot, :2] == 0.0).any() and (full.cache[slot, 3] == 0.0).any()
+            assert h_full.tobytes() == h_masked.tobytes()
+            kept = slice(0, t + 2) if steps else slice(None)  # the slots written so far
+            assert full.h[kept].tobytes() == masked.h[kept].tobytes()
+            assert full.c[kept].tobytes() == masked.c[kept].tobytes()
+            assert full.cache[slot].tobytes() == masked.cache[slot].tobytes()
+
+
 class TestPinnedLstmBytes:
     """sha256 of the loss, every gradient and the session scores on one seeded
     batch, taken from the implementation that ran training and scoring as two

@@ -42,7 +42,7 @@ from threatbench.pipeline import (
 from threatbench.cli import main
 from threatbench.preprocess import downsample_majority, fit_one_hot, fit_scaler, one_hot_codes, sessionize, smote_oversample
 from threatbench.synthgen import GENERATOR_PARAMS, MIXES, PARAM_RANGES, GeneratorConfig
-from threatbench.tabular import Dataset, RngStream, stratified_indices
+from threatbench.tabular import Dataset, RngStream, stratified_indices, writing
 
 # Small, fast configs used by every structural test in this module.
 SMALL = {
@@ -66,10 +66,16 @@ SMALL = {
 }
 
 
-# `SMALL["phishing"]` as `threatbench run` overrides.
+# `SMALL["phishing"]` and `SMALL["ueba"]` as `threatbench run` overrides.
 PHISHING_OVERRIDES = [
     "--override", "generator.n=500", "--override", "models.forest.n_trees=15", "--override", "models.boosting.n_rounds=20",
     "--override", "models.logistic.epochs=100", "--override", "models.importance_repeats=2",
+]
+UEBA_OVERRIDES = [
+    "--override", "generator.anomaly_rate=0.04",
+    "--override", 'generator.overrides={"users": 10, "days": 6, "events_per_day_mean": 12.0}',
+    "--override", "preprocess.time_steps=16", "--override", 'models.lstm_ae={"hidden": 8, "latent": 4, "epochs": 3}',
+    "--override", "models.importance_repeats=2",
 ]
 
 
@@ -302,6 +308,7 @@ def test_generated_table_is_gone_once_split(domain, kernel, monkeypatch, tmp_pat
     assert freed[0] is True and (tmp_path / "data" / f"{domain}.csv").exists()
 
 
+@pytest.mark.usefixtures("one_cpu")
 def test_ueba_scores_the_test_tensor_once_outside_importance(monkeypatch):
     """`score_sessions` runs once on the clean partition (the threshold), once
     on the test tensor, and once per permuted feature and repeat: the test
@@ -1123,7 +1130,10 @@ class TestWorkers:
             emit_report(report, str(out))
             assert_no_worker_left()
             runs.append((report.to_dict(), tree_digests(out), audit))
-        assert len(forks) == len(pipeline.DOMAIN_SPECS[domain].models) - 1
+        models = len(pipeline.DOMAIN_SPECS[domain].models)
+        # The data/ writer, every chain but the last, and one importance shard
+        # where the chains leave a CPU free (ueba: one chain on two CPUs).
+        assert len(forks) == 1 + (models - 1) + (models < 2)
         (inline, inline_tree, inline_audit), (forked, forked_tree, forked_audit) = runs
         assert inline == forked and inline_tree == forked_tree
         assert list(inline_audit.consumed) == list(forked_audit.consumed)
@@ -1183,6 +1193,110 @@ class TestWorkers:
         see_cpus(monkeypatch, 2)
         with pytest.raises(KeyboardInterrupt):
             run_domain(small_config("phishing"))
+        assert_no_worker_left()
+
+    def test_two_shards_map_in_list_order(self, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        see_cpus(monkeypatch, 2)
+        assert pipeline._two_shards(lambda cell: cell * cell, iter(range(7))) == [cell * cell for cell in range(7)]
+        assert len(forks) == 1
+        assert_no_worker_left()
+
+    @staticmethod
+    def break_importance(monkeypatch, in_worker, in_parent):
+        """Make the ueba scorer of one run call `in_worker` or `in_parent` (by
+        the process it runs in) on each importance cell that permutes feature 0. With two
+        CPUs the first shard, repeat 0 under `UEBA_OVERRIDES`, runs in a
+        worker and repeat 1 here; with one, every cell runs here."""
+        parent, seen = os.getpid(), []
+
+        def scoring(model, tensor):
+            if len(seen) < 2:  # the clean partition (threshold), then the test tensor (baseline)
+                seen.append(tensor.data.copy())
+            elif (tensor.data[..., 0] != seen[1][..., 0]).any():
+                (in_parent if os.getpid() == parent else in_worker)()
+            return score_sessions(model, tensor)
+
+        monkeypatch.setattr(pipeline, "score_sessions", scoring)
+
+    @staticmethod
+    def raising(error):
+        def raise_(*args, **kwargs):
+            raise error
+
+        return raise_
+
+    def test_failing_importance_shard_is_the_first_cell_to_fail(self, monkeypatch, tmp_path, capsys):
+        """The worker's shard fails with a DataError and this process's with a
+        NumericError; the worker's cells come first in the sequential order."""
+        for cpus, code, line in ((1, 4, "numeric failure: stage 'evaluate': parent cell"),
+                                 (2, 3, "data error: stage 'evaluate': worker cell")):
+            self.break_importance(monkeypatch, self.raising(DataError("worker cell")), self.raising(NumericError("parent cell")))
+            see_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            assert main(["run", "ueba", "--out", str(out)] + UEBA_OVERRIDES) == code
+            assert capsys.readouterr().err == line + "\n"
+            assert_no_worker_left()
+            assert (out / "data" / "events.jsonl").exists() and not (out / "models").exists()
+            assert not (out / "report.json").exists()
+
+    def test_shard_that_exits_without_a_record_is_an_internal_error(self, monkeypatch, tmp_path, capsys):
+        self.break_importance(monkeypatch, lambda: os._exit(3), lambda: None)
+        see_cpus(monkeypatch, 2)
+        assert main(["run", "ueba", "--out", str(tmp_path)] + UEBA_OVERRIDES) == 5
+        assert capsys.readouterr().err == ("internal error: RuntimeError: stage 'evaluate': importance shard 1: "
+                                           "its worker exited with status 3 and sent no record\n")
+        assert_no_worker_left()
+        assert not (tmp_path / "models").exists()
+
+    def test_failing_writer_is_the_first_failure(self, monkeypatch, tmp_path, capsys):
+        """`data/` is written first in the sequential order, so its failure
+        outranks that of a later stage, forked or inline."""
+        def full_disk(dataset, path):
+            with writing(path):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pipeline, "save_events_jsonl", full_disk)
+        monkeypatch.setattr(pipeline, "fit_lstm_autoencoder", self.raising(NumericError("fit broke")))
+        for cpus in (1, 2):
+            see_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            assert main(["run", "ueba", "--out", str(out)] + UEBA_OVERRIDES) == 3
+            events = out / "data" / "events.jsonl"
+            assert capsys.readouterr().err == f"data error: cannot write {events}: [Errno 28] No space left on device\n"
+            assert_no_worker_left()
+            assert not (out / "models").exists() and not (out / "report.json").exists()
+
+    def test_run_that_fails_later_leaves_a_complete_data_dir(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(pipeline, "fit_lstm_autoencoder", self.raising(NumericError("fit broke")))
+        see_cpus(monkeypatch, 2)
+        assert main(["run", "ueba", "--out", str(tmp_path / "run")] + UEBA_OVERRIDES) == 4
+        assert capsys.readouterr().err == "numeric failure: stage 'fit_lstm_autoencoder': fit broke\n"
+        config = small_config("ueba")
+        pipeline.write_dataset(pipeline.GENERATORS["ueba"](pipeline.generator_config(config)), "ueba", str(tmp_path / "want"))
+        assert tree_digests(tmp_path / "run" / "data") == tree_digests(tmp_path / "want")
+        assert sorted(os.listdir(tmp_path / "run")) == ["data"]
+
+    def test_out_that_cannot_be_made_fails_before_prepare(self, monkeypatch, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(pipeline, "_prepare_sessions", lambda *args: pytest.fail("prepare ran"))
+        see_cpus(monkeypatch, 2)
+        assert main(["run", "ueba", "--out", str(blocker / "sub")] + UEBA_OVERRIDES) == 3
+        assert capsys.readouterr().err.startswith(f"data error: cannot write under {blocker / 'sub' / 'data'}: ")
+
+    @pytest.mark.parametrize("where", ["fit", "shard"])
+    def test_interrupted_ueba_run_leaves_no_worker(self, where, monkeypatch, tmp_path):
+        """An interrupt here kills and reaps the data/ writer or the worker's shard."""
+        if where == "fit":
+            monkeypatch.setattr(pipeline, "fit_lstm_autoencoder", self.raising(KeyboardInterrupt()))
+        else:
+            self.break_importance(monkeypatch, lambda: None, self.raising(KeyboardInterrupt()))
+        see_cpus(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            run_domain(small_config("ueba"), out_dir=str(tmp_path))
         assert_no_worker_left()
 
     def test_piped_run_prints_its_summary_once(self, tmp_path):

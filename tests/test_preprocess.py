@@ -191,6 +191,35 @@ class TestSmote:
                 monkeypatch.setattr(preprocess, "_SMOTE_BLOCK", rows * m * d)
                 assert smote_oversample(X, 5, 200, RngStream(2, "s")).tobytes() == want
 
+    def test_neighbour_table_matches_a_full_argsort(self, np_rng, monkeypatch):
+        """Partial selection keeps every tie at the k-th distance, so the
+        table equals the first k of a stable argsort of each distance row
+        with self left out: on duplicated rows, grid points at equal
+        distances, distances that overflow to +inf, and every block size."""
+        def argsort_table(X, k):
+            dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+            order = np.argsort(dist, axis=1, kind="stable")
+            return np.array([row[row != i][:k] for i, row in enumerate(order)])
+
+        grid = np.round(np_rng.normal(size=(120, 2)))  # integer points: many equal distances
+        grid[:30] = grid[119]  # duplicates, some before and some after their twin
+        binary = np_rng.integers(0, 2, size=(40, 3)).astype(float)
+        huge = np_rng.choice([-1e300, 1e300], size=(12, 2))  # squared differences overflow to +inf
+        for X in (grid, binary, huge):
+            m = len(X)
+            for k in (1, 5, m - 1):
+                with np.errstate(over="ignore"):
+                    want = argsort_table(X, k)
+                    for rows in (1, 3, m):
+                        monkeypatch.setattr(preprocess, "_SMOTE_BLOCK", rows * m * X.shape[1])
+                        assert np.array_equal(preprocess._neighbour_table(X, k), want), (m, k, rows)
+
+    def test_non_finite_minority_rows_rejected(self):
+        X = np.eye(6)
+        X[2, 1] = np.nan
+        with pytest.raises(DataError, match="minority rows contains NaN"):
+            smote_oversample(X, 3, 10, RngStream(0, "s"))
+
     def test_deterministic(self, np_rng):
         X = np_rng.normal(size=(20, 3))
         a = smote_oversample(X, 3, 50, RngStream(9, "s"))
