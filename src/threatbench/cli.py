@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from importlib import resources
 
 from .errors import ConfigError, DataError, NumericError
@@ -25,6 +24,7 @@ from .pipeline import (
     emit_report,
     generator_config,
     parse_report,
+    reading_report,
     render_summary,
     run_domain,
     write_dataset,
@@ -130,16 +130,6 @@ def _load_expectations(path):
     return doc
 
 
-@contextmanager
-def _reading(path):
-    """A report document at `path` that lacks a field the block reads, or
-    holds one of the wrong type, is a DataError."""
-    try:
-        yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed report document {path}: {exc!r}") from exc
-
-
 def evaluate_report(report, expectations) -> list:
     """Returns [(criterion, value, bound, passed), ...] for the report's domain."""
     domain_bands = expectations.get(report.domain, {})
@@ -160,7 +150,7 @@ def evaluate_report(report, expectations) -> list:
 def _cmd_evaluate(args) -> int:
     report = parse_report(args.report)
     expectations = _load_expectations(args.expectations)
-    with _reading(args.report):
+    with reading_report(args.report):
         results = evaluate_report(report, expectations)
     if not results:
         print(f"no expectations defined for domain {report.domain!r}")
@@ -176,7 +166,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_report(args) -> int:
     report = parse_report(args.report)
-    with _reading(args.report):
+    with reading_report(args.report):
         summary = render_summary(report)
     if args.out:
         path = os.path.join(args.out, "report.txt")

@@ -118,11 +118,12 @@ _OPTIONAL = "models.dense_ae.layers"
 MAX_WIDTH = 1024
 
 # The legal range of a config value, as (predicate, text), by dotted key. A
-# predicate sees only a value of its default's type. Below 1 a count or size
-# fits no model, or fails after earlier stages have run; a zero-epoch fit
-# leaves initial weights, a depth-0 tree is a single leaf, a split needs two
-# rows, a step size or learning rate must move the weights forward, and a
-# penalty (`lam`, `gamma`, `l2`, `l1`) below 0 fits a wrong model.
+# predicate sees only a value of its default's type (any value for `_OPTIONAL`,
+# which has no default). Below 1 a count or size fits no model, or fails after
+# earlier stages have run; a zero-epoch fit leaves initial weights, a depth-0
+# tree is a single leaf, a split needs two rows, a step size or learning rate
+# must move the weights forward, and a penalty (`lam`, `gamma`, `l2`, `l1`)
+# below 0 fits a wrong model.
 _FRACTION = (lambda v: 0 < v < 1, "a number in (0, 1)")
 _RANGES = {
     **dict.fromkeys((
@@ -141,6 +142,8 @@ _RANGES = {
     ), (lambda v: 0 <= v < np.inf, "a finite number >= 0")),
     "models.boosting.subsample": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "models.lstm_ae.hidden": (lambda v: v <= MAX_WIDTH, f"<= {MAX_WIDTH}"),
+    _OPTIONAL: (lambda v: v is None or isinstance(v, list) and len(v) >= 3 and v == v[::-1] and all(
+        synthgen.like(s, 1) and 1 <= s <= MAX_WIDTH for s in v), f"a symmetric list of at least 3 ints in [1, {MAX_WIDTH}]"),
     "preprocess.test_fraction": _FRACTION,
     "preprocess.validation_fraction": _FRACTION,
     "threshold_percentile": (lambda v: 0 < v < 100, "a number in (0, 100)"),
@@ -162,7 +165,7 @@ class PipelineConfig:
         """The whole config, checked and typed: each field laid over its
         `default_config` value (see `_checked`). Raises ConfigError on the first
         value out of type or range, a session tensor of over `synthgen.MAX_ROWS`
-        (users x days x time_steps) cells, or a layer wider than `MAX_WIDTH`."""
+        (users x days x time_steps) cells, or an LSTM latent not below hidden."""
         defaults = default_config(self.domain).to_dict()
         checked = {name: _checked(name, value, defaults[name]) for name, value in self.to_dict().items()}
         params = GeneratorConfig(**checked["generator"]).params(self.domain)
@@ -170,12 +173,6 @@ class PipelineConfig:
         if DOMAIN_SPECS[self.domain].sessions and params["users"] * params["days"] * time_steps > synthgen.MAX_ROWS:
             raise ConfigError(f"generator.overrides users x days x preprocess.time_steps must be <= {synthgen.MAX_ROWS}, "
                               f"got {params['users']} x {params['days']} x {time_steps}")
-        layers = checked["models"]["dense_ae"].get("layers")
-        if layers is not None and not (
-            isinstance(layers, list) and len(layers) >= 3 and layers == layers[::-1]
-            and all(synthgen.like(s, 1) and 1 <= s <= MAX_WIDTH for s in layers)
-        ):
-            raise ConfigError(f"models.dense_ae.layers must be a symmetric list of at least 3 ints in [1, {MAX_WIDTH}], got {layers!r}")
         lstm = checked["models"]["lstm_ae"]
         if not lstm["latent"] < lstm["hidden"]:
             raise ConfigError("models.lstm_ae.latent must be below models.lstm_ae.hidden, "
@@ -187,7 +184,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        unknown = set(d) - {"domain", "seed", "generator", "preprocess", "models", "threshold_percentile"}
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "domain" not in d:
@@ -213,8 +210,8 @@ def _checked(name: str, value, default):
     key, nested sections too, and may hold only its defaults' keys (and
     `_OPTIONAL`); an empty default (`generator.overrides`) is free-form, left
     to its owner to check. Every other value must have its default's type
-    (`synthgen.like`) and lie in its `_RANGES` range; an int for a float
-    default becomes a float."""
+    (`synthgen.like`), if any, and lie in its `_RANGES` range; an int for a
+    float default becomes a float."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"config section {name!r} must be an object, got {value!r}")
@@ -222,9 +219,7 @@ def _checked(name: str, value, default):
         if default and unknown:
             raise ConfigError(f"unknown config key {name}.{unknown[0]}")
         return {key: _checked(f"{name}.{key}", v, default.get(key)) for key, v in {**default, **value}.items()}
-    if default is None:  # the optional key, checked by `PipelineConfig.validate`
-        return value
-    if not synthgen.like(value, default):
+    if default is not None and not synthgen.like(value, default):
         raise ConfigError(f"{name} must have the type of {default!r}, got {value!r}")
     test, text = _RANGES.get(name, (None, None))
     if test and not test(value):
@@ -872,12 +867,20 @@ def report_to_json(report: RunReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+@contextmanager
+def reading_report(path):
+    """A report document at `path` that lacks a field the block reads, or
+    holds one of the wrong type, is a DataError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed report document {path}: {exc!r}") from exc
+
+
 def parse_report(path) -> RunReport:
     doc = read_json(path, "report", DataError)
-    try:
+    with reading_report(path):
         return RunReport.from_dict(doc)
-    except TypeError as exc:
-        raise DataError(f"malformed report document {path}: {exc}") from exc
 
 
 def render_summary(report: RunReport) -> str:

@@ -77,6 +77,9 @@ USER_EVENT_SCHEMA = [
 # count at users x days x max(1, events_per_day_mean).
 MAX_ROWS = 1 << 24
 
+# The fewest rows a tabular generator draws; ueba draws users x days of events.
+MIN_N = 100
+
 # Service ports clean traffic clusters on, most common first.
 SERVICE_PORTS = np.array([443, 80, 53, 22, 25, 3389, 8080, 110, 143, 21])
 SERVICE_PORT_WEIGHTS = np.array([0.30, 0.28, 0.12, 0.08, 0.06, 0.05, 0.04, 0.03, 0.02, 0.02])
@@ -188,16 +191,14 @@ class GeneratorConfig:
     def params(self, domain: str) -> dict:
         """`domain`'s distribution parameters: `GENERATOR_PARAMS[domain]` with
         the overrides laid over them, once `n` and `anomaly_rate` are checked
-        against [`GENERATOR_MIN_N[domain]`, MAX_ROWS] and (0, 0.5). An override
-        must name a default, have its type (see `like`) and lie in its
-        `PARAM_RANGES` range, and a mix must weight each entry of its `MIXES`
-        category list. ueba's users x days x max(1, events_per_day_mean) must
-        not exceed MAX_ROWS either."""
-        min_n = GENERATOR_MIN_N[domain]
-        if min_n is not None and self.n < min_n:
-            raise ConfigError(f"generator.n must be >= {min_n}, got {self.n}")
-        if min_n is not None and self.n > MAX_ROWS:
-            raise ConfigError(f"generator.n must be <= {MAX_ROWS}, got {self.n}")
+        against [MIN_N, MAX_ROWS] (ignored where users x days of events are
+        drawn) and (0, 0.5). An override must name a default, have its type
+        (see `like`) and lie in its `PARAM_RANGES` range, and a mix must weight
+        each entry of its `MIXES` category list. ueba's users x days x
+        max(1, events_per_day_mean) must not exceed MAX_ROWS either."""
+        if "users" not in GENERATOR_PARAMS[domain] and not MIN_N <= self.n <= MAX_ROWS:
+            bound = f">= {MIN_N}" if self.n < MIN_N else f"<= {MAX_ROWS}"
+            raise ConfigError(f"generator.n must be {bound}, got {self.n}")
         if not 0.0 < self.anomaly_rate < 0.5:
             raise ConfigError(f"generator.anomaly_rate must be in (0, 0.5), got {self.anomaly_rate}")
         merged = dict(GENERATOR_PARAMS[domain])
@@ -587,9 +588,7 @@ def save_events_jsonl(dataset: Dataset, path) -> None:
             fh.write("".join([template % row for row in zip(*cells)]))
 
 
-# Each domain's generator, the defaults its overrides are checked against and
-# the smallest `n` it accepts (ueba draws users x days of events, ignoring `n`).
-GENERATOR_MIN_N = {"intrusion": 100, "malware": 100, "phishing": 100, "ueba": None}
+# Each domain's generator and the defaults its overrides are checked against.
 GENERATOR_PARAMS = {
     "intrusion": NETWORK_DEFAULTS, "malware": MALWARE_DEFAULTS, "phishing": EMAIL_DEFAULTS, "ueba": UEBA_DEFAULTS,
 }

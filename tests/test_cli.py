@@ -1,6 +1,11 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,7 @@ from conftest import UNREADABLE_JSON, unreadable_json
 from threatbench import cli, pipeline, synthgen
 from threatbench.cli import main
 from threatbench.evalx import classification_report
+from test_pipeline import small_config
 
 FAST_OVERRIDES = [
     "--override", "generator.n=400",
@@ -366,3 +372,27 @@ def test_every_domain_list_names_the_same_domains():
     }
     assert {name: domains for name, domains in lists.items() if domains != list(pipeline.DOMAINS)} == {}
     assert pipeline.DOMAINS == tuple(pipeline.DOMAIN_SPECS)
+
+
+def test_perfbench_tracer_sees_a_run(tmp_path):
+    """`perfbench/tracer.py` rebinds names of the package from outside; a run
+    under it must still succeed and record the spans its metrics read."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small_config("intrusion").to_dict()))
+    script = textwrap.dedent(f"""
+        import json, sys
+        sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "perfbench")!r})
+        from tracer import Tracer, aggregate
+        from threatbench import cli
+        tracer = Tracer()
+        tracer.install()
+        code = cli.main(["run", "intrusion", "--config", {str(config)!r}, "--out", {str(tmp_path / "run")!r}])
+        print(json.dumps({{"code": code, "spans": sorted(aggregate(tracer.dump()))}}))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(pipeline.__file__)), os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert seen["code"] == 0
+    assert {"pipeline.run_domain", "pipeline.emit_report", "synthgen.generate"} <= set(seen["spans"])

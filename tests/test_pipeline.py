@@ -993,7 +993,7 @@ class TestConfigWalk:
     def test_every_range_names_a_default(self):
         # A misspelt range key would silently check nothing.
         keys = set(_dotted(default_config("malware").to_dict()))
-        assert set(pipeline._RANGES) <= keys
+        assert set(pipeline._RANGES) <= keys | {pipeline._OPTIONAL}
         params = set().union(*GENERATOR_PARAMS.values())
         assert set(PARAM_RANGES) <= params
         for domain, defaults in GENERATOR_PARAMS.items():

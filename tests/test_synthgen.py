@@ -454,9 +454,17 @@ class TestRunSizeBound:
 
     @pytest.mark.parametrize("domain", ["intrusion", "malware", "phishing"])
     def test_tabular_n_bound_is_inclusive(self, domain):
+        assert GeneratorConfig(n=100).params(domain)
+        with pytest.raises(ConfigError, match="generator.n must be >= 100, got 99$"):
+            GeneratorConfig(n=99).params(domain)
         assert GeneratorConfig(n=MAX_ROWS).params(domain)
         with pytest.raises(ConfigError, match=f"generator.n must be <= {MAX_ROWS}, got {MAX_ROWS + 1}$"):
             GeneratorConfig(n=MAX_ROWS + 1).params(domain)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_ueba_ignores_n(self, n):
+        """ueba's parameters draw users x days of events, so no `n` is refused."""
+        assert GeneratorConfig(n=n).params("ueba")
 
     def test_ueba_bound_is_inclusive_and_counts_a_low_mean_as_one(self):
         side = 1 << 12  # side x side user-days is MAX_ROWS
